@@ -4,14 +4,16 @@ A field is Q[u]/(u^3 + a u^2 + b u + c).  The maximal order is found by
 testing each prime q with q^2 | disc(poly): Dedekind's criterion decides
 q-maximality of Z[u] instantly, and when it fails the order is enlarged via
 the ring of multipliers of the q-radical until stable (the degree-3 case of
-Round 2).  Everything is exact (Fractions and ints; no floating point except
-inside the cubic root *estimator* of the index-equation solver, whose hits
-are always re-verified in integer arithmetic).
+Round 2).  Everything is exact: Fractions and ints, no floating point at
+all.  The index-equation solver keeps only the targets that the congruence
+sieve allows, splits each line y = const into pieces where the form is
+monotone (critical points from isqrt), and bisects for integer roots.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -473,40 +475,23 @@ def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9),
                        conclusions, exponent_cap)
 
 
-def _int_cubic_roots(A, B, C, D, lo, hi):
-    """Integer roots of A t^3 + B t^2 + C t + D in [lo, hi]; float estimates
-    confirmed exactly."""
-    roots = set()
-    # float root estimates (Cardano via numpy-free eigen trick: use np? no --
-    # simple Newton from several seeds is robust enough at these scales)
-    seeds = set()
-    try:
-        import cmath
+def _monotone_pieces(A, B, C, y, lo, hi):
+    """Integer intervals covering [lo, hi] on each of which
+    g(x) = A x^3 + B y x^2 + C y^2 x + D y^3 (A > 0, y > 0) is strictly
+    monotone, as (l, r, step) with step = 1 if g increases, -1 if it falls.
 
-        a, b, c, d = float(A), float(B), float(C), float(D)
-        # depressed cubic
-        p = (3 * a * c - b * b) / (3 * a * a)
-        q = (2 * b**3 - 9 * a * b * c + 27 * a * a * d) / (27 * a**3)
-        disc = (q / 2) ** 2 + (p / 3) ** 3
-        s = cmath.sqrt(disc)
-        for su in (cmath.exp(0), cmath.exp(2j * cmath.pi / 3), cmath.exp(4j * cmath.pi / 3)):
-            u3 = -q / 2 + s
-            u = u3 ** (1 / 3) if u3 != 0 else 0
-            u *= su
-            if u == 0:
-                t = 0.0
-            else:
-                t = u - p / (3 * u)
-            z = t - b / (3 * a)
-            if abs(z.imag) < 1e-3 * (abs(z.real) + 1):
-                seeds.add(round(z.real))
-    except (OverflowError, ValueError, ZeroDivisionError):
-        seeds.update(range(lo, hi + 1) if hi - lo < 100 else ())
-    for s0 in seeds:
-        for t in range(s0 - 2, s0 + 3):
-            if lo <= t <= hi and ((A * t + B) * t + C) * t + D == 0:
-                roots.add(t)
-    return roots
+    g' vanishes at y (-B -+ sqrt(d)) / (3A) with d = B^2 - 3AC; their floors
+    are taken exactly, with the ceiling square root for the smaller one."""
+    d = B * B - 3 * A * C
+    if d <= 0:
+        return [(lo, hi, 1)]
+    s = isqrt(d * y * y)
+    s_up = s if s * s == d * y * y else s + 1
+    k1 = (-B * y - s_up) // (3 * A)  # floor of the smaller critical point
+    k2 = (-B * y + s) // (3 * A)  # floor of the larger one
+    pieces = ((lo, min(k1, hi), 1), (max(k1 + 1, lo), min(k2, hi), -1),
+              (max(k2 + 1, lo), hi, 1))
+    return [p for p in pieces if p[0] <= p[1]]
 
 
 def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
@@ -541,17 +526,35 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
             if v != 0 and _supported(abs(v), allowed_primes):
                 sols.add((x, y, abs(v)))
 
+    # keep a signed target only if every modulus can attain it: coprime
+    # (x, y) have gcd(x, y, m) = 1, so f(x, y) mod m lies in residues[m]
+    allowed = {m: set(r) for m, r in report.residues.items()}
+    values = sorted(v for t in targets for v in (t, -t)
+                    if all(v % m in allowed[m] for m in report.moduli))
+
     # y = 0 and x = 0 edges
     for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         record(x, y)
     for y in range(1, Bnd + 1):
-        for t in targets:
-            for target in (t, -t):
-                # A x^3 + (B y) x^2 + (C y^2) x + (D y^3 - target) = 0
-                for x in _int_cubic_roots(A, B * y, C * y * y, D * y**3 - target,
-                                          -Bnd, Bnd):
-                    record(x, y)
-                    record(-x, -y)
+        By, Cyy, Dyyy = B * y, C * y * y, D * y**3
+
+        def g(x):
+            return ((A * x + By) * x + Cyy) * x + Dyyy
+
+        for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
+            ends = sorted((g(lo), g(hi)))
+            for v in values[bisect_left(values, ends[0]):bisect_right(values, ends[1])]:
+                # least x in [lo, hi] with step * g(x) >= step * v
+                a, b = lo, hi
+                while a < b:
+                    mid = (a + b) // 2
+                    if step * g(mid) < step * v:
+                        a = mid + 1
+                    else:
+                        b = mid
+                if g(a) == v:
+                    record(a, y)
+                    record(-a, -y)
     # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y)
     scaled = set()
     for x, y, v in sols:

@@ -25,7 +25,7 @@ from modpcurves.mordell import search_mordell
 from modpcurves.quadorder import (QuadraticOrderElement, compute_obstruction,
                                   reciprocity_cover)
 from modpcurves.tate import conductor, tate_local
-from modpcurves.verify import EXTERNAL, PASS, verify_all
+from modpcurves.verify import EXTERNAL, PASS
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, invariants, minimal_model,
                                     parse_curve, quadratic_twist)
@@ -298,8 +298,8 @@ def test_criterion_9_property_suites(rng):
             + ("" if not failures else f" (failures: {failures[:3]})"))
 
 
-def test_criterion_10_external_claims_never_computed():
-    report = verify_all()
+def test_criterion_10_external_claims_never_computed(full_report):
+    report = full_report
     externals = [c for c in report.checks if c.status == EXTERNAL]
     text = " ".join(c.description for c in externals)
     ok = (len(externals) == 8

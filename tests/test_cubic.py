@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,8 @@ from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
-                              _det3, _mat_inv, _mul_mod, _vec_mat)
+                              _det3, _mat_inv, _monotone_pieces, _mul_mod,
+                              _vec_mat)
 
 
 def test_parse_cubic_formats():
@@ -142,3 +144,75 @@ def test_solve_values_are_smooth_and_exact():
         while v % 2 == 0:
             v //= 2
         assert v == 1
+
+
+def brute_force_box(K: CubicField, primes, bound: int):
+    """Independent oracle: every (x, y, |f(x, y)|) in the box with a nonzero
+    value supported on the primes, by evaluating the form at each point."""
+    form = index_form(K)
+    out = []
+    for x, y in itertools.product(range(-bound, bound + 1), repeat=2):
+        v = n = abs(form(x, y))
+        for p in primes:
+            while n and n % p == 0:
+                n //= p
+        if n == 1:
+            out.append((x, y, v))
+    return sorted(out)
+
+
+def test_monotone_pieces_tile_and_are_monotone(rng):
+    # (10, 16, 8): B^2 - 3AC = 16 is a perfect square, so for 3 | y the
+    # smaller critical point -2y/3 is an integer
+    cases = [(10, 16, 8, y) for y in range(1, 13)]
+    cases += [(rng.randint(1, 6), rng.randint(-20, 20), rng.randint(-20, 20),
+               rng.randint(1, 10)) for _ in range(1500)]
+    for A, B, C, y in cases:
+        pieces = _monotone_pieces(A, B, C, y, -60, 60)
+        assert pieces[0][0] == -60 and pieces[-1][1] == 60
+        assert all(p[1] + 1 == q[0] for p, q in zip(pieces, pieces[1:]))
+        for lo, hi, step in pieces:
+            vals = [((A * x + B * y) * x + C * y * y) * x for x in range(lo, hi + 1)]
+            assert all(step * (w - v) > 0 for v, w in zip(vals, vals[1:])), \
+                (A, B, C, y, lo, hi, step)
+
+
+def test_solve_matches_brute_force(rng):
+    done = 0
+    while done < 40:
+        poly = tuple(rng.randint(-9, 9) for _ in range(3))
+        try:
+            K = analyze_cubic(poly)
+        except ReduciblePolynomial:
+            continue
+        primes = set(rng.sample([2, 3, 5, 7], rng.randint(0, 4)))
+        bound = rng.randint(1, 30)
+        sols, _ = solve_index_equation(K, primes, bound)
+        assert sols == brute_force_box(K, primes, bound), (poly, primes, bound)
+        done += 1
+
+
+def test_solve_x3_minus_2_regression():
+    # the float root estimator lost 20 of these, starting with (-4, 7)
+    K = analyze_cubic((0, 0, -2))
+    sols, _ = solve_index_equation(K, {2, 3, 5, 7}, 80)
+    assert len(sols) == 598 and (-4, 7, 750) in sols
+    assert sols == brute_force_box(K, {2, 3, 5, 7}, 80)
+
+
+def test_solve_perfect_square_critical_points():
+    # x^3 - 2x^2 - 4x - 20: form (10, 16, 8, 1), B^2 - 3AC = 16
+    K = analyze_cubic((-2, -4, -20))
+    assert index_form(K).coefficients == (10, 16, 8, 1)
+    sols, _ = solve_index_equation(K, {2, 3, 5, 7}, 30)
+    assert sols == brute_force_box(K, {2, 3, 5, 7}, 30)
+
+
+def test_solve_root_on_decreasing_piece():
+    # x^3 + 2x^2 - 12x - 21: form (1, -4, -8, 3); at y = 1, g falls on [0, 3]
+    K = analyze_cubic((2, -12, -21))
+    assert index_form(K).coefficients == (1, -4, -8, 3)
+    assert _monotone_pieces(1, -4, -8, 1, -30, 30)[1] == (0, 3, -1)
+    sols, _ = solve_index_equation(K, {2}, 30)
+    assert {(1, 1, 8), (-1, -1, 8)} <= set(sols)
+    assert sols == brute_force_box(K, {2}, 30)

@@ -7,13 +7,8 @@ from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
                                  parse_pair)
 from modpcurves.fixtures import default_fixture_dir
-from modpcurves.verify import (EXTERNAL, FAIL, PASS, verify_all, verify_file,
+from modpcurves.verify import (EXTERNAL, FAIL, PASS, verify_file,
                                verify_records)
-
-
-@pytest.fixture(scope="module")
-def full_report():
-    return verify_all()
 
 
 def test_parse_fixture_text():
