@@ -1,8 +1,9 @@
 """Exact integer arithmetic shared by every module.
 
-Factorization (trial division + Brent-cycle Pollard rho, with deterministic
-Miller-Rabin certification of every reported prime), p-adic valuations and
-Legendre symbols.  Everything works on arbitrary-precision ints.
+Factorization (trial division + Brent-cycle Pollard rho; every reported
+prime passes is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW
+above), p-adic valuations and Legendre symbols.  Everything works on
+arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ class IncompleteFactorization(Exception):
         super().__init__(f"could not split composite cofactor {cofactor}")
 
 
-# Deterministic for all n < 3.3 * 10^24 (standard base set).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to these bases is deterministic below psi_13 (the least
+# strong pseudoprime to all of them); above it, is_prime runs BPSW.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the ranges this toolkit meets."""
+    """Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3 * 10^24;
+    above it, Baillie-PSW: a strong test to base 2 and a strong Lucas test.
+    No composite passing BPSW is known."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -37,17 +42,73 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _PSI_13:
+        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Miller-Rabin to base a, with n - 1 = d * 2^s and d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters: D the first of
+    5, -7, 9, -11, ... with (D|n) = -1, P = 1, Q = (1 - D)/4 (n odd, not
+    divisible by a prime below 43)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v):
+        v %= n
+        return (v + n if v % 2 else v) // 2
+
+    # U_k, V_k, Q^k mod n for k = 1, then up the bits of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -154,7 +215,7 @@ def factor(n: int, effort_bound: int = 10**7) -> Factorization:
 
     Trial division below 10^6, then Pollard rho with an iteration budget of
     effort_bound (enough for prime factors up to roughly effort_bound^2).
-    Every reported prime is Miller-Rabin certified.  Raises
+    Every reported prime passes is_prime.  Raises
     IncompleteFactorization with the remaining cofactor if the budget runs
     out on a composite.
     """

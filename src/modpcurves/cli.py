@@ -20,9 +20,9 @@ from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
-from .tate import conductor, tate_local
+from .tate import conductor, conductor_from_local, tate_local
 from .verify import verify_all, verify_file
-from .weierstrass import discriminant, invariants, minimal_model, parse_curve
+from .weierstrass import invariants, minimal_model, parse_curve
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -45,21 +45,17 @@ def _plain(obj):
     return str(obj)
 
 
-def _signed_str(n: int) -> str:
-    f = factor(abs(n))
-    return ("-" if n < 0 else "") + str(f)
-
-
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
     Emin, (u, r, s, t) = minimal_model(E)
     inv = invariants(Emin)
-    N = conductor(E)
-    locals_ = [tate_local(Emin, p) for p, _ in factor(discriminant(Emin)).factors]
+    disc = factor(inv.discriminant)
+    locals_ = [tate_local(Emin, p) for p in disc.support]
+    N = conductor_from_local(locals_)
     text = [f"model:        {E}",
             f"minimal:      {Emin}   (u,r,s,t) = {(u, r, s, t)}",
             f"c4, c6:       {inv.c4}, {inv.c6}",
-            f"disc:         {inv.discriminant} = {_signed_str(inv.discriminant)}",
+            f"disc:         {inv.discriminant} = {disc}",
             f"conductor:    {N.value()} = {N}"]
     for ld in locals_:
         text.append(f"  at {ld.prime}: {ld.reduction}, {ld.kodaira}, "
@@ -121,7 +117,7 @@ def cmd_cubic_info(args) -> int:
                 terms.append(f"{coef}*{name}" if coef != 1 else name)
         basis.append(" + ".join(terms))
     text = [f"poly disc:    {K.poly_discriminant}",
-            f"field disc:   {K.field_discriminant} = {_signed_str(K.field_discriminant)}",
+            f"field disc:   {K.field_discriminant} = {factor(K.field_discriminant)}",
             f"index of u:   {K.index_of_generator}",
             f"basis:        {{{', '.join(basis)}}}",
             f"index form:   {form.coefficients}",

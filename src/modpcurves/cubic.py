@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import Factorization, factor, valuation
 
@@ -180,34 +180,6 @@ def _vec_mat(v, M):
     return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
 
 
-def _kernel_mod_q(M, q):
-    """Kernel basis of the linear map given by 3x3 matrix M over F_q
-    (vectors act on the left: v -> v M)."""
-    rows = [[M[i][j] % q for j in range(3)] + [1 if k == i else 0 for k in range(3)]
-            for i, k in ((0, 0), (1, 1), (2, 2))]
-    # Gaussian elimination on the first 3 columns, tracking row ops
-    pivots = []
-    r = 0
-    for col in range(3):
-        pr = None
-        for i in range(r, 3):
-            if rows[i][col] % q:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][col], -1, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % q for j in range(6)]
-        pivots.append(col)
-        r += 1
-    return [row[3:] for row in rows[r:]]
-
-
 def _maximal_order(poly) -> list[Vec]:
     """Basis (rows, power-basis coords) of the maximal order of Q[u]/(f)."""
     a, b, c = poly
@@ -240,7 +212,7 @@ def _q_maximize(basis: list[Vec], q: int, poly) -> list[Vec]:
             for _ in range(e):
                 y = _pow_q(y, q, table)
             frob.append([int(t) % q for t in y])
-        rad_vectors = _kernel_mod_q(frob, q)
+        rad_vectors = _left_kernel_mod_q(frob, q)
         # J = radical: generated by rad vectors and q*O (coords on basis)
         jrows = [[q if j == i else 0 for j in range(3)] for i in range(3)]
         jrows += [[v[j] % q for j in range(3)] for v in rad_vectors]
@@ -258,7 +230,7 @@ def _q_maximize(basis: list[Vec], q: int, poly) -> list[Vec]:
                 col.extend(int(t) % q for t in jcoords)
             sys_rows.append(col)
         # kernel of the 3 x 3|J| system (vectors v with sum v_i sys_rows[i] = 0 mod q)
-        ker = _nullspace_left(sys_rows, q)
+        ker = _left_kernel_mod_q(sys_rows, q)
         if not ker:
             return basis
         new_rows = [[q if j == i else 0 for j in range(3)] for i in range(3)]
@@ -276,29 +248,25 @@ def _q_maximize(basis: list[Vec], q: int, poly) -> list[Vec]:
         basis = new_basis
 
 
-def _nullspace_left(rows, q):
-    """Vectors v (len 3, mod q) with sum_i v_i * rows[i] = 0 mod q."""
-    n = len(rows[0])
-    aug = [[rows[i][j] % q for j in range(n)] + [1 if k == i else 0 for k in range(3)]
-           for i, k in ((0, 0), (1, 1), (2, 2))]
+def _left_kernel_mod_q(rows, q):
+    """Basis of the vectors v mod q with sum_i v_i * rows[i] = 0 mod q."""
+    k, n = len(rows), len(rows[0])
+    aug = [[x % q for x in row] + [1 if j == i else 0 for j in range(k)]
+           for i, row in enumerate(rows)]
     r = 0
     for col in range(n):
-        pr = None
-        for i in range(r, 3):
-            if aug[i][col] % q:
-                pr = i
-                break
+        pr = next((i for i in range(r, k) if aug[i][col]), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
         inv = pow(aug[r][col], -1, q)
         aug[r] = [(x * inv) % q for x in aug[r]]
-        for i in range(3):
-            if i != r and aug[i][col] % q:
+        for i in range(k):
+            if i != r and aug[i][col]:
                 f = aug[i][col]
-                aug[i] = [(aug[i][j] - f * aug[r][j]) % q for j in range(n + 3)]
+                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[r])]
         r += 1
-        if r == 3:
+        if r == k:
             break
     return [row[n:] for row in aug[r:]]
 
@@ -447,27 +415,31 @@ def _describe(S, cap, p):
 
 def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9),
                      exponent_cap: int = 11) -> SieveReport:
-    """Which exponent vectors of |f(x,y)| = prod p^e survive the residue
-    tests mod each modulus, for coprime (x, y)."""
+    """Which exponents e <= exponent_cap of each allowed prime p occur in
+    some exponent vector of |f(x,y)| = prod p^e that survives the residue
+    tests mod each modulus, for coprime (x, y).
+
+    The tests see t = prod p^e only through t mod L, L = lcm(moduli), so
+    each prime contributes its classes p^e mod L, and e survives exactly
+    when p^e * r passes for some product r of the other primes' classes."""
     primes = sorted(allowed_primes)
     residues = {m: _attainable_residues(form, m) for m in moduli}
-    import itertools
+    L = lcm(*moduli)
+    passing = {t for t in range(L)
+               if all(t % m in residues[m] or -t % m in residues[m] for m in moduli)}
+    classes = [{pow(p, e, L) for e in range(exponent_cap + 1)} for p in primes]
 
-    surviving = {p: set() for p in primes}
-    all_survive = []
-    if not primes:
-        vecs = [()]
-    else:
-        vecs = itertools.product(range(exponent_cap + 1), repeat=len(primes))
-    for vec in vecs:
-        t = 1
-        for p, e in zip(primes, vec):
-            t *= p**e
-        ok = all((t % m) in residues[m] or (-t % m) in residues[m] for m in moduli)
-        if ok:
-            all_survive.append(vec)
-            for p, e in zip(primes, vec):
-                surviving[p].add(e)
+    def products(sets):
+        out = {1 % L}
+        for s in sets:
+            out = {a * b % L for a in out for b in s}
+        return out
+
+    surviving = {}
+    for i, p in enumerate(primes):
+        others = products(classes[:i] + classes[i + 1:])
+        surviving[p] = {e for e in range(exponent_cap + 1)
+                        if any(pow(p, e, L) * r % L in passing for r in others)}
     conclusions = tuple(_describe(surviving[p], exponent_cap, p) for p in primes)
     return SieveReport(tuple(moduli),
                        {m: tuple(sorted(residues[m])) for m in moduli},

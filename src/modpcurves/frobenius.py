@@ -9,8 +9,8 @@ Bad primes follow the standard conventions: +1 split multiplicative,
 from __future__ import annotations
 
 from .arith import legendre_symbol
-from .tate import ADDITIVE, GOOD, SPLIT_MULT, tate_local
-from .weierstrass import WeierstrassModel, discriminant, invariants, minimal_model
+from .tate import ADDITIVE, GOOD, SPLIT_MULT, LocalData, tate_local
+from .weierstrass import WeierstrassModel, discriminant, minimal_model
 
 
 class PrimeTooLarge(Exception):
@@ -44,16 +44,28 @@ def count_points(E: WeierstrassModel, ell: int) -> int:
 
 def ap(E: WeierstrassModel, ell: int, count_bound: int = DEFAULT_COUNT_BOUND) -> int:
     """Trace of Frobenius at ell (minimal model; bad-prime conventions)."""
-    if ell > count_bound:
-        raise PrimeTooLarge(f"ell = {ell} exceeds counting bound {count_bound}")
+    _require_countable(ell, count_bound)
     Emin, _ = minimal_model(E)
-    if discriminant(Emin) % ell != 0:
+    return _ap_minimal(Emin, discriminant(Emin), ell, count_bound)
+
+
+def _ap_minimal(Emin: WeierstrassModel, disc: int, ell: int,
+                count_bound: int = DEFAULT_COUNT_BOUND, ld: LocalData | None = None) -> int:
+    """ap for a globally minimal model Emin with discriminant disc; ld is
+    tate_local(Emin, ell) when the caller already has it."""
+    _require_countable(ell, count_bound)
+    if disc % ell != 0:
         a = ell + 1 - count_points(Emin, ell)
-        assert a * a < 4 * ell, (E, ell, a)
+        assert a * a < 4 * ell, (Emin, ell, a)
         return a
-    ld = tate_local(Emin, ell)
+    ld = ld or tate_local(Emin, ell)
     if ld.reduction == GOOD:
         return ell + 1 - count_points(Emin, ell)
     if ld.reduction == ADDITIVE:
         return 0
     return 1 if ld.reduction == SPLIT_MULT else -1
+
+
+def _require_countable(ell: int, count_bound: int) -> None:
+    if ell > count_bound:
+        raise PrimeTooLarge(f"ell = {ell} exceeds counting bound {count_bound}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, factor, primes_below, valuation
-from .frobenius import ap
+from .frobenius import _ap_minimal
 from .tate import ADDITIVE, GOOD, tate_local
 from .weierstrass import WeierstrassModel, discriminant, minimal_model
 
@@ -67,18 +67,19 @@ def trace_vector(E: WeierstrassModel, p: int, bound: int) -> TraceVector:
         if ell == p:
             continue
         if disc % ell != 0:
-            entries.append((ell, ap(Emin, ell) % p, GOOD_Q))
+            entries.append((ell, _ap_minimal(Emin, disc, ell) % p, GOOD_Q))
             continue
         ld = tate_local(Emin, ell)
         if ld.reduction == GOOD:
-            entries.append((ell, ap(Emin, ell) % p, GOOD_Q))
+            entries.append((ell, _ap_minimal(Emin, disc, ell, ld=ld) % p, GOOD_Q))
         elif ld.reduction == ADDITIVE:
             entries.append((ell, 0, RAMIFIED_SKIP))
         else:
             v = valuation(disc, ell)
             if v % p == 0:
                 # unramified: eigenvalues a_ell and ell * a_ell
-                entries.append((ell, ap(Emin, ell) * (1 + ell) % p, BAD_CONVENTION))
+                a = _ap_minimal(Emin, disc, ell, ld=ld)
+                entries.append((ell, a * (1 + ell) % p, BAD_CONVENTION))
             else:
                 entries.append((ell, 0, RAMIFIED_SKIP))
     return TraceVector(p, tuple(entries))
@@ -119,7 +120,7 @@ def is_reducible_semistable(E: WeierstrassModel, p: int, bound: int) -> str:
     for ell in primes_below(bound + 1):
         if ell == p or disc % ell == 0:
             continue
-        if (ap(Emin, ell) - 1 - ell) % p != 0:
+        if (_ap_minimal(Emin, disc, ell) - 1 - ell) % p != 0:
             return IRREDUCIBLE
     return UNDETERMINED
 

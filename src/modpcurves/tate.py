@@ -3,14 +3,16 @@
 The full case chain is implemented (including the p = 2, 3 subcases and the
 I_n* sub-loop), not the p >= 5 shortcuts.  Non-minimal local models are
 detected by the final case and rescaled in place, so the reported data always
-refers to a model minimal at p.
+refers to a model minimal at p.  Every root over F_p that the algorithm needs
+comes from roots_mod_p, in O(log p) arithmetic operations, so large bad
+primes cost no more than small ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, factor, legendre_symbol, valuation
+from .arith import Factorization, factor, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
                           transform)
 
@@ -43,30 +45,117 @@ def _val(n: int, p: int, big: int = 10**9) -> int:
     return big if n == 0 else valuation(n, p)
 
 
-def _roots_with_multiplicity(coeffs: list[int], p: int) -> list[tuple[int, int]]:
-    """Roots in F_p of the polynomial with given (ascending) coefficients,
-    with multiplicities.  Brute force scan; p stays desk-sized here."""
-    out = []
-    cs = [c % p for c in coeffs]
-    for r in range(p):
-        # synthetic division until nonzero remainder
-        mult = 0
-        work = list(cs)
-        while True:
-            acc = 0
-            quot = []
-            for c in reversed(work):
-                acc = (acc * r + c) % p
-                quot.append(acc)
-            if acc != 0:
-                break
-            mult += 1
-            work = list(reversed(quot[:-1]))
-            if not work:
-                break
-        if mult:
-            out.append((r, mult))
-    return out
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _divmod_poly(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over F_p (ascending coefficients,
+    g trimmed and nonzero)."""
+    r = [c % p for c in f]
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(g) - 1] * inv % p
+        q[k] = c
+        if c:
+            for i, gi in enumerate(g):
+                r[k + i] = (r[k + i] - c * gi) % p
+    return q, _trim(r[: len(g) - 1])
+
+
+def _gcd_poly(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two polynomials, not both zero."""
+    f, g = _trim([c % p for c in f]), _trim([c % p for c in g])
+    while g:
+        f, g = g, _divmod_poly(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _powmod_linear(delta: int, e: int, g: list[int], p: int) -> list[int]:
+    """(x + delta)^e mod g over F_p for monic g of degree d >= 1, by
+    repeated squaring; d coefficients, ascending."""
+    d = len(g) - 1
+
+    def reduce(f):
+        for k in range(len(f) - 1, d - 1, -1):
+            c = f[k] % p
+            if c:
+                for i in range(d):
+                    f[k - d + i] -= c * g[i]
+        return [c % p for c in f[:d]]
+
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                for j, rj in enumerate(r):
+                    sq[i + j] += ri * rj
+        r = reduce(sq)
+        if bit == "1":  # times x + delta
+            r = reduce([delta * r[0]] + [a + delta * b for a, b in zip(r, r[1:] + [0])])
+    return r
+
+
+def _split_roots(h: list[int], p: int) -> list[int]:
+    """The roots of h, monic, squarefree and a product of linear factors
+    over F_p (p odd), split by gcd(h, (x + delta)^((p-1)/2) - 1) for
+    delta = 0, 1, 2, ...  This ends: for distinct roots r1, r2 the sum over
+    delta of chi((delta + r1)(delta + r2)) is -1, so some delta makes
+    exactly one of delta + r1, delta + r2 a nonzero square."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    delta = 0
+    while True:
+        w = _powmod_linear(delta, (p - 1) // 2, h, p)
+        w[0] -= 1
+        f = _gcd_poly(h, w, p)
+        if 1 < len(f) < len(h):
+            return _split_roots(f, p) + _split_roots(_divmod_poly(h, f, p)[0], p)
+        delta += 1
+
+
+def _multiplicity(cs: list[int], r: int, p: int) -> int:
+    """Order of vanishing at r of the nonzero polynomial cs over F_p, by
+    synthetic division."""
+    mult = 0
+    while len(cs) > 1:
+        acc = 0
+        quot = []
+        for c in reversed(cs):
+            acc = (acc * r + c) % p
+            quot.append(acc)
+        if acc:
+            break
+        mult += 1
+        cs = quot[-2::-1]
+    return mult
+
+
+def roots_mod_p(coeffs: list[int], p: int) -> list[tuple[int, int]]:
+    """Roots in F_p, ascending, with multiplicities, of the polynomial with
+    the given ascending coefficients; its degree is at most 3 and its
+    leading coefficient a unit mod p.
+
+    The distinct roots are those of h = gcd(g, x^p - x), with x^p mod g by
+    repeated squaring; Cantor-Zassenhaus splits h (Cohen, GTM 138, 1.6 and
+    3.4).  O(log p) operations on polynomials of degree at most 3."""
+    cs = _trim([c % p for c in coeffs])
+    assert len(cs) == len(coeffs) <= 4, (coeffs, p)
+    inv = pow(cs[-1], -1, p)
+    g = [c * inv % p for c in cs]
+    if p == 2:
+        candidates = [0, 1]
+    else:
+        w = _powmod_linear(0, p, g, p) + [0, 0]
+        w[1] -= 1  # x^p - x, reduced mod g except for the -x
+        candidates = _split_roots(_gcd_poly(g, w, p), p)
+    with_mult = [(r, _multiplicity(g, r, p)) for r in sorted(candidates)]
+    return [(r, m) for r, m in with_mult if m]
 
 
 def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
@@ -85,7 +174,7 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     # singular x is a multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    for r, mult in _roots_with_multiplicity([b6, 2 * b4, b2, 4], p):
+    for r, mult in roots_mod_p([b6, 2 * b4, b2, 4], p):
         if mult >= 2:
             inv2 = pow(2, -1, p)
             y = (-(a1 * r + a3) * inv2) % p
@@ -95,23 +184,9 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
 
 def _quadratic_double_root(a: int, b: int, c: int, p: int):
     """For a x^2 + b x + c mod p with a a unit: None if two distinct roots
-    in an algebraic closure, else the double root in F_p."""
-    if p == 2:
-        if b % 2:
-            return None
-        # x^2 + (c/a): double root sqrt(c/a) = c*a (inverses are identities mod 2)
-        return (c * a) % 2
-    disc = (b * b - 4 * a * c) % p
-    if disc != 0:
-        return None
-    return (-b * pow(2 * a, -1, p)) % p
-
-
-def _quadratic_has_root(a: int, b: int, c: int, p: int) -> bool:
-    if p == 2:
-        return any((a * x * x + b * x + c) % 2 == 0 for x in (0, 1))
-    disc = b * b - 4 * a * c
-    return legendre_symbol(disc, p) >= 0
+    in an algebraic closure, else the double root, which lies in F_p."""
+    roots = roots_mod_p([c, b, a], p)
+    return roots[0][0] if roots and roots[0][1] == 2 else None
 
 
 def tate_local(E: WeierstrassModel, p: int) -> LocalData:
@@ -143,7 +218,7 @@ def _tate_once(E, p):
 
     if b2 % p != 0:
         # multiplicative: tangent directions from T^2 + a1 T - a2
-        split = _quadratic_has_root(1, a1, -a2, p)
+        split = bool(roots_mod_p([-a2, a1, 1], p))
         red = SPLIT_MULT if split else NONSPLIT_MULT
         return LocalData(p, red, 1, f"I{n}", n)
 
@@ -176,7 +251,7 @@ def _tate_once(E, p):
     b = a2 // p
     c = a4 // p**2
     d = a6 // p**3
-    roots = _roots_with_multiplicity([d, c, b, 1], p)
+    roots = roots_mod_p([d, c, b, 1], p)
     max_mult = max((m for _, m in roots), default=1)
 
     if max_mult == 1:
@@ -232,10 +307,11 @@ def conductor(E: WeierstrassModel) -> Factorization:
     from .weierstrass import minimal_model
 
     Emin, _ = minimal_model(E)
-    disc = discriminant(Emin)
-    out = []
-    for p, _ in factor(disc).factors:
-        ld = tate_local(Emin, p)
-        if ld.conductor_exponent:
-            out.append((p, ld.conductor_exponent))
-    return Factorization(1, tuple(sorted(out)))
+    return conductor_from_local([tate_local(Emin, p)
+                                 for p in factor(discriminant(Emin)).support])
+
+
+def conductor_from_local(data: list[LocalData]) -> Factorization:
+    """The conductor from the Tate data at every bad prime."""
+    return Factorization(1, tuple(sorted((ld.prime, ld.conductor_exponent)
+                                         for ld in data if ld.conductor_exponent)))

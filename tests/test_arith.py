@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpcurves.arith import (Factorization, IncompleteFactorization, factor,
-                              is_prime, legendre_symbol, primes_below,
-                              valuation)
+from modpcurves.arith import (Factorization, IncompleteFactorization,
+                              _strong_lucas_probable_prime, factor, is_prime,
+                              legendre_symbol, primes_below, valuation)
 
 
 def test_factor_round_trip_exhaustive_to_one_million():
@@ -53,6 +53,53 @@ def test_is_prime_small_exhaustive():
 def test_is_prime_known_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+def test_is_prime_rejects_psi_12_and_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert factor(2 * PSI_12).factors \
+        == ((2, 1), (399165290221, 1), (798330580441, 1))
+
+
+def test_is_prime_above_psi_13():
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    # composite Mersenne numbers 2^q - 1 (q prime) are strong pseudoprimes
+    # to base 2, so the Lucas half of BPSW must reject them
+    for q in (83, 97):
+        n = 2**q - 1
+        assert n > PSI_13 and pow(2, (n - 1) // 2, n) == 1
+        assert not is_prime(n)
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    # Chernick's (6k+1)(12k+1)(18k+1): the last two lie above psi_12 and psi_13
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in (1, 6265100, 13679106)]
+    assert chernick[1] > PSI_12 and chernick[2] > PSI_13
+    for n in [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041] + chernick:
+        assert not is_prime(n), n
+    assert factor(chernick[2]).factors \
+        == ((82074637, 1), (164149273, 1), (246223909, 1))
+
+
+def test_strong_lucas_against_sympy(rng):
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    small = primes_below(43)
+    odd = [n for n in range(45, 30000, 2) if all(n % p for p in small)]
+    big = [rng.randrange(PSI_13, 10**40) | 1 for _ in range(300)]
+    for n in odd + [n for n in big if all(n % p for p in small)]:
+        assert _strong_lucas_probable_prime(n) == primetest.is_strong_lucas_prp(n), n
+    for n in big:
+        assert is_prime(n) == primetest.isprime(n), n
+    # Selfridge strong Lucas pseudoprimes: Miller-Rabin still rejects them
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n) and not is_prime(n)
 
 
 def test_primes_below():

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -94,6 +95,45 @@ def test_sieve_2063():
     by_prime = dict(zip(sorted({2, 2063}), report.conclusions))
     assert by_prime[2] == "exponent of 2 forced to 0"
     assert by_prime[2063] == "exponent of 2063 = 2 (mod 3)"
+
+
+def sieve_by_enumeration(form, primes, moduli=(2, 9), cap=11):
+    """Independent oracle: the surviving exponents of each prime, from all
+    (cap + 1)^|primes| exponent vectors and the residue test on each."""
+    residues = {m: {form(x, y) % m for x in range(m) for y in range(m)
+                    if gcd(gcd(x, y), m) == 1} for m in moduli}
+    primes = sorted(primes)
+    surviving = {p: set() for p in primes}
+    for vec in itertools.product(range(cap + 1), repeat=len(primes)):
+        t = 1
+        for p, e in zip(primes, vec):
+            t *= p**e
+        if all(t % m in residues[m] or -t % m in residues[m] for m in moduli):
+            for p, e in zip(primes, vec):
+                surviving[p].add(e)
+    return {p: tuple(sorted(s)) for p, s in surviving.items()}
+
+
+def test_sieve_matches_enumeration():
+    x3_minus_2 = index_form(analyze_cubic((0, 0, -2)))
+    report = congruence_sieve(x3_minus_2, {2, 3, 5, 7})
+    assert report.surviving_exponents \
+        == sieve_by_enumeration(x3_minus_2, {2, 3, 5, 7})
+    for poly, _ in FIXTURE_CUBICS:
+        form = index_form(analyze_cubic(poly))
+        for primes, moduli in (({2, 2063}, (2, 9)), ({3, 5, 7}, (4, 9)),
+                               ({2, 3, 13}, (7, 8, 9))):
+            report = congruence_sieve(form, primes, moduli=moduli)
+            assert report.surviving_exponents \
+                == sieve_by_enumeration(form, primes, moduli), (poly, primes)
+
+
+def test_sieve_six_primes_is_fast():
+    form = index_form(analyze_cubic((0, 0, -2)))
+    start = time.perf_counter()
+    report = congruence_sieve(form, {2, 3, 5, 7, 11, 13})
+    assert time.perf_counter() - start < 0.5
+    assert len(report.conclusions) == 6
 
 
 def test_sieve_soundness_brute_force():

@@ -3,7 +3,7 @@ import pytest
 from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
 from modpcurves.arith import factor
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             LocalData, conductor, tate_local)
+                             LocalData, conductor, roots_mod_p, tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, minimal_model, parse_curve,
                                     transform)
@@ -93,3 +93,85 @@ def test_localdata_invariants_enforced():
         LocalData(5, GOOD, 1, "I0", 0)
     with pytest.raises(AssertionError):
         LocalData(5, SPLIT_MULT, 2, "I3", 3)
+
+
+def roots_by_scan(coeffs, p):
+    """Independent oracle: every r in F_p, with its multiplicity found by
+    synthetic division until the remainder is nonzero."""
+    out = []
+    for r in range(p):
+        mult, work = 0, [c % p for c in coeffs]
+        while len(work) > 1:
+            acc, quot = 0, []
+            for c in reversed(work):
+                acc = (acc * r + c) % p
+                quot.append(acc)
+            if acc:
+                break
+            mult += 1
+            work = quot[-2::-1]
+        if mult:
+            out.append((r, mult))
+    return out
+
+
+def _expand(lead, roots, p):
+    """Ascending coefficients of lead * prod (x - r) mod p."""
+    poly = [lead % p]
+    for r in roots:
+        poly = [(lo - r * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 1009])
+def test_roots_mod_p_matches_scan(p, rng):
+    polys = []
+    for _ in range(150):
+        lead = rng.randrange(1, p)
+        r1, r2, r3 = (rng.randrange(p) for _ in range(3))
+        polys += [
+            [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [lead],
+            _expand(lead, [r1, r1, r2], p),  # forced double root
+            _expand(lead, [r1, r1, r1], p),  # forced triple root
+            _expand(lead, [r1, r2, r3], p),
+            _expand(lead, [r1, r2], p),
+            # shift by a multiple of p: the primitive reduces its input
+            [c + p * rng.randint(-5, 5) for c in _expand(lead, [r1], p)],
+        ]
+    for poly in polys:
+        assert roots_mod_p(poly, p) == roots_by_scan(poly, p), (poly, p)
+
+
+def _oracle_conductor_away_from_6(model):
+    """Conductor exponents at p >= 5 from sympy: the bad primes divide the
+    discriminant, and for a model minimal at p (v_p(disc) < 12 is checked)
+    the reduction is multiplicative, f = 1, iff p does not divide c4,
+    else additive, f = 2."""
+    sympy = pytest.importorskip("sympy")
+    a1, a2, a3, a4, a6 = model
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    out = []
+    for p, e in sorted(sympy.factorint(abs(disc)).items()):
+        if p >= 5:
+            assert e < 12, (model, p)
+            out.append((p, 1 if c4 % p else 2))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("model,factors", [
+    # bad prime 104012899; the former O(p) scan of F_p took 86 s on it and
+    # gave the same conductor
+    ([1, 0, 0, -1000003, 17],
+     ((2, 1), (3, 1), (5, 2), (41, 1), (271, 1), (15383, 1), (104012899, 1))),
+    # bad prime about 1.15 * 10^16, out of reach of any scan
+    ([0, 0, 0, -12345678, 1],
+     ((2, 3), (3, 2), (24137, 1), (11549356130769319, 1))),
+])
+def test_conductor_with_large_bad_prime(model, factors):
+    N = conductor(WeierstrassModel(*model))
+    assert N.factors == factors
+    assert tuple(f for f in N.factors if f[0] >= 5) \
+        == _oracle_conductor_away_from_6(model)
