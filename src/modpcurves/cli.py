@@ -37,9 +37,10 @@ def _plain(obj):
         return _plain(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_plain(v) for v in sorted(obj) if isinstance(obj, (set, frozenset))] \
-            if isinstance(obj, (set, frozenset)) else [_plain(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)

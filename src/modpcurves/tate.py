@@ -199,13 +199,16 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
         raise SingularModel(str(E))
     while True:
         result = _tate_once(E, p)
-        if result is not None:
+        if isinstance(result, LocalData):
             return result
-        # model was non-minimal at p: u = p rescale and rerun
-        E = transform(E, p, 0, 0, 0)
+        # non-minimal at p: result is E moved into p^i | a_i shape; rescale it
+        # by u = p and rerun
+        E = transform(result, p, 0, 0, 0)
 
 
-def _tate_once(E, p):
+def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
+    """Local data of E at p, or, when E is not minimal at p, the model that E
+    was translated into, with p^i dividing a_i for i = 1, 2, 3, 4, 6."""
     n = valuation(discriminant(E), p)
     if n == 0:
         return LocalData(p, GOOD, 0, "I0", 0)
@@ -299,7 +302,7 @@ def _tate_once(E, p):
         return LocalData(p, ADDITIVE, n - 7, "III*", n)
     if _val(a6, p) < 6:
         return LocalData(p, ADDITIVE, n - 8, "II*", n)
-    return None  # non-minimal at p; caller rescales
+    return E
 
 
 def conductor(E: WeierstrassModel) -> Factorization:

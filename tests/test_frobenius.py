@@ -3,13 +3,14 @@ import pytest
 from conftest import ALL_CURVES
 from modpcurves.arith import legendre_symbol, primes_below
 from modpcurves.frobenius import PrimeTooLarge, ap, count_points
-from modpcurves.tate import GOOD, tate_local
+from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
+                             tate_local)
 from modpcurves.weierstrass import (discriminant, minimal_model, parse_curve,
                                     quadratic_twist)
 
 
 def brute_force_count(E, ell):
-    """O(ell^2) affine scan, independent of the Legendre-symbol fast path."""
+    """O(ell^2) affine scan, independent of the residue-table fast path."""
     a1, a2, a3, a4, a6 = E.coeffs
     n = 1
     for x in range(ell):
@@ -18,6 +19,39 @@ def brute_force_count(E, ell):
                     - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0:
                 n += 1
     return n
+
+
+def count_by_legendre(E, ell):
+    """O(ell) count for odd ell: complete the square and add 1 + (g(x)|ell)
+    over x, one modular exponentiation per x."""
+    a1, a2, a3, a4, a6 = E.coeffs
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    n = 1
+    for x in range(ell):
+        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % ell
+        n += 1 + legendre_symbol(g, ell)
+    return n
+
+
+def test_count_points_against_legendre_oracle():
+    # every odd ell <= 500, bad ell included (additive and multiplicative),
+    # then two larger ell on two curves
+    kinds = set()
+    for E in map(parse_curve, ALL_CURVES):
+        Emin, _ = minimal_model(E)
+        disc = discriminant(Emin)
+        for ell in primes_below(501)[1:]:
+            for C in (E, Emin):
+                assert count_points(C, ell) == count_by_legendre(C, ell), (C, ell)
+            if disc % ell == 0:
+                kinds.add(tate_local(Emin, ell).reduction)
+    assert kinds == {ADDITIVE, SPLIT_MULT, NONSPLIT_MULT}
+    for text in ("[1,1,0,-22,-812]", "[0,0,1,-791019,270787421]"):
+        E = parse_curve(text)
+        for ell in (1009, 10007):
+            assert count_points(E, ell) == count_by_legendre(E, ell), (E, ell)
 
 
 def test_ap_against_brute_force_oracle():

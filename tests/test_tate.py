@@ -73,6 +73,35 @@ def test_nonminimal_model_rescaled():
     for p in (2, 11):
         assert tate_local(blown, p) == tate_local(E, p)
     assert conductor(blown) == conductor(E)
+    # [1,-1,1,-1,0] scaled by u = 2, then moved by (r, s, t): the rescale
+    # applies to the model Tate's algorithm translated, not to the input
+    assert tate_local(parse_curve("[-2,-7,-4,-3,16]"), 2) \
+        == tate_local(parse_curve("[1,-1,1,-1,0]"), 2)
+
+
+def test_nonminimal_models_match_minimal(rng):
+    # F = Emin scaled by u = p (a_i -> a_i p^i), then moved by a random
+    # integral (r, s, t): the local data at p are those of Emin. The conftest
+    # curves and y^2 = x^3 + 5^3 x (III* at 5) bring the additive types,
+    # seeded models mostly I_n.
+    models = [minimal_model(parse_curve(text))[0]
+              for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS]
+    models.append(parse_curve("[0,0,0,125,0]"))
+    while len(models) < 100:
+        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
+        if discriminant(E) != 0:
+            models.append(minimal_model(E)[0])
+    kodairas = set()
+    for Emin in models:
+        for p in factor(discriminant(Emin)).support:
+            expected = tate_local(Emin, p)
+            kodairas.add(expected.kodaira)
+            scaled = WeierstrassModel(*(a * p**i for a, i
+                                        in zip(Emin.coeffs, (1, 2, 3, 4, 6))))
+            for _ in range(2):
+                F = transform(scaled, 1, *(rng.randint(-50, 50) for _ in range(3)))
+                assert tate_local(F, p) == expected, (Emin, F, p)
+    assert {"II", "III", "IV", "I0*", "I1*", "IV*", "III*", "II*"} <= kodairas
 
 
 def test_singular_input_rejected():
