@@ -48,9 +48,8 @@ def _plain(obj):
 
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
-    Emin, (u, r, s, t) = minimal_model(E)
+    Emin, (u, r, s, t), disc = minimal_model(E)
     inv = invariants(Emin)
-    disc = factor(inv.discriminant)
     locals_ = [tate_local(Emin, p) for p in disc.support]
     N = conductor_from_local(locals_)
     text = [f"model:        {E}",

@@ -10,8 +10,9 @@ Bad primes follow the standard conventions: +1 split multiplicative,
 
 from __future__ import annotations
 
-from .tate import ADDITIVE, GOOD, SPLIT_MULT, LocalData, tate_local
-from .weierstrass import WeierstrassModel, discriminant, minimal_model
+from .arith import Factorization
+from .tate import ADDITIVE, SPLIT_MULT, LocalData, tate_local
+from .weierstrass import WeierstrassModel, minimal_model
 
 
 class PrimeTooLarge(Exception):
@@ -54,22 +55,21 @@ def count_points(E: WeierstrassModel, ell: int) -> int:
 def ap(E: WeierstrassModel, ell: int, count_bound: int = DEFAULT_COUNT_BOUND) -> int:
     """Trace of Frobenius at ell (minimal model; bad-prime conventions)."""
     _require_countable(ell, count_bound)
-    Emin, _ = minimal_model(E)
-    return _ap_minimal(Emin, discriminant(Emin), ell, count_bound)
+    Emin, _, disc = minimal_model(E)
+    return _ap_minimal(Emin, disc, ell, count_bound)
 
 
-def _ap_minimal(Emin: WeierstrassModel, disc: int, ell: int,
+def _ap_minimal(Emin: WeierstrassModel, disc: Factorization, ell: int,
                 count_bound: int = DEFAULT_COUNT_BOUND, ld: LocalData | None = None) -> int:
-    """ap for a globally minimal model Emin with discriminant disc; ld is
-    tate_local(Emin, ell) when the caller already has it."""
+    """ap for a globally minimal model Emin with factored discriminant disc;
+    ld is tate_local(Emin, ell) when the caller already has it.  A prime
+    dividing disc is bad, since the model is minimal there."""
     _require_countable(ell, count_bound)
-    if disc % ell != 0:
+    if not disc.exponent(ell):
         a = ell + 1 - count_points(Emin, ell)
         assert a * a < 4 * ell, (Emin, ell, a)
         return a
     ld = ld or tate_local(Emin, ell)
-    if ld.reduction == GOOD:
-        return ell + 1 - count_points(Emin, ell)
     if ld.reduction == ADDITIVE:
         return 0
     return 1 if ld.reduction == SPLIT_MULT else -1

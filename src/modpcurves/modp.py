@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factor, primes_below, valuation
+from .arith import Factorization, factor, primes_below
 from .frobenius import _ap_minimal
-from .tate import ADDITIVE, GOOD, tate_local
-from .weierstrass import WeierstrassModel, discriminant, minimal_model
+from .tate import ADDITIVE, tate_local
+from .weierstrass import WeierstrassModel, minimal_model
 
 GOOD_Q = "good"
 BAD_CONVENTION = "bad-prime-convention"
@@ -60,28 +60,22 @@ class SerreData:
 
 
 def trace_vector(E: WeierstrassModel, p: int, bound: int) -> TraceVector:
-    Emin, _ = minimal_model(E)
-    disc = discriminant(Emin)
+    Emin, _, disc = minimal_model(E)
     entries = []
     for ell in primes_below(bound + 1):
         if ell == p:
             continue
-        if disc % ell != 0:
+        v = disc.exponent(ell)
+        if not v:
             entries.append((ell, _ap_minimal(Emin, disc, ell) % p, GOOD_Q))
             continue
         ld = tate_local(Emin, ell)
-        if ld.reduction == GOOD:
-            entries.append((ell, _ap_minimal(Emin, disc, ell, ld=ld) % p, GOOD_Q))
-        elif ld.reduction == ADDITIVE:
+        if ld.reduction == ADDITIVE or v % p:
             entries.append((ell, 0, RAMIFIED_SKIP))
         else:
-            v = valuation(disc, ell)
-            if v % p == 0:
-                # unramified: eigenvalues a_ell and ell * a_ell
-                a = _ap_minimal(Emin, disc, ell, ld=ld)
-                entries.append((ell, a * (1 + ell) % p, BAD_CONVENTION))
-            else:
-                entries.append((ell, 0, RAMIFIED_SKIP))
+            # unramified multiplicative: eigenvalues a_ell and ell * a_ell
+            a = _ap_minimal(Emin, disc, ell, ld=ld)
+            entries.append((ell, a * (1 + ell) % p, BAD_CONVENTION))
     return TraceVector(p, tuple(entries))
 
 
@@ -90,20 +84,15 @@ def serre_conductor_semistable(E: WeierstrassModel, p: int) -> SerreData:
 
     A multiplicative prime ell != p survives in N(rhobar) exactly when
     p does not divide v_ell(Delta_min)."""
-    Emin, _ = minimal_model(E)
-    disc = discriminant(Emin)
+    Emin, _, disc = minimal_model(E)
     kept = []
     notes = []
-    for ell, _ in factor(disc).factors:
-        ld = tate_local(Emin, ell)
-        if ld.reduction == GOOD:
-            continue
+    for ell, v in disc.factors:
         if ell == p:
             notes.append((ell, "residue characteristic, excluded by definition"))
             continue
-        if ld.reduction == ADDITIVE:
+        if tate_local(Emin, ell).reduction == ADDITIVE:
             raise NotSemistableOutsideP(ell)
-        v = valuation(disc, ell)
         if v % p == 0:
             notes.append((ell, f"dropped: p | v_{ell}(Delta) = {v}"))
         else:
@@ -115,10 +104,9 @@ def serre_conductor_semistable(E: WeierstrassModel, p: int) -> SerreData:
 def is_reducible_semistable(E: WeierstrassModel, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
     a_ell != 1 + ell mod p rules out the reducible case."""
-    Emin, _ = minimal_model(E)
-    disc = discriminant(Emin)
+    Emin, _, disc = minimal_model(E)
     for ell in primes_below(bound + 1):
-        if ell == p or disc % ell == 0:
+        if ell == p or disc.exponent(ell):
             continue
         if (_ap_minimal(Emin, disc, ell) - 1 - ell) % p != 0:
             return IRREDUCIBLE

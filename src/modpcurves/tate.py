@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, factor, valuation
+from .arith import Factorization, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
-                          transform)
+                          minimal_model, transform)
 
 GOOD = "good"
 SPLIT_MULT = "split multiplicative"
@@ -307,11 +307,8 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
 
 def conductor(E: WeierstrassModel) -> Factorization:
     """Conductor of E as a factorization, from local Tate data."""
-    from .weierstrass import minimal_model
-
-    Emin, _ = minimal_model(E)
-    return conductor_from_local([tate_local(Emin, p)
-                                 for p in factor(discriminant(Emin)).support])
+    Emin, _, disc = minimal_model(E)
+    return conductor_from_local([tate_local(Emin, p) for p in disc.support])
 
 
 def conductor_from_local(data: list[LocalData]) -> Factorization:

@@ -8,11 +8,13 @@ exhaustive published tables that a bounded desk run cannot reproduce).
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import Factorization, factor
-from .cubic import analyze_cubic, index_form, s3_serre_conductor, solve_index_equation
+from .arith import is_prime
+from .cubic import (analyze_cubic, congruence_sieve, index_form, s3_serre_conductor,
+                    solve_index_equation)
 from .fixtures import (Record, default_fixture_dir, load_fixture_file,
                        parse_factorization, parse_int_list, parse_pair)
 from .frobenius import ap
@@ -22,7 +24,7 @@ from .quadorder import (QuadraticOrderElement, compute_obstruction,
                         curve_eligibility, order_discriminant,
                         reciprocity_cover)
 from .tate import conductor
-from .weierstrass import discriminant, minimal_model, parse_curve
+from .weierstrass import minimal_model, parse_curve
 
 PASS = "pass"
 FAIL = "fail"
@@ -74,14 +76,7 @@ def _eq_check(rec: Record, description, expected, computed) -> Check:
     return Check(rec.check_id, description, str(expected), str(computed), status)
 
 
-def _signed_factorization(n: int) -> Factorization:
-    f = factor(abs(n))
-    return Factorization(-1 if n < 0 else 1, f.factors)
-
-
 def _check_field(rec: Record):
-    import ast
-
     poly = ast.literal_eval(rec.require("poly"))
     K = analyze_cubic(poly)
     yield _eq_check(rec, f"field disc of {poly}",
@@ -101,10 +96,9 @@ def _check_curve(rec: Record):
 
 
 def _check_curve_disc(rec: Record):
-    E, _ = minimal_model(parse_curve(rec.require("model")))
+    _, _, disc = minimal_model(parse_curve(rec.require("model")))
     yield _eq_check(rec, f"minimal discriminant of {rec.require('model')}",
-                    parse_factorization(rec.require("disc")),
-                    _signed_factorization(discriminant(E)))
+                    parse_factorization(rec.require("disc")), disc)
 
 
 def _check_serre(rec: Record):
@@ -168,21 +162,16 @@ def _check_tracecheck(rec: Record):
 
 
 def _check_sieve(rec: Record):
-    import ast
-
     K = analyze_cubic(ast.literal_eval(rec.require("poly")))
     prime = int(rec.require("prime"))
-    from .cubic import congruence_sieve
-    report = congruence_sieve(index_form(K), {2, 2063} if prime in (2, 2063)
-                              else {prime})
+    primes = {int(t) for t in rec.require("primes").split(",")}
+    report = congruence_sieve(index_form(K), primes)
     conclusion = next(c for c in report.conclusions if f"of {prime} " in c)
     yield _eq_check(rec, f"sieve conclusion for prime {prime}",
                     rec.require("conclusion"), conclusion)
 
 
 def _check_indexsolve(rec: Record):
-    import ast
-
     K = analyze_cubic(ast.literal_eval(rec.require("poly")))
     primes = {int(t) for t in rec.require("primes").split(",")}
     sols, _ = solve_index_equation(K, primes, int(rec.require("bound")))
@@ -217,8 +206,6 @@ def _check_order(rec: Record):
 
 
 def _check_reciprocity(rec: Record):
-    from .arith import is_prime
-
     pmin, pmax = int(rec.require("pmin")), int(rec.require("pmax"))
     candidates = tuple(int(t) for t in rec.require("candidates").split(","))
     missing = []

@@ -135,17 +135,21 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     raise SingularModel(f"no integral model with c4={c4}, c6={c6}")
 
 
-def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int, int, int]]:
-    """Globally minimal model and the transformation (u, r, s, t) onto it.
+def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int, int, int],
+                                                Factorization]:
+    """Globally minimal model Emin, the transformation (u, r, s, t) onto it and
+    the signed factorization of disc(Emin).
 
-    u^12 * disc(minimal) == disc(E); idempotent on minimal models.
+    u^12 * disc(Emin) == disc(E); idempotent on minimal models.  disc(E) is
+    factored once and disc(Emin) is read off it, so a caller needs no second
+    factor call for the bad primes of Emin or their valuations.
     """
     inv = invariants(E)
     c4, c6, disc = inv.c4, inv.c6, inv.discriminant
+    factored = factor(disc)
     u = 1
-    for p, e in factor(disc).factors:
-        if e < 12:
-            continue
+    min_factors = []
+    for p, e in factored.factors:
         d = e // 12
         if c4 != 0:
             d = min(d, valuation(c4, p) // 4)
@@ -155,6 +159,8 @@ def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int
             while d > 0 and not _kraus_ok(c4 // p ** (4 * d), c6 // p ** (6 * d)):
                 d -= 1
         u *= p**d
+        if e > 12 * d:
+            min_factors.append((p, e - 12 * d))
     c4m, c6m = c4 // u**4, c6 // u**6
     Emin = _model_from_c4c6(c4m, c6m)
     # recover (r, s, t) exactly
@@ -165,7 +171,7 @@ def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int
     t, rem = divmod(u**3 * Emin.a3 - E.a3 - r * E.a1, 2)
     assert rem == 0
     assert transform(E, u, r, s, t) == Emin
-    return Emin, (u, r, s, t)
+    return Emin, (u, r, s, t), Factorization(factored.sign, tuple(min_factors))
 
 
 def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
@@ -183,7 +189,3 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
 def isomorphic(E: WeierstrassModel, F: WeierstrassModel) -> bool:
     """Q-isomorphism test via equality of reduced minimal models."""
     return minimal_model(E)[0] == minimal_model(F)[0]
-
-
-def discriminant_factorization(E: WeierstrassModel) -> Factorization:
-    return factor(discriminant(E))

@@ -95,7 +95,7 @@ def test_criterion_1_discriminants_and_conductors():
     ]
     bad = []
     for text, want_disc, want_n in cases:
-        E, _ = minimal_model(parse_curve(text))
+        E, _, _ = minimal_model(parse_curve(text))
         if want_disc is not None and _signed_factors(discriminant(E)) != want_disc:
             bad.append(f"{text} disc {discriminant(E)}")
         if conductor(E).value() != want_n:
@@ -262,7 +262,7 @@ def test_criterion_9_property_suites(rng):
     curves += [quadratic_twist(E, d) for E, d in
                zip(curves, [-1, 2, -2, 5, -5, 7, -7, 10, -10, 13])][:50 - len(curves)]
     for E in curves[:50]:
-        Emin, _ = minimal_model(E)
+        Emin, _, _ = minimal_model(E)
         for ell in primes_below(51):
             if count_points(Emin, ell) != brute_force_count(Emin, ell):
                 failures.append(f"count {E} at {ell}")

@@ -40,7 +40,7 @@ def test_count_points_against_legendre_oracle():
     # then two larger ell on two curves
     kinds = set()
     for E in map(parse_curve, ALL_CURVES):
-        Emin, _ = minimal_model(E)
+        Emin, _, _ = minimal_model(E)
         disc = discriminant(Emin)
         for ell in primes_below(501)[1:]:
             for C in (E, Emin):
@@ -61,7 +61,7 @@ def test_ap_against_brute_force_oracle():
                zip(curves, [-1, 2, -2, 5, -5, 7, -7, 10, -10, 13])]
     assert len(curves) >= 50
     for E in curves:
-        Emin, _ = minimal_model(E)
+        Emin, _, _ = minimal_model(E)
         disc = discriminant(Emin)
         for ell in ells:
             assert count_points(Emin, ell) == brute_force_count(Emin, ell)

@@ -47,7 +47,7 @@ def test_additive_cases():
 def test_kodaira_symbols_cover_star_types():
     seen = set()
     for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS:
-        Emin, _ = minimal_model(parse_curve(text))
+        Emin, _, _ = minimal_model(parse_curve(text))
         for p, _ in factor(discriminant(Emin)).factors:
             seen.add(tate_local(Emin, p).kodaira)
     # the battery exercises multiplicative, small additive and star types
@@ -58,7 +58,7 @@ def test_kodaira_symbols_cover_star_types():
 
 def test_conductor_exponent_caps():
     for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS:
-        Emin, _ = minimal_model(parse_curve(text))
+        Emin, _, _ = minimal_model(parse_curve(text))
         for p, _ in factor(discriminant(Emin)).factors:
             ld = tate_local(Emin, p)
             cap = {2: 8, 3: 5}.get(p, 2)
@@ -111,7 +111,7 @@ def test_singular_input_rejected():
 
 def test_split_vs_nonsplit():
     # [0,0,0,0,-26]: split/nonsplit determined by tangent quadratic at each I_n
-    E, _ = minimal_model(parse_curve("[0,0,0,0,-26]"))
+    E, _, _ = minimal_model(parse_curve("[0,0,0,0,-26]"))
     types = {p: tate_local(E, p).reduction
              for p, _ in factor(discriminant(E)).factors}
     assert set(types.values()) <= {SPLIT_MULT, NONSPLIT_MULT, ADDITIVE}

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpcurves.arith import valuation
+from conftest import curves
+from modpcurves.arith import factor, valuation
+from modpcurves.tate import GOOD, tate_local
 from modpcurves.weierstrass import (NotSquarefree, SingularModel,
                                     WeierstrassModel, discriminant,
                                     invariants, isomorphic, minimal_model,
@@ -67,7 +69,7 @@ def test_transform_scales_discriminant(E, u, r, s, t):
 
 def test_minimal_model_known():
     E = parse_curve("[0,-6,0,-136,-408]")
-    Emin, (u, r, s, t) = minimal_model(E)
+    Emin, (u, r, s, t), _ = minimal_model(E)
     assert Emin.coeffs == (0, 0, 0, -148, -696)
     assert discriminant(E) == u**12 * discriminant(Emin)
 
@@ -75,8 +77,8 @@ def test_minimal_model_known():
 def test_minimal_model_idempotent():
     for text in ("[1,1,0,-22,-812]", "[0,0,0,29,-123]", "[0,0,1,-1,0]"):
         E = parse_curve(text)
-        Emin, _ = minimal_model(E)
-        again, (u, r, s, t) = minimal_model(Emin)
+        Emin, _, _ = minimal_model(E)
+        again, (u, r, s, t), _ = minimal_model(Emin)
         assert again == Emin and (u, r, s, t) == (1, 0, 0, 0)
 
 
@@ -85,16 +87,37 @@ def test_minimal_model_undoes_scaling():
     blown = transform(E, 1, 6, 2, 9)
     blown = WeierstrassModel(*(c * u for c, u in
                                zip(blown.coeffs, (6, 36, 216, 1296, 46656))))
-    Emin, _ = minimal_model(blown)
+    Emin, _, _ = minimal_model(blown)
     assert discriminant(Emin) == discriminant(E)
     assert isomorphic(Emin, E)
+
+
+def test_minimal_discriminant_factorization(rng):
+    # the conftest curves, and each blown up by u: moved by a seeded (r, s, t),
+    # then a_i -> a_i u^i, so disc(F) = u^12 disc(E) and u^12 must drop out
+    # of the returned factorization again
+    models = []
+    for E in curves():
+        models.append(E)
+        for u in (2, 3, 6):
+            moved = transform(E, 1, rng.randint(-9, 9), rng.randint(-9, 9),
+                              rng.randint(-9, 9))
+            models.append(WeierstrassModel(*(a * u**i for a, i
+                                             in zip(moved.coeffs, (1, 2, 3, 4, 6)))))
+    for F in models:
+        Emin, _, disc = minimal_model(F)
+        assert disc == factor(discriminant(Emin)), F
+        assert all(e > 0 for _, e in disc.factors), F
+        # a model minimal at p has bad reduction at every p dividing its discriminant
+        for p in disc.support:
+            assert tate_local(Emin, p).reduction != GOOD, (F, p)
 
 
 def test_kraus_conditions_on_minimal_models():
     # v3(c6) != 2 and the 2-adic condition hold for every minimal model
     for text in ("[1,1,0,-22,-812]", "[0,0,0,-13,-24]", "[0,0,0,0,-26]",
                  "[0,1,0,4,4]", "[0,0,1,0,-7]"):
-        Emin, _ = minimal_model(parse_curve(text))
+        Emin, _, _ = minimal_model(parse_curve(text))
         inv = invariants(Emin)
         if inv.c6 != 0:
             assert valuation(inv.c6, 3) != 2
@@ -115,5 +138,5 @@ def test_quadratic_twist_invariants():
 
 
 def test_twist_by_one_is_isomorphic():
-    E, _ = minimal_model(parse_curve("[1,1,0,-22,-812]"))
+    E, _, _ = minimal_model(parse_curve("[1,1,0,-22,-812]"))
     assert isomorphic(quadratic_twist(E, 1), E)
