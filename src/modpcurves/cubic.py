@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import Factorization, factor, valuation
+from .arith import Factorization, factor
 
 
 class ReduciblePolynomial(Exception):

@@ -2,9 +2,12 @@
 
 An S-integral point is written (x_num / d^2, y_num / d^3) with d supported
 on S and gcd(x_num, d) = 1.  Clearing denominators, (x_num, y_num) is an
-integral point on Y^2 = X^3 + k d^6, so the scan runs over x_num with an
-exact integer-square test on x_num^3 + k d^6, pre-filtered by quadratic
-residue tables so that only a few percent of candidates reach isqrt.
+integral point on Y^2 = X^3 + K with K = k d^6.  For each d the search
+sieves the box |x_num| <= H, one byte per x_num: for each sieve modulus q
+one slice assignment clears each class r with r^3 + K not a square mod q,
+and one more clears x_num = 0 (mod p) for each prime p | d.  The few
+survivors are confirmed exactly: x_num^3 + K >= 0, an integer square by
+isqrt, and gcd(x_num, d) = 1.
 """
 
 from __future__ import annotations
@@ -14,10 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-_FILTER_MOD = 64 * 63  # residue pre-filter modulus
-_EXTRA_MODS = (65, 11)
-_SQUARES = {m: {(i * i) % m for i in range(m)}
-            for m in (_FILTER_MOD, *_EXTRA_MODS)}
+
+def _square_table(q: int) -> bytes:
+    """Byte r is 1 exactly when r is a square mod q."""
+    table = bytearray(q)
+    for y in range(q):
+        table[y * y % q] = 1
+    return bytes(table)
+
+
+# the sieve moduli, each with its table of squares
+_SQUARE_TABLES = {q: _square_table(q)
+                  for q in (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)}
 
 
 @dataclass(frozen=True)
@@ -27,7 +38,7 @@ class SIntegerPoint:
     denom: int
 
     def __post_init__(self):
-        assert self.denom > 0 and gcd(self.x_num, self.denom) == 1 or self.denom == 1
+        assert self.denom > 0 and gcd(self.x_num, self.denom) == 1
 
     @property
     def x(self) -> Fraction:
@@ -52,22 +63,39 @@ def _denominators(S, exponent_bound):
     return sorted(set(out))
 
 
-def _integral_points(K: int, bound: int, coprime_to: int = 1):
-    """Integral (x, y), y >= 0, on Y^2 = X^3 + K with |x| <= bound."""
-    m = _FILTER_MOD
-    sq = _SQUARES[m]
-    allowed = [r for r in range(m) if (r * r * r + K) % m in sq]
+def _clear(live: bytearray, start: int, step: int) -> None:
+    live[start::step] = bytes(len(range(start, len(live), step)))
+
+
+def _sieve(K: int, bound: int, d: int, S) -> bytearray:
+    """Byte i is 1 when x = i - bound has x^3 + K a square mod every sieve
+    modulus and x is prime to every prime of S that divides d."""
+    live = bytearray(b"\x01") * (2 * bound + 1)
+    for q, squares in _SQUARE_TABLES.items():
+        Kq = K % q
+        for r in range(q):
+            if not squares[(r * r * r + Kq) % q]:
+                _clear(live, (r + bound) % q, q)
+    for p in S:
+        if p > 1 and d % p == 0:  # 1 in S divides every d but forbids no x
+            _clear(live, bound % p, p)
+    return live
+
+
+def _integral_points(K: int, bound: int, d: int, S):
+    """Integral (x, y), y >= 0, on Y^2 = X^3 + K with |x| <= bound and
+    gcd(x, d) = 1, where d is a product of powers of primes of S."""
+    live = _sieve(K, bound, d, S)
     hits = []
-    start = -bound
-    for r in allowed:
-        x = start + ((r - start) % m)
-        while x <= bound:
-            t = x**3 + K
-            if t >= 0 and all((t % mm) in _SQUARES[mm] for mm in _EXTRA_MODS):
-                y = isqrt(t)
-                if y * y == t and (coprime_to == 1 or gcd(x, coprime_to) == 1):
-                    hits.append((x, y))
-            x += m
+    i = live.find(1)
+    while i >= 0:
+        x = i - bound
+        t = x**3 + K
+        if t >= 0:
+            y = isqrt(t)
+            if y * y == t and gcd(x, d) == 1:
+                hits.append((x, y))
+        i = live.find(1, i + 1)
     return hits
 
 
@@ -80,7 +108,7 @@ def search_mordell(k: int, S, height_bound: int,
     assert k != 0
     points = []
     for d in _denominators(S, exponent_bound):
-        for x, y in _integral_points(k * d**6, height_bound, coprime_to=d):
+        for x, y in _integral_points(k * d**6, height_bound, d, S):
             points.append(SIntegerPoint(x, y, d))
             if y:
                 points.append(SIntegerPoint(x, -y, d))

@@ -10,8 +10,6 @@ records keep the source values, so `modpcurves verify` still reports those
 three records as FAIL.
 """
 
-from math import gcd
-
 import pytest
 
 from conftest import FIXTURE_CUBICS
@@ -19,13 +17,12 @@ from modpcurves.arith import factor, legendre_symbol, primes_below
 from modpcurves.cubic import (analyze_cubic, congruence_sieve, index_form,
                               mordell_reduction, s3_serre_conductor)
 from modpcurves.frobenius import ap, count_points
-from modpcurves.modp import (IRREDUCIBLE, is_reducible_semistable,
-                             serre_conductor_semistable, trace_vector)
+from modpcurves.modp import serre_conductor_semistable, trace_vector
 from modpcurves.mordell import search_mordell
 from modpcurves.quadorder import (QuadraticOrderElement, compute_obstruction,
                                   reciprocity_cover)
 from modpcurves.tate import conductor, tate_local
-from modpcurves.verify import EXTERNAL, PASS
+from modpcurves.verify import EXTERNAL
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, invariants, minimal_model,
                                     parse_curve, quadratic_twist)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import FIXTURE_CUBICS
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
-                              IndexForm, ReduciblePolynomial, analyze_cubic,
+                              ReduciblePolynomial, analyze_cubic,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,

@@ -1,7 +1,11 @@
-from math import isqrt
+import itertools
+import random
+from math import gcd, isqrt, prod
 
-from modpcurves.mordell import (SIntegerPoint, scan_twisted_mordell,
-                                search_mordell)
+import pytest
+
+from modpcurves.mordell import (_SQUARE_TABLES, SIntegerPoint, _sieve,
+                                scan_twisted_mordell, search_mordell)
 
 
 def naive_integral_points(k, bound):
@@ -15,6 +19,125 @@ def naive_integral_points(k, bound):
         if y * y == t:
             pts.append((x, y))
     return pts
+
+
+def _denoms(S, e):
+    return sorted({prod(p**n for p, n in zip(sorted(S), exps))
+                   for exps in itertools.product(range(e + 1), repeat=len(S))})
+
+
+def _signed(hits, d):
+    """(x, y, d) and (x, -y, d) for each hit (x, y) with y >= 0."""
+    return {(x, s * y, d) for x, y in hits for s in ((1, -1) if y else (1,))}
+
+
+_SCAN_MOD = 64 * 63
+_SCAN_SQUARES = {m: {(i * i) % m for i in range(m)} for m in (_SCAN_MOD, 65, 11)}
+
+
+def scan_integral_points(K, bound, coprime_to=1):
+    """The mod-4032 residue scan that the sieve replaced: x runs over each
+    class mod 4032 with x^3 + K a square mod 4032, then a mod-65 and mod-11
+    filter, then isqrt."""
+    allowed = [r for r in range(_SCAN_MOD)
+               if (r * r * r + K) % _SCAN_MOD in _SCAN_SQUARES[_SCAN_MOD]]
+    hits = []
+    for r in allowed:
+        x = -bound + ((r + bound) % _SCAN_MOD)
+        while x <= bound:
+            t = x**3 + K
+            if t >= 0 and all(t % m in _SCAN_SQUARES[m] for m in (65, 11)):
+                y = isqrt(t)
+                if y * y == t and gcd(x, coprime_to) == 1:
+                    hits.append((x, y))
+            x += _SCAN_MOD
+    return hits
+
+
+def naive_s_integral_points(k, S, bound, e):
+    """Every d, every x_num in the box, with the gcd condition."""
+    pts = set()
+    for d in _denoms(S, e):
+        K = k * d**6
+        pts |= _signed([(x, y) for x, y in naive_integral_points(K, bound)
+                        if gcd(x, d) == 1], d)
+    return pts
+
+
+def scan_s_integral_points(k, S, bound, e):
+    pts = set()
+    for d in _denoms(S, e):
+        pts |= _signed(scan_integral_points(k * d**6, bound, d), d)
+    return pts
+
+
+def _seeded_boxes(n=40, seed=20260):
+    """Seeded boxes: both signs of k, S within {2, 3, 5, 7}, e <= 2, H = 0
+    among them, and k = t^3 + u^2 with (t, u) small, so that about half the
+    boxes hold an integral point."""
+    rng = random.Random(seed)
+    boxes = [(1, set(), 0, 0), (-2, {2, 3}, 0, 2), (17, {2}, 60, 2)]
+    while len(boxes) < n:
+        if rng.random() < 0.5:
+            t, u = rng.randint(-12, 12), rng.randint(0, 40)
+            k = t**3 + u * u
+        else:
+            k = rng.choice((1, -1)) * rng.randint(1, 3000)
+        if k == 0:
+            continue
+        S = set(rng.sample((2, 3, 5, 7), rng.randint(0, 3)))
+        boxes.append((k, S, rng.randint(0, 400), rng.randint(0, 2)))
+    return boxes
+
+
+SEEDED_BOXES = _seeded_boxes()
+
+
+def test_seeded_boxes_cover_the_cases():
+    assert len(SEEDED_BOXES) == 40
+    assert any(k < 0 for k, *_ in SEEDED_BOXES)
+    assert any(H == 0 for _, _, H, _ in SEEDED_BOXES)
+    assert any(S and e for _, S, _, e in SEEDED_BOXES)
+    found = [naive_s_integral_points(*box) for box in SEEDED_BOXES]
+    assert sum(bool(pts) for pts in found) >= 15
+    assert any(d > 1 for pts in found for _, _, d in pts)
+
+
+@pytest.mark.parametrize("box", SEEDED_BOXES, ids=lambda b: f"{b[0]}-{sorted(b[1])}-{b[2]}-{b[3]}")
+def test_search_matches_both_oracles(box):
+    got = [(P.x_num, P.y_num, P.denom) for P in search_mordell(*box)]
+    assert got == sorted(got, key=lambda t: (t[2], t[0], t[1]))
+    assert set(got) == naive_s_integral_points(*box)
+    assert set(got) == scan_s_integral_points(*box)
+
+
+def test_square_tables_are_the_squares_mod_q():
+    for q, table in _SQUARE_TABLES.items():
+        assert len(table) == q
+        assert {r for r in range(q) if table[r]} == {y * y % q for y in range(q)}
+
+
+@pytest.mark.parametrize("K, bound, d, S", [
+    (17, 300, 1, set()), (-26 * 2**6, 257, 2, {2, 3}),
+    (891216 * 6**6, 500, 6, {2, 3, 2063}), (5 * 35**6, 131, 35, {5, 7}),
+    (1, 0, 1, set()), (-1, 1, 3, {3}), (2**6, 50, 2, {2}), (3**6, 40, 3, {3})])
+def test_sieve_keeps_exactly_the_locally_possible_x(K, bound, d, S):
+    squares = {q: {y * y % q for y in range(q)} for q in _SQUARE_TABLES}
+    want = bytearray(
+        all((x**3 + K) % q in squares[q] for q in squares)
+        and all(x % p for p in S if d % p == 0)
+        for x in range(-bound, bound + 1))
+    assert _sieve(K, bound, d, S) == want
+
+
+def test_unit_in_S_adds_no_denominator():
+    # `modpcurves mordell --S 1` passes S = {1}; 1 | d must not clear the box
+    assert search_mordell(1, {1}, 50, 2) == search_mordell(1, set(), 50, 0) != []
+
+
+def test_point_rejects_denominator_sharing_a_factor():
+    with pytest.raises(AssertionError):
+        SIntegerPoint(2, 3, 2)
 
 
 def test_k1_exact_point_set():
