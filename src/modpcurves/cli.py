@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computed-check failure (verify / compare mismatch),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, is_dataclass
@@ -196,18 +197,27 @@ def cmd_verify(args) -> int:
     return 1 if report.failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(json_default, fixtures_default) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
+    common.add_argument("--json", action="store_true", default=json_default,
                         help="machine-readable output")
-    common.add_argument("--fixtures", metavar="DIR", default=None,
+    common.add_argument("--fixtures", metavar="DIR", default=fixtures_default,
                         help="fixture directory (default: packaged fixtures)")
+    return common
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="modpcurves",
         description="Elliptic curves, their mod-p fingerprints, and the "
                     "cubic-field / Mordell / level-raising toolkit around them.",
-        parents=[common])
+        parents=[_common_options(False, None)])
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand's copies of the options set nothing unless given, so that
+    # a value given before the subcommand survives
+    common = _common_options(argparse.SUPPRESS, argparse.SUPPRESS)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)

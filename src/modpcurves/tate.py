@@ -3,9 +3,11 @@
 The full case chain is implemented (including the p = 2, 3 subcases and the
 I_n* sub-loop), not the p >= 5 shortcuts.  Non-minimal local models are
 detected by the final case and rescaled in place, so the reported data always
-refers to a model minimal at p.  Every root over F_p that the algorithm needs
-comes from roots_mod_p, in O(log p) arithmetic operations, so large bad
-primes cost no more than small ones.
+refers to a model minimal at p.  The algorithm only ever needs the multiple
+root of a polynomial of degree at most 3, which lies in F_p and comes from
+gcd(g, g') in closed form (_multiple_root), and whether the tangent quadratic
+at a node splits, which is Euler's criterion; both take O(log p) arithmetic
+operations, so large bad primes cost no more than small ones.
 """
 
 from __future__ import annotations
@@ -45,80 +47,6 @@ def _val(n: int, p: int, big: int = 10**9) -> int:
     return big if n == 0 else valuation(n, p)
 
 
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _divmod_poly(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by g over F_p (ascending coefficients,
-    g trimmed and nonzero)."""
-    r = [c % p for c in f]
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(len(r) - len(g) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(g) - 1] * inv % p
-        q[k] = c
-        if c:
-            for i, gi in enumerate(g):
-                r[k + i] = (r[k + i] - c * gi) % p
-    return q, _trim(r[: len(g) - 1])
-
-
-def _gcd_poly(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p of two polynomials, not both zero."""
-    f, g = _trim([c % p for c in f]), _trim([c % p for c in g])
-    while g:
-        f, g = g, _divmod_poly(f, g, p)[1]
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _powmod_linear(delta: int, e: int, g: list[int], p: int) -> list[int]:
-    """(x + delta)^e mod g over F_p for monic g of degree d >= 1, by
-    repeated squaring; d coefficients, ascending."""
-    d = len(g) - 1
-
-    def reduce(f):
-        for k in range(len(f) - 1, d - 1, -1):
-            c = f[k] % p
-            if c:
-                for i in range(d):
-                    f[k - d + i] -= c * g[i]
-        return [c % p for c in f[:d]]
-
-    r = [1] + [0] * (d - 1)
-    for bit in bin(e)[2:]:
-        sq = [0] * (2 * d - 1)
-        for i, ri in enumerate(r):
-            if ri:
-                for j, rj in enumerate(r):
-                    sq[i + j] += ri * rj
-        r = reduce(sq)
-        if bit == "1":  # times x + delta
-            r = reduce([delta * r[0]] + [a + delta * b for a, b in zip(r, r[1:] + [0])])
-    return r
-
-
-def _split_roots(h: list[int], p: int) -> list[int]:
-    """The roots of h, monic, squarefree and a product of linear factors
-    over F_p (p odd), split by gcd(h, (x + delta)^((p-1)/2) - 1) for
-    delta = 0, 1, 2, ...  This ends: for distinct roots r1, r2 the sum over
-    delta of chi((delta + r1)(delta + r2)) is -1, so some delta makes
-    exactly one of delta + r1, delta + r2 a nonzero square."""
-    if len(h) <= 2:
-        return [-h[0] % p] if len(h) == 2 else []
-    delta = 0
-    while True:
-        w = _powmod_linear(delta, (p - 1) // 2, h, p)
-        w[0] -= 1
-        f = _gcd_poly(h, w, p)
-        if 1 < len(f) < len(h):
-            return _split_roots(f, p) + _split_roots(_divmod_poly(h, f, p)[0], p)
-        delta += 1
-
-
 def _multiplicity(cs: list[int], r: int, p: int) -> int:
     """Order of vanishing at r of the nonzero polynomial cs over F_p, by
     synthetic division."""
@@ -136,26 +64,36 @@ def _multiplicity(cs: list[int], r: int, p: int) -> int:
     return mult
 
 
-def roots_mod_p(coeffs: list[int], p: int) -> list[tuple[int, int]]:
-    """Roots in F_p, ascending, with multiplicities, of the polynomial with
-    the given ascending coefficients; its degree is at most 3 and its
-    leading coefficient a unit mod p.
+def _multiple_root(coeffs: list[int], p: int) -> tuple[int, int] | None:
+    """The root of multiplicity m >= 2 in F_p, as (r, m), of the polynomial
+    with the given ascending coefficients, or None if it has none; its degree
+    is at most 3 and its leading coefficient a unit mod p.
 
-    The distinct roots are those of h = gcd(g, x^p - x), with x^p mod g by
-    repeated squaring; Cantor-Zassenhaus splits h (Cohen, GTM 138, 1.6 and
-    3.4).  O(log p) operations on polynomials of degree at most 3."""
-    cs = _trim([c % p for c in coeffs])
-    assert len(cs) == len(coeffs) <= 4, (coeffs, p)
-    inv = pow(cs[-1], -1, p)
-    g = [c * inv % p for c in cs]
-    if p == 2:
-        candidates = [0, 1]
-    else:
-        w = _powmod_linear(0, p, g, p) + [0, 0]
-        w[1] -= 1  # x^p - x, reduced mod g except for the -x
-        candidates = _split_roots(_gcd_poly(g, w, p), p)
-    with_mult = [(r, _multiplicity(g, r, p)) for r in sorted(candidates)]
-    return [(r, m) for r, m in with_mult if m]
+    Such a root is unique and lies in F_p.  For p > 3 it is read off
+    gcd(g, g') in closed form: for monic g = x^3 + b x^2 + c x + d,
+    g - (x/3 + b/9) g' = ((2/9)(3c - b^2)) x + (9d - bc)/9, so 3c = b^2 and
+    9d = bc give the triple root -b/3, and otherwise the one candidate is the
+    root of that remainder, a double root when g' vanishes there.  For
+    p <= 3 every element of F_p is tried."""
+    inv = pow(coeffs[-1], -1, p)
+    g = [c * inv % p for c in coeffs]
+    if p <= 3:
+        for r in range(p):
+            m = _multiplicity(g, r, p)
+            if m >= 2:
+                return r, m
+        return None
+    if len(g) == 3:  # x^2 + b x + c: double root -b/2 when b^2 = 4c
+        c, b, _ = g
+        return (-b * pow(2, -1, p) % p, 2) if (b * b - 4 * c) % p == 0 else None
+    if len(g) < 4:
+        return None
+    d, c, b, _ = g
+    lin, const = 3 * c - b * b, 9 * d - b * c
+    if lin % p == 0:
+        return (-b * pow(3, -1, p) % p, 3) if const % p == 0 else None
+    r = -const * pow(2 * lin, -1, p) % p
+    return (r, 2) if (3 * r * r + 2 * b * r + c) % p == 0 else None
 
 
 def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
@@ -173,20 +111,19 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
-    # singular x is a multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    for r, mult in roots_mod_p([b6, 2 * b4, b2, 4], p):
-        if mult >= 2:
-            inv2 = pow(2, -1, p)
-            y = (-(a1 * r + a3) * inv2) % p
-            return r, y
-    raise SingularModel(f"no singular point mod {p} on {E}")
+    # singular x is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
+    root = _multiple_root([b6, 2 * b4, b2, 4], p)
+    if root is None:
+        raise SingularModel(f"no singular point mod {p} on {E}")
+    x = root[0]
+    return x, (-(a1 * x + a3) * pow(2, -1, p)) % p
 
 
 def _quadratic_double_root(a: int, b: int, c: int, p: int):
     """For a x^2 + b x + c mod p with a a unit: None if two distinct roots
     in an algebraic closure, else the double root, which lies in F_p."""
-    roots = roots_mod_p([c, b, a], p)
-    return roots[0][0] if roots and roots[0][1] == 2 else None
+    root = _multiple_root([c, b, a], p)
+    return None if root is None else root[0]
 
 
 def tate_local(E: WeierstrassModel, p: int) -> LocalData:
@@ -194,9 +131,8 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
 
     Returns reduction type, Kodaira symbol and conductor exponent for a model
     minimal at p (the input is minimized locally first if necessary).
+    A singular model raises SingularModel, from discriminant in _tate_once.
     """
-    if discriminant(E) == 0:
-        raise SingularModel(str(E))
     while True:
         result = _tate_once(E, p)
         if isinstance(result, LocalData):
@@ -220,8 +156,12 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
     b2 = a1 * a1 + 4 * a2
 
     if b2 % p != 0:
-        # multiplicative: tangent directions from T^2 + a1 T - a2
-        split = bool(roots_mod_p([-a2, a1, 1], p))
+        # multiplicative: the tangent directions T^2 + a1 T - a2 are rational
+        # iff their discriminant b2 is a square mod p (Euler's criterion)
+        if p == 2:
+            split = any((t * t + a1 * t - a2) % 2 == 0 for t in (0, 1))
+        else:
+            split = pow(b2, (p - 1) // 2, p) == 1
         red = SPLIT_MULT if split else NONSPLIT_MULT
         return LocalData(p, red, 1, f"I{n}", n)
 
@@ -254,15 +194,13 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
     b = a2 // p
     c = a4 // p**2
     d = a6 // p**3
-    roots = roots_mod_p([d, c, b, 1], p)
-    max_mult = max((m for _, m in roots), default=1)
-
-    if max_mult == 1:
+    root = _multiple_root([d, c, b, 1], p)
+    if root is None:
         return LocalData(p, ADDITIVE, n - 4, "I0*", n)
+    alpha, mult = root
 
-    if max_mult == 2:
+    if mult == 2:
         # type I_m*: move the double root to T = 0 and loop
-        alpha = next(r for r, m in roots if m == 2)
         E = transform(E, 1, p * alpha, 0, 0)
         a1, a2, a3, a4, a6 = E.coeffs
         m = 1
@@ -287,7 +225,6 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
             assert m <= n, "I_n* loop failed to terminate"
 
     # triple root: translate it to T = 0
-    alpha = next(r for r, m in roots if m == 3)
     E = transform(E, 1, p * alpha, 0, 0)
     a1, a2, a3, a4, a6 = E.coeffs
 

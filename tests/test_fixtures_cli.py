@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modpcurves.cli import main
+from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
                                  parse_pair)
@@ -98,3 +98,38 @@ def test_cli_verify_single_fixture(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("order; d=10; order_disc=41\n")
     assert main(["verify", str(bad)]) == 1
+
+
+def test_cli_options_before_the_subcommand(capsys, tmp_path):
+    # --json and --fixtures given before the subcommand are not reset by it
+    assert main(["--json", "curve-info", "[0,0,1,-1,0]"]) == 0
+    assert json.loads(capsys.readouterr().out)["conductor"] == "37"
+    (tmp_path / "only.txt").write_text("order; d=10; order_disc=40\n")
+    assert main(["--fixtures", str(tmp_path), "verify"]) == 0
+    assert "1 pass, 0 fail" in capsys.readouterr().out
+    assert main(["--fixtures", str(tmp_path), "--json", "verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 1
+
+
+def test_cli_reused_parser_matches_fresh_calls(capsys):
+    # the parser is built once per process; a call after others gives what
+    # the same call gives on a freshly built parser
+    calls = [["ap", "[0,-1,1,-10,-20]", "2"],
+             ["ap"],  # usage error
+             ["curve-info", "[1,1,0,-22,-812]", "--json"],
+             ["curve-info", "[1,1,0,-22,-812]"]]
+
+    def run(argv):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [rc for rc, _, _ in alone] == [0, 2, 0, 0]
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert [run(argv) for argv in calls] == alone
+    assert build_parser() is parser

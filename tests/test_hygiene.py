@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is read
-somewhere in that module.  `__init__.py` is skipped, since its imports are
-re-exports."""
+somewhere in that module, and so is every private function, class and
+constant it defines at module level.  `__init__.py` is skipped, since its
+imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -28,9 +29,49 @@ def unused_imports(source: str) -> list[str]:
                   if name not in read)
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names (one leading underscore) bound by def,
+    class or assignment that the module never reads outside their own
+    definition, so a helper only called by itself still counts as dead."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    dead = []
+    for name, node in defined.items():
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and n.id == name
+                   and isinstance(n.ctx, ast.Load) and id(n) not in own
+                   for n in ast.walk(tree)):
+            dead.append(f"{name} (line {node.lineno})")
+    return dead
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
+
+
+def test_scan_finds_planted_dead_private_names():
+    source = ("__all__ = ['f']\n"
+              "_USED = 3\n"
+              "_UNUSED: int = 4\n"
+              "def _helper(n):\n    return n\n"
+              "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+              "def _dead(n):\n    return _USED * n\n"
+              "class _Gone:\n    pass\n"
+              "def f(n):\n    return _helper(n)\n")
+    assert unread_private_names(source) == [
+        "_UNUSED (line 3)", "_recursive (line 6)", "_dead (line 8)",
+        "_Gone (line 10)"]
 
 
 def test_package_has_modules_to_scan():
@@ -40,3 +81,8 @@ def test_package_has_modules_to_scan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert unread_private_names(path.read_text()) == []

@@ -3,7 +3,8 @@ import pytest
 from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
 from modpcurves.arith import factor
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             LocalData, conductor, roots_mod_p, tate_local)
+                             LocalData, _multiple_root, conductor,
+                             tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, minimal_model, parse_curve,
                                     transform)
@@ -153,7 +154,7 @@ def _expand(lead, roots, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 1009])
-def test_roots_mod_p_matches_scan(p, rng):
+def test_multiple_root_matches_scan(p, rng):
     polys = []
     for _ in range(150):
         lead = rng.randrange(1, p)
@@ -168,7 +169,9 @@ def test_roots_mod_p_matches_scan(p, rng):
             [c + p * rng.randint(-5, 5) for c in _expand(lead, [r1], p)],
         ]
     for poly in polys:
-        assert roots_mod_p(poly, p) == roots_by_scan(poly, p), (poly, p)
+        multiple = [(r, m) for r, m in roots_by_scan(poly, p) if m >= 2]
+        assert _multiple_root(poly, p) == (multiple[0] if multiple else None), \
+            (poly, p)
 
 
 def _oracle_conductor_away_from_6(model):
