@@ -23,7 +23,7 @@ def main() -> None:
             for c in range(-2 * B, 2 * B + 1):
                 try:
                     K = analyze_cubic((a, b, c))
-                except (ReduciblePolynomial, AssertionError):
+                except ReduciblePolynomial:
                     continue
                 d = K.field_discriminant
                 if d in targets and d not in found:

@@ -2,8 +2,8 @@
 
 Factorization (trial division + Brent-cycle Pollard rho; every reported
 prime passes is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW
-above), p-adic valuations and Legendre symbols.  Everything works on
-arbitrary-precision ints.
+above), p-adic valuations, Legendre symbols and the multiple root mod p of a
+polynomial of degree at most 3.  Everything works on arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -280,3 +280,52 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
+
+
+def _multiplicity(cs: list[int], r: int, p: int) -> int:
+    """Order of vanishing at r of the nonzero polynomial cs over F_p, by
+    synthetic division."""
+    mult = 0
+    while len(cs) > 1:
+        acc = 0
+        quot = []
+        for c in reversed(cs):
+            acc = (acc * r + c) % p
+            quot.append(acc)
+        if acc:
+            break
+        mult += 1
+        cs = quot[-2::-1]
+    return mult
+
+
+def multiple_root(coeffs: list[int], p: int) -> tuple[int, int] | None:
+    """The root of multiplicity m >= 2 in F_p, as (r, m), of the polynomial
+    with the given ascending coefficients, or None if it has none; its degree
+    is at most 3 and its leading coefficient a unit mod p.
+
+    Such a root is unique and lies in F_p.  For p > 3 it is read off
+    gcd(g, g') in closed form: for monic g = x^3 + b x^2 + c x + d,
+    g - (x/3 + b/9) g' = ((2/9)(3c - b^2)) x + (9d - bc)/9, so 3c = b^2 and
+    9d = bc give the triple root -b/3, and otherwise the one candidate is the
+    root of that remainder, a double root when g' vanishes there.  For
+    p <= 3 every element of F_p is tried."""
+    inv = pow(coeffs[-1], -1, p)
+    g = [c * inv % p for c in coeffs]
+    if p <= 3:
+        for r in range(p):
+            m = _multiplicity(g, r, p)
+            if m >= 2:
+                return r, m
+        return None
+    if len(g) == 3:  # x^2 + b x + c: double root -b/2 when b^2 = 4c
+        c, b, _ = g
+        return (-b * pow(2, -1, p) % p, 2) if (b * b - 4 * c) % p == 0 else None
+    if len(g) < 4:
+        return None
+    d, c, b, _ = g
+    lin, const = 3 * c - b * b, 9 * d - b * c
+    if lin % p == 0:
+        return (-b * pow(3, -1, p) % p, 3) if const % p == 0 else None
+    r = -const * pow(2 * lin, -1, p) % p
+    return (r, 2) if (3 * r * r + 2 * b * r + c) % p == 0 else None

@@ -1,13 +1,22 @@
 """Cubic fields: discriminants, integral bases, index forms, index equations.
 
-A field is Q[u]/(u^3 + a u^2 + b u + c).  The maximal order is found by
-testing each prime q with q^2 | disc(poly): Dedekind's criterion decides
-q-maximality of Z[u] instantly, and when it fails the order is enlarged via
-the ring of multipliers of the q-radical until stable (the degree-3 case of
-Round 2).  Everything is exact: Fractions and ints, no floating point at
-all.  The index-equation solver keeps only the targets that the congruence
-sieve allows, splits each line y = const into pieces where the form is
-monotone (critical points from isqrt), and bisects for integer roots.
+A field is Q[u]/(u^3 + a u^2 + b u + c).  Every order containing Z[u] has a
+unique reduced Hermite basis 1, e2 = (s + u)/m, e3 = (t + v u + u^2)/n with
+m | n, 0 <= s < m, 0 <= v < n/m and 0 <= t < n, and its index form is
+f(x, y) = m n F(x/m + v y/n, y/n), where F = (1, -2a, a^2 + b, c - ab) is the
+index form of Z[u] on (u, u^2).  The maximal order grows from Z[u] one prime
+q with q^2 | disc(poly) at a time, by the criterion for cubic rings
+(Davenport-Heilbronn; Belabas, Math. Comp. 66 (1997), section 3).  If
+f = 0 mod q, the order is Z + q O' for a larger order O', which has the
+basis 1, (e2 - k2)/q, (e3 - k3)/q.  Otherwise the order is q-maximal unless
+f has a multiple root in P^1(F_q), and then only the element alpha at that
+root can enlarge it, to (alpha - k)/q when that is integral.  Each k is the
+triple root mod q of a characteristic polynomial.  Everything is exact
+integer arithmetic; the basis is returned as Fractions.  The index-equation
+solver keeps only the targets that the congruence sieve allows, splits each
+line y = const into pieces where the form is monotone (critical points from
+isqrt), and bisects for integer roots; the reducibility test finds integer
+roots of the cubic the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import Factorization, factor
+from .arith import Factorization, factor, is_prime, multiple_root
 
 
 class ReduciblePolynomial(Exception):
@@ -101,228 +110,6 @@ def _mul_mod(x, y, poly):
     return (z[0], z[1], z[2])
 
 
-def _hnf_lower(rows: list[list[int]]) -> list[list[int]]:
-    """Lower-triangular Hermite form (pivot = last nonzero column) for a
-    full-rank set of rows in Z^3."""
-    rows = [list(r) for r in rows]
-    basis: list[list[int]] = []
-    for col in (2, 1, 0):
-        pool = [r for r in rows if any(r[: col + 1])]
-        # gcd-reduce entries in `col` across the pool
-        while True:
-            nz = [r for r in pool if r[col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                for j in range(3):
-                    r[j] -= q * piv[j]
-        nz = [r for r in pool if r[col]]
-        assert nz, "rank deficient"
-        piv = nz[0]
-        if piv[col] < 0:
-            piv = [-v for v in piv]
-        basis.append(piv)
-        rows = [r for r in pool if r is not nz[0]] + [r for r in rows if r not in pool]
-        rows = [r for r in rows if r[col] == 0 or r is piv]
-        # kill the col entries of every other row
-        for r in rows:
-            if r is piv or r[col] == 0:
-                continue
-            q = r[col] // piv[col]
-            for j in range(3):
-                r[j] -= q * piv[j]
-        rows = [r for r in rows if r is not piv]
-    basis.reverse()  # now rows for cols 0,1,2
-    # reduce off-pivot entries
-    for i in range(3):
-        for j in range(i):
-            q = basis[i][j] // basis[j][j]
-            for k in range(3):
-                basis[i][k] -= q * basis[j][k]
-    return basis
-
-
-def _structure_constants(basis: list[Vec], poly):
-    """mult[i][j] = coords of basis_i * basis_j on the given basis (must be
-    integral if the basis spans a ring)."""
-    import itertools
-
-    # inverse of the basis matrix (3x3 Fractions), basis rows on power basis
-    B = [list(v) for v in basis]
-    inv = _mat_inv(B)
-    table = {}
-    for i, j in itertools.product(range(3), repeat=2):
-        prod = _mul_mod(basis[i], basis[j], poly)
-        coords = _vec_mat(prod, inv)
-        table[i, j] = coords
-    return table
-
-
-def _mat_inv(B):
-    """Inverse of a 3x3 Fraction matrix via adjugate."""
-    a, b, c = B[0]
-    d, e, f = B[1]
-    g, h, i = B[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    assert det != 0
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[Fraction(x) / det for x in row] for row in adj]
-
-
-def _vec_mat(v, M):
-    return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
-
-
-def _maximal_order(poly) -> list[Vec]:
-    """Basis (rows, power-basis coords) of the maximal order of Q[u]/(f)."""
-    a, b, c = poly
-    disc = cubic_discriminant(a, b, c)
-    one = Fraction(1)
-    basis: list[Vec] = [(one, one * 0, one * 0),
-                        (one * 0, one, one * 0),
-                        (one * 0, one * 0, one)]
-    for q, e in factor(disc).factors:
-        if e < 2:
-            continue
-        basis = _q_maximize(basis, q, poly)
-    return basis
-
-
-def _q_maximize(basis: list[Vec], q: int, poly) -> list[Vec]:
-    while True:
-        table = _structure_constants(basis, poly)
-        # integral structure constants expected
-        for v in table.values():
-            assert all(x.denominator == 1 for x in v), "basis is not a ring"
-        # Frobenius power map x -> x^(q^e), q^e >= 3, on O/qO
-        e = 1
-        while q**e < 3:
-            e += 1
-        frob = []
-        for i in range(3):
-            x = tuple(1 if j == i else 0 for j in range(3))  # coords on basis
-            y = x
-            for _ in range(e):
-                y = _pow_q(y, q, table)
-            frob.append([int(t) % q for t in y])
-        rad_vectors = _left_kernel_mod_q(frob, q)
-        # J = radical: generated by rad vectors and q*O (coords on basis)
-        jrows = [[q if j == i else 0 for j in range(3)] for i in range(3)]
-        jrows += [[v[j] % q for j in range(3)] for v in rad_vectors]
-        J = _hnf_lower(jrows)
-        # multiplier ring: y in O with y*J subset q*J  ->  O' = O + (1/q) ker
-        Jinv = _mat_inv([[Fraction(x) for x in row] for row in J])
-        sys_rows = []
-        for i in range(3):  # y = basis_i coordinate direction
-            col = []
-            for jr in J:
-                prod = [sum(jr[k] * int(table[i, k][m]) for k in range(3))
-                        for m in range(3)]
-                jcoords = _vec_mat(prod, Jinv)
-                assert all(t.denominator == 1 for t in jcoords)
-                col.extend(int(t) % q for t in jcoords)
-            sys_rows.append(col)
-        # kernel of the 3 x 3|J| system (vectors v with sum v_i sys_rows[i] = 0 mod q)
-        ker = _left_kernel_mod_q(sys_rows, q)
-        if not ker:
-            return basis
-        new_rows = [[q if j == i else 0 for j in range(3)] for i in range(3)]
-        new_rows += [[v[j] % q for j in range(3)] for v in ker]
-        H = _hnf_lower(new_rows)
-        enlarged = [tuple(Fraction(H[i][j], q) for j in range(3)) for i in range(3)]
-        # back to power-basis coordinates
-        new_basis = []
-        for row in enlarged:
-            coords = tuple(sum(row[k] * basis[k][j] for k in range(3))
-                           for j in range(3))
-            new_basis.append(coords)
-        if new_basis == basis:
-            return basis
-        basis = new_basis
-
-
-def _left_kernel_mod_q(rows, q):
-    """Basis of the vectors v mod q with sum_i v_i * rows[i] = 0 mod q."""
-    k, n = len(rows), len(rows[0])
-    aug = [[x % q for x in row] + [1 if j == i else 0 for j in range(k)]
-           for i, row in enumerate(rows)]
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, k) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][col], -1, q)
-        aug[r] = [(x * inv) % q for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[r])]
-        r += 1
-        if r == k:
-            break
-    return [row[n:] for row in aug[r:]]
-
-
-def _pow_q(x, q, table):
-    """x^q in the algebra with the given structure constants (x int coords)."""
-    result = None
-    base = x
-    e = q
-    # repeated squaring via table multiplication
-    def mul(u, v):
-        out = [0, 0, 0]
-        for i in range(3):
-            if not u[i]:
-                continue
-            for j in range(3):
-                if not v[j]:
-                    continue
-                t = table[i, j]
-                for m in range(3):
-                    out[m] += u[i] * v[j] * int(t[m])
-        return tuple(out)
-
-    while e:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
-
-
-def analyze_cubic(poly) -> CubicField:
-    """Field data of the cubic x^3 + a x^2 + b x + c: discriminants, index,
-    integral basis in Hermite form."""
-    a, b, c = poly
-    disc = cubic_discriminant(a, b, c)
-    # monic cubic is reducible over Q iff it has an integer root
-    if c == 0:
-        raise ReduciblePolynomial("root at 0")
-    for d in range(1, isqrt(abs(c)) + 1):
-        if c % d == 0:
-            for r in {d, -d, abs(c) // d, -(abs(c) // d)}:
-                if r**3 + a * r * r + b * r + c == 0:
-                    raise ReduciblePolynomial(f"rational root {r}")
-    assert disc != 0
-    basis = _maximal_order((a, b, c))
-    det = _det3(basis)
-    index = abs(Fraction(1) / det)
-    assert index.denominator == 1
-    index = int(index)
-    field_disc, rem = divmod(disc, index * index)
-    assert rem == 0
-    return CubicField((a, b, c), disc, field_disc, index,
-                      (basis[0], basis[1], basis[2]))
-
-
 def _det3(B):
     a, b, c = B[0]
     d, e, f = B[1]
@@ -330,18 +117,121 @@ def _det3(B):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _charpoly(x, d: int, poly) -> list[int] | None:
+    """Ascending coefficients of the characteristic polynomial of x/d (x on
+    1, u, u^2 in integers, d > 0), or None when one is not an integer, that
+    is when x/d is not an algebraic integer."""
+    M = [_mul_mod(x, e, poly) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    trace = M[0][0] + M[1][1] + M[2][2]
+    minors = (M[0][0] * M[1][1] - M[0][1] * M[1][0] + M[0][0] * M[2][2]
+              - M[0][2] * M[2][0] + M[1][1] * M[2][2] - M[1][2] * M[2][1])
+    scaled = (-_det3(M), minors * d, -trace * d * d)
+    if any(c % d**3 for c in scaled):
+        return None
+    return [c // d**3 for c in scaled] + [1]
+
+
+def _triple_root(x, d: int, q: int, poly) -> int | None:
+    """k with charpoly(x/d) = (X - k)^3 mod q, or None; x/d is integral."""
+    root = multiple_root(_charpoly(x, d, poly), q)
+    return root[0] if root and root[1] == 3 else None
+
+
+def _form_coefficients(poly, m: int, v: int, n: int) -> tuple[int, int, int, int]:
+    """Index form on e2 = (s + u)/m, e3 = (t + v u + u^2)/n (m | n), up to
+    sign: m n F(x/m + v y/n, y/n) = F(w x + v y, y) / (n w) with w = n/m, where
+    F = (1, -2a, a^2 + b, c - ab) is the index form of Z[u] on (u, u^2)."""
+    a, b, c = poly
+    F1, F2, F3 = -2 * a, a * a + b, c - a * b
+    w = n // m
+    # coefficients of F(X + v Y, Y), scaled by X -> w X
+    num = (w**3,
+           (3 * v + F1) * w**2,
+           (3 * v * v + 2 * F1 * v + F2) * w,
+           ((v + F1) * v + F2) * v + F3)
+    assert all(x % (n * w) == 0 for x in num), (poly, m, v, n)
+    return tuple(x // (n * w) for x in num)
+
+
+def _maximal_order(poly) -> tuple[int, int, int, int, int]:
+    """(s, m, t, v, n) with 1, (s + u)/m, (t + v u + u^2)/n a basis of the
+    maximal order of Q[u]/(poly), reduced: 0 <= s < m, 0 <= v < n/m,
+    0 <= t < n."""
+    s, m, t, v, n = 0, 1, 0, 0, 1
+    for q, e in factor(cubic_discriminant(*poly)).factors:
+        if e < 2:
+            continue
+        while True:
+            w = n // m
+            e2, e3 = (s, 1, 0), (t, v, 1)  # times m and n
+            A, B, C, D = _form_coefficients(poly, m, v, n)
+            if A % q == B % q == C % q == D % q == 0:
+                # O = Z + q O' for an order O', so e2 and e3 lie in Z + q O'
+                k2 = _triple_root(e2, m, q, poly)
+                k3 = _triple_root(e3, n, q, poly)
+                assert k2 is not None and k3 is not None, (poly, q)
+                s, m, t, n = s - k2 * m, m * q, t - k3 * n, n * q
+            else:
+                # O is not q-maximal only if f has a multiple root mod q in
+                # P^1(F_q), and then only the element at it can enlarge O
+                x0 = None  # the root (1 : 0), when q | A and q | B
+                if A % q or B % q:
+                    root = multiple_root([D, C, B, A] if A % q else [D, C, B], q)
+                    if root is None:
+                        break
+                    x0 = root[0]
+                alpha, d = (e2, m) if x0 is None else (
+                    (x0 * s * w + t, x0 * w + v, 1), n)
+                k = _triple_root(alpha, d, q, poly)
+                if k is None or _charpoly((alpha[0] - k * d, alpha[1], alpha[2]),
+                                          d * q, poly) is None:
+                    break
+                if x0 is None:
+                    s, m = s - k * m, m * q
+                else:
+                    t, v, n = alpha[0] - k * n, alpha[1], n * q
+            assert n % m == 0, (poly, q)
+            s, w = s % m, n // m
+            t, v = (t - v // w * s * w) % n, v % w
+    return s, m, t, v, n
+
+
+def analyze_cubic(poly) -> CubicField:
+    """Field data of the cubic x^3 + a x^2 + b x + c: discriminants, index,
+    integral basis in reduced Hermite form."""
+    a, b, c = poly
+    # a monic cubic is reducible over Q iff it has an integer root r, and r
+    # divides c; the least one is named
+    if c == 0:
+        raise ReduciblePolynomial("root at 0")
+
+    def g(x):
+        return ((x + a) * x + b) * x + c
+
+    for lo, hi, step in _monotone_pieces(1, a, b, 1, -abs(c), abs(c)):
+        r = _bisect(g, lo, hi, step, 0)
+        if g(r) == 0:
+            raise ReduciblePolynomial(f"rational root {r}")
+    disc = cubic_discriminant(a, b, c)
+    assert disc != 0
+    s, m, t, v, n = _maximal_order((a, b, c))
+    index = m * n
+    field_disc, rem = divmod(disc, index * index)
+    assert rem == 0
+    zero = Fraction(0)
+    basis = ((Fraction(1), zero, zero),
+             (Fraction(s, m), Fraction(1, m), zero),
+             (Fraction(t, n), Fraction(v, n), Fraction(1, n)))
+    return CubicField((a, b, c), disc, field_disc, index, basis)
+
+
 def index_form(K: CubicField) -> IndexForm:
     """Binary cubic with |f(x, y)| = index of x*e2 + y*e3 in the maximal
-    order (basis 1 = e1, e2, e3), from the basis multiplication table."""
-    basis = [list(v) for v in K.integral_basis]
-    table = _structure_constants([tuple(v) for v in basis], K.defining_poly)
-    p = table[1, 1]  # e2^2
-    qq = table[1, 2]  # e2 e3
-    r = table[2, 2]  # e3^2
-    p1, p2 = int(p[1]), int(p[2])
-    q1, q2 = int(qq[1]), int(qq[2])
-    r1, r2 = int(r[1]), int(r[2])
-    A, B, C, D = p2, 2 * q2 - p1, r2 - 2 * q1, -r1
+    order (basis 1 = e1, e2, e3), in closed form from the Hermite basis."""
+    _, e2, e3 = K.integral_basis  # (s + u)/m and (t + v u + u^2)/n
+    m, n = e2[1].denominator, e3[2].denominator
+    v = e3[1].numerator * (n // e3[1].denominator)
+    A, B, C, D = _form_coefficients(K.defining_poly, m, v, n)
     if A < 0 or (A == 0 and D < 0):
         A, B, C, D = -A, -B, -C, -D
     form = IndexForm((A, B, C, D))
@@ -367,8 +257,6 @@ class MordellReduction:
 def mordell_reduction(K: CubicField, N: int | None = None, n: int = 1) -> MordellReduction:
     """For a field of prime discriminant -N: elements of index N^(3n)
     correspond to S-integral points on Y^2 = X^3 + 432*N."""
-    from .arith import is_prime
-
     if N is None:
         N = -K.field_discriminant
     if K.field_discriminant != -N or not is_prime(N):
@@ -466,6 +354,19 @@ def _monotone_pieces(A, B, C, y, lo, hi):
     return [p for p in pieces if p[0] <= p[1]]
 
 
+def _bisect(g, lo: int, hi: int, step: int, v: int) -> int:
+    """Least x in [lo, hi] with step * g(x) >= step * v, or hi if there is
+    none, for g monotone on [lo, hi] (rising if step = 1, falling if -1);
+    v is a value of g there exactly when g of the result is v."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if step * g(mid) < step * v:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
                          moduli=(2, 9)):
     """All (x, y) with max(|x|,|y|) <= search_bound and |f(x, y)| supported
@@ -516,14 +417,7 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
         for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
             ends = sorted((g(lo), g(hi)))
             for v in values[bisect_left(values, ends[0]):bisect_right(values, ends[1])]:
-                # least x in [lo, hi] with step * g(x) >= step * v
-                a, b = lo, hi
-                while a < b:
-                    mid = (a + b) // 2
-                    if step * g(mid) < step * v:
-                        a = mid + 1
-                    else:
-                        b = mid
+                a = _bisect(g, lo, hi, step, v)
                 if g(a) == v:
                     record(a, y)
                     record(-a, -y)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .arith import Factorization
+from .arith import Factorization, factor
 
 
 class FixtureError(Exception):
@@ -79,8 +79,6 @@ def parse_factorization(text: str) -> Factorization:
         sign, t = -1, t[1:]
     if t in ("", "1"):
         return Factorization(sign, ())
-    from .arith import factor as _factor
-
     counts: dict = {}
     for piece in t.split("*"):
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", piece)
@@ -88,7 +86,7 @@ def parse_factorization(text: str) -> Factorization:
             raise ValueError(f"bad factorization piece {piece!r} in {text!r}")
         base, exp = int(m.group(1)), int(m.group(2) or 1)
         # bases need not be prime in fixture text (e.g. "1967" = 7 * 281)
-        for p, e in _factor(base).factors:
+        for p, e in factor(base).factors:
             counts[p] = counts.get(p, 0) + e * exp
     return Factorization(sign, tuple(sorted(counts.items())))
 

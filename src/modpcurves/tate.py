@@ -5,16 +5,16 @@ I_n* sub-loop), not the p >= 5 shortcuts.  Non-minimal local models are
 detected by the final case and rescaled in place, so the reported data always
 refers to a model minimal at p.  The algorithm only ever needs the multiple
 root of a polynomial of degree at most 3, which lies in F_p and comes from
-gcd(g, g') in closed form (_multiple_root), and whether the tangent quadratic
-at a node splits, which is Euler's criterion; both take O(log p) arithmetic
-operations, so large bad primes cost no more than small ones.
+gcd(g, g') in closed form (arith.multiple_root), and whether the tangent
+quadratic at a node splits, which is Euler's criterion; both take O(log p)
+arithmetic operations, so large bad primes cost no more than small ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, valuation
+from .arith import Factorization, multiple_root, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
                           minimal_model, transform)
 
@@ -47,55 +47,6 @@ def _val(n: int, p: int, big: int = 10**9) -> int:
     return big if n == 0 else valuation(n, p)
 
 
-def _multiplicity(cs: list[int], r: int, p: int) -> int:
-    """Order of vanishing at r of the nonzero polynomial cs over F_p, by
-    synthetic division."""
-    mult = 0
-    while len(cs) > 1:
-        acc = 0
-        quot = []
-        for c in reversed(cs):
-            acc = (acc * r + c) % p
-            quot.append(acc)
-        if acc:
-            break
-        mult += 1
-        cs = quot[-2::-1]
-    return mult
-
-
-def _multiple_root(coeffs: list[int], p: int) -> tuple[int, int] | None:
-    """The root of multiplicity m >= 2 in F_p, as (r, m), of the polynomial
-    with the given ascending coefficients, or None if it has none; its degree
-    is at most 3 and its leading coefficient a unit mod p.
-
-    Such a root is unique and lies in F_p.  For p > 3 it is read off
-    gcd(g, g') in closed form: for monic g = x^3 + b x^2 + c x + d,
-    g - (x/3 + b/9) g' = ((2/9)(3c - b^2)) x + (9d - bc)/9, so 3c = b^2 and
-    9d = bc give the triple root -b/3, and otherwise the one candidate is the
-    root of that remainder, a double root when g' vanishes there.  For
-    p <= 3 every element of F_p is tried."""
-    inv = pow(coeffs[-1], -1, p)
-    g = [c * inv % p for c in coeffs]
-    if p <= 3:
-        for r in range(p):
-            m = _multiplicity(g, r, p)
-            if m >= 2:
-                return r, m
-        return None
-    if len(g) == 3:  # x^2 + b x + c: double root -b/2 when b^2 = 4c
-        c, b, _ = g
-        return (-b * pow(2, -1, p) % p, 2) if (b * b - 4 * c) % p == 0 else None
-    if len(g) < 4:
-        return None
-    d, c, b, _ = g
-    lin, const = 3 * c - b * b, 9 * d - b * c
-    if lin % p == 0:
-        return (-b * pow(3, -1, p) % p, 3) if const % p == 0 else None
-    r = -const * pow(2 * lin, -1, p) % p
-    return (r, 2) if (3 * r * r + 2 * b * r + c) % p == 0 else None
-
-
 def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
     """The unique singular point of the reduction mod p (exists when p | disc)."""
     a1, a2, a3, a4, a6 = E.coeffs
@@ -112,7 +63,7 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     # singular x is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    root = _multiple_root([b6, 2 * b4, b2, 4], p)
+    root = multiple_root([b6, 2 * b4, b2, 4], p)
     if root is None:
         raise SingularModel(f"no singular point mod {p} on {E}")
     x = root[0]
@@ -122,7 +73,7 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
 def _quadratic_double_root(a: int, b: int, c: int, p: int):
     """For a x^2 + b x + c mod p with a a unit: None if two distinct roots
     in an algebraic closure, else the double root, which lies in F_p."""
-    root = _multiple_root([c, b, a], p)
+    root = multiple_root([c, b, a], p)
     return None if root is None else root[0]
 
 
@@ -194,7 +145,7 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
     b = a2 // p
     c = a4 // p**2
     d = a6 // p**3
-    root = _multiple_root([d, c, b, 1], p)
+    root = multiple_root([d, c, b, 1], p)
     if root is None:
         return LocalData(p, ADDITIVE, n - 4, "I0*", n)
     alpha, mult = root

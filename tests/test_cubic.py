@@ -4,6 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from sympy import Poly
+from sympy.abc import x as X
+from sympy.polys.numberfields.basis import round_two
 
 from conftest import FIXTURE_CUBICS
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
@@ -11,8 +14,7 @@ from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
-                              _det3, _mat_inv, _monotone_pieces, _mul_mod,
-                              _vec_mat)
+                              _det3, _monotone_pieces, _mul_mod)
 
 
 def test_parse_cubic_formats():
@@ -44,10 +46,104 @@ def test_reducible_rejected():
         analyze_cubic((-6, 11, -6))  # (x-1)(x-2)(x-3)
 
 
+def test_reducibility_against_sympy(rng):
+    def forced(r, p, q):  # (x - r)(x^2 + p x + q)
+        return p - r, q - p * r, -q * r
+
+    big = forced(10**12 + 39, 2, 10**18 + 7)
+    assert abs(big[2]) > 10**30
+    cases = [(-6, 11, -6), (0, -1, 0), (0, 1, 0), (0, 1, 2**50 + 1),
+             forced(10**12 + 39, -7, 5), forced(-10**12 - 11, 3, 10**18 + 9), big]
+    for _ in range(150):
+        cases.append(forced(rng.randint(-50, 50), rng.randint(-60, 60),
+                            rng.randint(-60, 60)))
+        cases.append(tuple(rng.randint(-60, 60) for _ in range(3)))
+    for a, b, c in cases:
+        P = Poly(X**3 + a * X**2 + b * X + c, X)
+        roots = sorted(P.ground_roots())
+        assert P.is_irreducible == (not roots)
+        if roots:
+            # the least integer root is the one named, except 0 when c = 0
+            named = "root at 0" if c == 0 else f"rational root {roots[0]}"
+            with pytest.raises(ReduciblePolynomial, match=f"^{named}$"):
+                analyze_cubic((a, b, c))
+        else:
+            assert analyze_cubic((a, b, c)).defining_poly == (a, b, c)
+    with pytest.raises(ReduciblePolynomial, match="^rational root 1$"):
+        analyze_cubic((-6, 11, -6))  # (x-1)(x-2)(x-3)
+
+
+SCALES = (2, 3, 4, 5, 6, 7, 9, 101, 1009)
+
+
+def scaled_fields(rng, per_scale: int) -> list[CubicField]:
+    """Seeded fields Q(u) with u^3 + k a u^2 + k^2 b u + k^3 c = 0, one k of
+    SCALES at a time, so that k^3 divides the index of u: with k = 4 and 9
+    the index is divisible by 2^6 and by 3^6, and q = 101, 1009 occur."""
+    fields = []
+    while len(fields) < per_scale * len(SCALES):
+        k = SCALES[len(fields) % len(SCALES)]
+        a, b, c = (rng.randint(-20, 20) for _ in range(3))
+        try:
+            fields.append(analyze_cubic((k * a, k * k * b, k**3 * c)))
+        except ReduciblePolynomial:
+            continue
+    return fields
+
+
+def test_maximal_order_against_sympy_round_two(rng):
+    fields = scaled_fields(rng, 6) + [analyze_cubic(p) for p, _ in FIXTURE_CUBICS]
+    fields.append(analyze_cubic((3, -13, -79)))
+    for q, e in ((2, 6), (3, 6), (5, 3), (7, 3), (101, 3), (1009, 3)):
+        assert any(K.index_of_generator % q**e == 0 for K in fields), q
+    for K in fields:
+        a, b, c = K.defining_poly
+        ZK, dK = round_two(Poly(X**3 + a * X**2 + b * X + c, X))
+        assert K.field_discriminant == dK, K
+        # sympy's basis: the columns of ZK.matrix over ZK.denom; the
+        # coordinates of each of our basis rows on it must be integers
+        M = ZK.matrix.to_Matrix()
+        rows = [[Fraction(int(M[i, j]), ZK.denom) for i in range(3)]
+                for j in range(3)]
+        inv = _mat_inv(rows)
+        for e in K.integral_basis:
+            assert all(t.denominator == 1 for t in _vec_mat(e, inv)), (K, e)
+        # reduced Hermite form 1, (s + u)/m, (t + v u + u^2)/n
+        e1, e2, e3 = K.integral_basis
+        m, n = e2[1].denominator, e3[2].denominator
+        assert e1 == (1, 0, 0) and e2[1:] == (Fraction(1, m), 0)
+        assert e3[2] == Fraction(1, n) and n % m == 0
+        assert K.index_of_generator == m * n
+        s, t, v = e2[0] * m, e3[0] * n, e3[1] * n
+        assert 0 <= s < m and 0 <= v < n // m and 0 <= t < n, K
+    assert fields[-1].integral_basis[1:] == (
+        (Fraction(1, 4), Fraction(1, 4), 0),
+        (Fraction(1, 16), Fraction(1, 8), Fraction(1, 16)))
+
+
 def test_index_form_discriminant():
     for poly, dK in FIXTURE_CUBICS:
         form = index_form(analyze_cubic(poly))
         assert form.discriminant() == dK
+
+
+def _mat_inv(B):
+    """Inverse of a 3x3 Fraction matrix via adjugate."""
+    a, b, c = B[0]
+    d, e, f = B[1]
+    g, h, i = B[2]
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert det != 0
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    return [[Fraction(x) / det for x in row] for row in adj]
+
+
+def _vec_mat(v, M):
+    return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
 
 
 def element_index(K: CubicField, x: int, y: int) -> int:
@@ -72,6 +168,13 @@ def test_index_form_against_determinant_oracle(rng):
             x = rng.randint(-30, 30)
             y = rng.randint(-30, 30)
             assert abs(form(x, y)) == element_index(K, x, y), (poly, x, y)
+    # seeded fields whose maximal order is far from Z[u]
+    for K in scaled_fields(rng, 3):
+        form = index_form(K)
+        for _ in range(20):
+            x = rng.randint(-30, 30)
+            y = rng.randint(-30, 30)
+            assert abs(form(x, y)) == element_index(K, x, y), (K, x, y)
 
 
 def test_s3_serre_conductor():

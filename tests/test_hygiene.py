@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is read
 somewhere in that module, and so is every private function, class and
-constant it defines at module level.  `__init__.py` is skipped, since its
-imports are re-exports."""
+constant it defines at module level; imports sit at module level, never
+inside a function body.  `__init__.py` is skipped, since its imports are
+re-exports."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,19 @@ def unread_private_names(source: str) -> list[str]:
     return dead
 
 
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function body, at any depth."""
+    tree = ast.parse(source)
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = ", ".join(a.name for a in node.names)
+                    found.add((node.lineno, f"{names} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -74,6 +88,16 @@ def test_scan_finds_planted_dead_private_names():
         "_Gone (line 10)"]
 
 
+def test_scan_finds_planted_function_imports():
+    source = ("import os\n"
+              "def f():\n    from math import gcd\n    return gcd(4, 6)\n"
+              "class C:\n    def g(self):\n"
+              "        def h():\n            import itertools\n"
+              "            return itertools\n        return h\n"
+              "if os.sep:\n    import sys\n")
+    assert function_imports(source) == ["gcd (line 3)", "itertools (line 8)"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -86,3 +110,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []

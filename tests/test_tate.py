@@ -1,10 +1,9 @@
 import pytest
 
 from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
-from modpcurves.arith import factor
+from modpcurves.arith import factor, multiple_root
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             LocalData, _multiple_root, conductor,
-                             tate_local)
+                             LocalData, conductor, tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, minimal_model, parse_curve,
                                     transform)
@@ -170,7 +169,7 @@ def test_multiple_root_matches_scan(p, rng):
         ]
     for poly in polys:
         multiple = [(r, m) for r, m in roots_by_scan(poly, p) if m >= 2]
-        assert _multiple_root(poly, p) == (multiple[0] if multiple else None), \
+        assert multiple_root(poly, p) == (multiple[0] if multiple else None), \
             (poly, p)
 
 
