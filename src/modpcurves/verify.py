@@ -12,7 +12,7 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import is_prime
+from .arith import primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, s3_serre_conductor,
                     solve_index_equation)
 from .fixtures import (Record, default_fixture_dir, load_fixture_file,
@@ -209,8 +209,8 @@ def _check_reciprocity(rec: Record):
     pmin, pmax = int(rec.require("pmin")), int(rec.require("pmax"))
     candidates = tuple(int(t) for t in rec.require("candidates").split(","))
     missing = []
-    for p in range(pmin, pmax + 1):
-        if not is_prime(p) or p in (2, 5):
+    for p in primes_below(pmax + 1):
+        if p < pmin or p in (2, 5):
             continue
         try:
             reciprocity_cover(p, candidates)

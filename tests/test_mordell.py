@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 from math import gcd, isqrt, prod
 
 import pytest
 
+from modpcurves.cli import main
 from modpcurves.mordell import (_SQUARE_TABLES, SIntegerPoint, _sieve,
                                 scan_twisted_mordell, search_mordell)
 
@@ -120,14 +122,55 @@ def test_square_tables_are_the_squares_mod_q():
 @pytest.mark.parametrize("K, bound, d, S", [
     (17, 300, 1, set()), (-26 * 2**6, 257, 2, {2, 3}),
     (891216 * 6**6, 500, 6, {2, 3, 2063}), (5 * 35**6, 131, 35, {5, 7}),
-    (1, 0, 1, set()), (-1, 1, 3, {3}), (2**6, 50, 2, {2}), (3**6, 40, 3, {3})])
+    (1, 0, 1, set()), (-1, 1, 3, {3}), (2**6, 50, 2, {2}), (3**6, 40, 3, {3}),
+    # boxes narrower than every sieve modulus
+    (2**6, 0, 2, {2}), (-7, 1, 1, set()), (10 * 5**6, 3, 5, {1, 5}),
+    # 2 * bound + 1 in every odd class mod 8, bound in every class mod 8
+    *((-2 - 3 * b, b, 1, set()) for b in range(100, 108)),
+    # a prime of d wider than the box clears x = 0 alone
+    ((10**9 + 7)**6, 60, 10**9 + 7, {2, 10**9 + 7}),
+    # x = bound = 64 has x^3 + K = 520^2; the doubled mask must still clear it
+    (129 * 2**6, 64, 2, {2})])
 def test_sieve_keeps_exactly_the_locally_possible_x(K, bound, d, S):
     squares = {q: {y * y % q for y in range(q)} for q in _SQUARE_TABLES}
-    want = bytearray(
-        all((x**3 + K) % q in squares[q] for q in squares)
-        and all(x % p for p in S if d % p == 0)
-        for x in range(-bound, bound + 1))
-    assert _sieve(K, bound, d, S) == want
+    want = [int(all((x**3 + K) % q in squares[q] for q in squares)
+                and all(x % p for p in S if d % p == 0))
+            for x in range(-bound, bound + 1)]
+    live = _sieve(K, bound, d, S, {})
+    assert [live >> i & 1 for i in range(2 * bound + 1)] == want
+    assert live >> (2 * bound + 1) == 0
+
+
+def test_sieve_prime_of_S_above_the_box_is_fast():
+    start = time.perf_counter()
+    pts = search_mordell(1, {2, 10**9 + 7}, 10**5, 2)
+    assert time.perf_counter() - start < 0.5
+    assert {(P.x_num, P.y_num, P.denom) for P in pts} \
+        == {(-1, 0, 1), (0, 1, 1), (0, -1, 1), (2, 3, 1), (2, -3, 1)}
+
+
+def test_dense_box_against_the_scan():
+    # k = 17 leaves 1,174 of the 2 * 10^6 + 1 values of the box to isqrt
+    assert _sieve(17, 10**6, 1, set(), {}).bit_count() == 1174
+    got = {(P.x_num, P.y_num, P.denom) for P in search_mordell(17, set(), 10**6, 0)}
+    assert len(got) == 16
+    assert got == scan_s_integral_points(17, set(), 10**6, 0)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mordell", "--k", "0"], "k must be nonzero"),
+    (["mordell", "--k", "1", "--height", "-1"], "height bound -1"),
+    (["mordell", "--k", "1", "--S", "2", "--exponent-bound", "-1"], "exponent bound -1"),
+    (["mordell", "--k", "1", "--S=-3"], "S entry -3"),
+    (["mordell", "--k", "1", "--S", "2,4"], "S entry 4"),
+    (["scan-twisted", "--N", "0"], "k must be nonzero"),
+    (["scan-twisted", "--N", "353", "--height", "-1"], "height bound -1"),
+    (["scan-twisted", "--N", "353", "--exponent-bound", "-2"], "exponent bound -2"),
+    (["scan-twisted", "--N", "353", "--S", "1,9"], "S entry 9")])
+def test_cli_rejects_a_bad_box(capsys, argv, named):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def test_unit_in_S_adds_no_denominator():
