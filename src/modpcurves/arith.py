@@ -2,8 +2,11 @@
 
 Factorization (trial division + Brent-cycle Pollard rho; every reported
 prime passes is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW
-above), p-adic valuations, Legendre symbols and the multiple root mod p of a
-polynomial of degree at most 3.  Everything works on arbitrary-precision ints.
+above), p-adic valuations, Legendre symbols, the multiple root mod p of a
+polynomial of degree at most 3, and the bit sieve that the Mordell search
+and the index-form solver share: residue classes mod q as a tiled mask, the
+multiples of p as a mask, and the positions of the surviving bits.
+Everything works on arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -329,3 +332,65 @@ def multiple_root(coeffs: list[int], p: int) -> tuple[int, int] | None:
         return (-b * pow(3, -1, p) % p, 3) if const % p == 0 else None
     r = -const * pow(2 * lin, -1, p) % p
     return (r, 2) if (3 * r * r + 2 * b * r + c) % p == 0 else None
+
+
+# ------------------------------------------------------------- bit sieves
+#
+# A sieve over n consecutive integers is one int with bit i for the i-th of
+# them; each modulus clears its excluded classes with one AND.
+
+# flag bytes 0 and 1 -> the digits "0" and "1"
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def residue_block(allowed, offset: int) -> bytes:
+    """lcm(q, 8) / 8 bytes, q = len(allowed), whose little-endian bit j is
+    allowed[(j + offset) % q]; allowed is a list or bytes of q flags, each 0
+    or 1.  The width is a multiple of q, so bit i of the block repeated
+    keeps that meaning for every i."""
+    q = len(allowed)
+    k = offset % q
+    pattern = int(bytes(allowed[k:] + allowed[:k])[::-1].translate(_ASCII01), 2)
+    width = q
+    while width % 8:
+        pattern |= pattern << width
+        width *= 2
+    return pattern.to_bytes(width // 8, "little")
+
+
+def tiled_mask(block: bytes, nbits: int) -> int:
+    """The block repeated to at least nbits bits, as one int: bit i is bit
+    i mod (8 len(block)) of the block.  Bits at nbits and above, up to the
+    end of the last copy, may be set, so AND it into a mask of nbits bits."""
+    return int.from_bytes(block * -(-nbits // (8 * len(block))), "little")
+
+
+def multiples_mask(p: int, start: int, nbits: int) -> int:
+    """Bit i is 1 for each i < nbits with i = start (mod p), 0 <= start < p,
+    built by doubling a single bit, so the cost grows with log(nbits / p),
+    not p.  Bits above nbits may be set, as for tiled_mask."""
+    mask, span = 1, p
+    while span < nbits - start:
+        mask |= mask << span
+        span *= 2
+    return mask << start
+
+
+# byte b -> 1 when b != 0, and the positions of the 1 bits of b
+_NONZERO = bytes([0]) + bytes([1]) * 255
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+
+
+def set_bits(n: int) -> list[int]:
+    """Ascending positions of the 1 bits of n >= 0: one to_bytes, then
+    bytes.find over the nonzero bytes, so the cost is linear in the width
+    of n however many bits are set."""
+    packed = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    flags = packed.translate(_NONZERO)
+    out = []
+    j = flags.find(1)
+    while j >= 0:
+        base = 8 * j
+        out.extend(base + k for k in _BYTE_BITS[packed[j]])
+        j = flags.find(1, j + 1)
+    return out

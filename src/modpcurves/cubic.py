@@ -13,21 +13,24 @@ f has a multiple root in P^1(F_q), and then only the element alpha at that
 root can enlarge it, to (alpha - k)/q when that is integral.  Each k is the
 triple root mod q of a characteristic polynomial.  Everything is exact
 integer arithmetic; the basis is returned as Fractions.  The index-equation
-solver keeps only the targets that the congruence sieve allows, splits each
-line y = const into pieces where the form is monotone (critical points from
-isqrt), and bisects for integer roots; the reducibility test finds integer
-roots of the cubic the same way.
+solver keeps only the targets that the congruence sieve allows; for each
+target it sieves the lines y = const of the box with one integer, a bit per
+y, by the residues of the form mod small primes (arith.residue_block and
+tiled_mask, as the Mordell search sieves x), splits each surviving line into
+pieces where the form is monotone (critical points from isqrt), and bisects
+for integer roots; the reducibility test finds integer roots of the cubic
+the same way.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import Factorization, factor, is_prime, multiple_root
+from .arith import (Factorization, factor, is_prime, multiple_root,
+                    residue_block, set_bits, tiled_mask)
 
 
 class ReduciblePolynomial(Exception):
@@ -367,6 +370,23 @@ def _bisect(g, lo: int, hi: int, step: int, v: int) -> int:
     return lo
 
 
+# primes of the y-sieve in solve_index_equation, chosen by timing: adding
+# 37..47 slowed the small boxes, dropping 29 and 31 the -2063 box at 10^4
+_Y_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _y_sieve_tables(A: int, B: int, C: int, D: int):
+    """For each y-sieve prime q: the image of F(t, 1) mod q, y^-3 mod q for
+    y = 1 .. q - 1, and the set A x^3 mod q over the units x."""
+    tables = []
+    for q in _Y_SIEVE_PRIMES:
+        image = {(((A * t + B) * t + C) * t + D) % q for t in range(q)}
+        inv_cubes = [pow(y, -3, q) for y in range(1, q)]
+        unit_cubes = {A * x**3 % q for x in range(1, q)}
+        tables.append((q, image, inv_cubes, unit_cubes))
+    return tables
+
+
 def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
                          moduli=(2, 9)):
     """All (x, y) with max(|x|,|y|) <= search_bound and |f(x, y)| supported
@@ -375,58 +395,90 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
     Coprime pairs are found directly; since f(dx, dy) = d^3 f(x, y), the
     non-primitive solutions are exactly the allowed-prime-smooth multiples
     of coprime ones and are appended by scaling.  Returns (solutions,
-    report): solutions are (x, y, |f(x,y)|) triples."""
+    report): solutions are (x, y, |f(x,y)|) triples.  Raises ValueError for
+    a negative bound or an entry of allowed_primes that is neither 1 nor a
+    prime; an entry 1 is ignored.
+
+    Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
+    f(x, y) = v for a signed target v = +-prod p^e that passes the residue
+    test mod each modulus.  For each such v, the y in [1, bound] are sieved
+    as one integer, bit j for y = j + 1, by each prime q <= 31; the mask of
+    each (q, v mod q) is built once per call, and only the surviving lines
+    y = const are bisected.  The sieve drops no coprime solution (x, y) of
+    f(x, y) = v: if q does not divide y, then f(x, y) = y^3 f(x/y, 1), so
+    v y^-3 mod q lies in the image of f(t, 1) mod q; if q divides y, then q
+    does not divide x, and v = A x^3 (mod q) for a unit x.  The pairs it
+    does drop are not coprime, and those come from the scaling step."""
+    if search_bound < 0:
+        raise ValueError(f"search bound {search_bound} is negative")
+    for p in allowed_primes:
+        if p != 1 and not is_prime(p):
+            raise ValueError(f"primes entry {p} is neither 1 nor a prime")
+    primes = sorted({p for p in allowed_primes if p != 1})
     form = index_form(K)
     A, B, C, D = form.coefficients
-    report = congruence_sieve(form, allowed_primes, moduli=moduli)
+    report = congruence_sieve(form, primes, moduli=moduli)
     Bnd = search_bound
     maxval = (abs(A) + abs(B) + abs(C) + abs(D)) * Bnd**3
     # enumerate targets supported on the allowed primes, up to maxval
     targets = [1]
-    for p in sorted(allowed_primes):
+    for p in primes:
         grown = []
         for t in targets:
             while t <= maxval:
                 grown.append(t)
                 t *= p
         targets = grown
-    targets = sorted(set(targets))
     sols = set()
 
     def record(x, y):
         if max(abs(x), abs(y)) <= Bnd and gcd(x, y) == 1:
             v = form(x, y)
-            if v != 0 and _supported(abs(v), allowed_primes):
+            if v != 0 and _supported(abs(v), primes):
                 sols.add((x, y, abs(v)))
 
     # keep a signed target only if every modulus can attain it: coprime
     # (x, y) have gcd(x, y, m) = 1, so f(x, y) mod m lies in residues[m]
     allowed = {m: set(r) for m, r in report.residues.items()}
-    values = sorted(v for t in targets for v in (t, -t)
-                    if all(v % m in allowed[m] for m in report.moduli))
+    values = [v for t in targets for v in (t, -t)
+              if all(v % m in allowed[m] for m in report.moduli)]
 
     # y = 0 and x = 0 edges
     for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         record(x, y)
-    for y in range(1, Bnd + 1):
-        By, Cyy, Dyyy = B * y, C * y * y, D * y**3
+    tables = _y_sieve_tables(A, B, C, D)
+    masks = {}  # (q, v mod q) -> mask of the y allowed for v
+    box = (1 << Bnd) - 1
+    for v in values:
+        live = box
+        for q, image, inv_cubes, unit_cubes in tables:
+            if not live:
+                break
+            vq = v % q
+            mask = masks.get((q, vq))
+            if mask is None:
+                ys = [vq in unit_cubes] + [vq * c % q in image for c in inv_cubes]
+                mask = masks[q, vq] = tiled_mask(residue_block(ys, 1), Bnd)
+            live &= mask
+        for j in set_bits(live):
+            y = j + 1
+            By, Cyy, Dyyy = B * y, C * y * y, D * y**3
 
-        def g(x):
-            return ((A * x + By) * x + Cyy) * x + Dyyy
+            def g(x):
+                return ((A * x + By) * x + Cyy) * x + Dyyy
 
-        for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
-            ends = sorted((g(lo), g(hi)))
-            for v in values[bisect_left(values, ends[0]):bisect_right(values, ends[1])]:
-                a = _bisect(g, lo, hi, step, v)
-                if g(a) == v:
-                    record(a, y)
-                    record(-a, -y)
+            for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
+                if step * g(lo) <= step * v <= step * g(hi):
+                    a = _bisect(g, lo, hi, step, v)
+                    if g(a) == v:
+                        record(a, y)
+                        record(-a, -y)
     # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y)
     scaled = set()
     for x, y, v in sols:
         d = 2
         while d * max(abs(x), abs(y)) <= Bnd:
-            if _supported(d, allowed_primes):
+            if _supported(d, primes):
                 scaled.add((d * x, d * y, v * d**3))
             d += 1
     return sorted(sols | scaled), report

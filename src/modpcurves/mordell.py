@@ -4,14 +4,16 @@ An S-integral point is written (x_num / d^2, y_num / d^3) with d supported
 on S and gcd(x_num, d) = 1.  Clearing denominators, (x_num, y_num) is an
 integral point on Y^2 = X^3 + K with K = k d^6.  For each d the search
 sieves the box |x_num| <= H as one integer, bit i standing for
-x_num = i - H.  Each sieve modulus q has a block of lcm(q, 8) / 8 bytes per
-residue K mod q, whose bits are 1 on the x_num with x_num^3 + K a square
-mod q; the block is built once per search, and for each d it costs one
-int.from_bytes of the tiled block and one AND.  For each prime p | d an AND
-with the complement of the mask of multiples of p, built by doubling a
-single bit, clears x_num = 0 (mod p).  The few survivors are found with
-one to_bytes and bytes.find, and confirmed exactly: x_num^3 + K >= 0, an
-integer square by isqrt, and gcd(x_num, d) = 1.
+x_num = i - H, with the bit-sieve helpers of arith that the index-form
+solver shares.  Each sieve modulus q has a block of lcm(q, 8) / 8 bytes per
+residue K mod q (arith.residue_block), whose bits are 1 on the x_num with
+x_num^3 + K a square mod q; the block is built once per search, and for
+each d it costs one int.from_bytes of the tiled block (arith.tiled_mask)
+and one AND.  For each prime p | d an AND with the complement of the mask
+of multiples of p (arith.multiples_mask, built by doubling a single bit)
+clears x_num = 0 (mod p).  The few survivors are found with one to_bytes
+and bytes.find (arith.set_bits), and confirmed exactly: x_num^3 + K >= 0,
+an integer square by isqrt, and gcd(x_num, d) = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import is_prime
+from .arith import (is_prime, multiples_mask, residue_block, set_bits,
+                    tiled_mask)
 
 
 def _square_table(q: int) -> bytes:
@@ -69,34 +72,6 @@ def _denominators(S, exponent_bound):
     return sorted(set(out))
 
 
-def _residue_block(q: int, Kq: int, bound: int) -> bytes:
-    """lcm(q, 8) / 8 bytes; bit j (little-endian) is 1 when x = j - bound
-    has x^3 + Kq a square mod q.  The width is a multiple of q, so bit i of
-    the tiled blocks keeps that meaning for every i."""
-    squares = _SQUARE_TABLES[q]
-    pattern = 0
-    for j in range(q):
-        r = (j - bound) % q
-        if squares[(r * r * r + Kq) % q]:
-            pattern |= 1 << j
-    width = q
-    while width % 8:
-        pattern |= pattern << width
-        width *= 2
-    return pattern.to_bytes(width // 8, "little")
-
-
-def _multiples_mask(p: int, bound: int, nbits: int) -> int:
-    """Bit i is 1 for each i < nbits with x = i - bound = 0 (mod p), built by
-    doubling a single bit, so the cost grows with log(nbits / p), not p."""
-    start = bound % p
-    mask, span = 1, p
-    while span < nbits - start:
-        mask |= mask << span
-        span *= 2
-    return mask << start
-
-
 def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
     """Bit i is 1 when x = i - bound has x^3 + K a square mod every sieve
     modulus and x is prime to every prime of S that divides d.
@@ -105,47 +80,33 @@ def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
     multiples of p, keyed p; it is valid for one bound."""
     nbits = 2 * bound + 1
     live = (1 << nbits) - 1
-    nbytes = (nbits + 7) // 8
-    for q in _SQUARE_TABLES:
+    for q, squares in _SQUARE_TABLES.items():
         Kq = K % q
         block = cache.get((q, Kq))
         if block is None:
-            block = cache[q, Kq] = _residue_block(q, Kq, bound)
-        live &= int.from_bytes(block * -(-nbytes // len(block)), "little")
+            allowed = [squares[(x * x * x + Kq) % q] for x in range(q)]
+            block = cache[q, Kq] = residue_block(allowed, -bound)
+        live &= tiled_mask(block, nbits)
     for p in S:
         if p > 1 and d % p == 0:  # 1 in S divides every d but forbids no x
             mask = cache.get(p)
             if mask is None:
-                mask = cache[p] = _multiples_mask(p, bound, nbits)
+                mask = cache[p] = multiples_mask(p, bound % p, nbits)
             live &= ~mask
     return live
-
-
-# byte b -> 1 when b != 0, to find the bytes of the sieve with a survivor
-_NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 def _integral_points(K: int, bound: int, d: int, S, cache: dict):
     """Integral (x, y), y >= 0, on Y^2 = X^3 + K with |x| <= bound and
     gcd(x, d) = 1, where d is a product of powers of primes of S."""
-    live = _sieve(K, bound, d, S, cache)
-    if not live:
-        return []
-    packed = live.to_bytes((2 * bound + 8) // 8, "little")
-    flags = packed.translate(_NONZERO)
     hits = []
-    j = flags.find(1)
-    while j >= 0:
-        byte = packed[j]
-        for bit in range(8):
-            if byte >> bit & 1:
-                x = 8 * j + bit - bound
-                t = x**3 + K
-                if t >= 0:
-                    y = isqrt(t)
-                    if y * y == t and gcd(x, d) == 1:
-                        hits.append((x, y))
-        j = flags.find(1, j + 1)
+    for i in set_bits(_sieve(K, bound, d, S, cache)):
+        x = i - bound
+        t = x**3 + K
+        if t >= 0:
+            y = isqrt(t)
+            if y * y == t and gcd(x, d) == 1:
+                hits.append((x, y))
     return hits
 
 

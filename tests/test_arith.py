@@ -1,10 +1,13 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpcurves.arith import (Factorization, IncompleteFactorization,
                               _strong_lucas_probable_prime, factor, is_prime,
-                              legendre_symbol, primes_below, valuation)
+                              legendre_symbol, multiples_mask, primes_below,
+                              residue_block, set_bits, tiled_mask, valuation)
 
 
 def test_factor_round_trip_exhaustive_to_one_million():
@@ -141,3 +144,44 @@ def test_factorization_str():
     assert str(factor(2**3 * 5 * 2063)) == "2^3 * 5 * 2063"
     assert str(factor(353)) == "353"
     assert str(factor(1)) == "1"
+
+
+def test_tiled_residue_block_repeats_the_pattern(rng):
+    widths = list(range(1, 66)) + [rng.randint(66, 400) for _ in range(15)]
+    for q in widths:
+        allowed = [rng.randint(0, 1) for _ in range(q)]
+        offset = rng.randint(-10**6, 10**6)
+        block = residue_block(allowed, offset)
+        width = 8 * len(block)
+        assert width == lcm(q, 8)
+        pattern = int.from_bytes(block, "little")
+        assert [pattern >> j & 1 for j in range(width)] \
+            == [allowed[(j + offset) % q] for j in range(width)]
+        # below one width, and in every class mod 8 across several copies
+        counts = {rng.randint(0, width - 1), width, width + 1}
+        counts |= {8 * rng.randint(0, 3 * len(block)) + r for r in range(8)}
+        for nbits in counts:
+            mask = tiled_mask(block, nbits)
+            assert all(mask >> i & 1 == pattern >> (i % width) & 1
+                       for i in range(nbits)), (q, offset, nbits)
+            assert mask >> (width * -(-nbits // width)) == 0
+
+
+def test_multiples_mask_marks_one_class(rng):
+    cases = [(2, 0, 1), (2, 1, 1), (3, 2, 3), (10**9 + 7, 5, 100), (7, 6, 6)]
+    cases += [(p, rng.randrange(p), rng.randint(0, 600))
+              for p in (rng.choice((2, 3, 5, 7, 11, 101, 1009)) for _ in range(200))]
+    for p, start, nbits in cases:
+        mask = multiples_mask(p, start, nbits)
+        assert [mask >> i & 1 for i in range(nbits)] \
+            == [int(i % p == start) for i in range(nbits)], (p, start, nbits)
+
+
+def test_set_bits_matches_the_naive_list(rng):
+    values = [0, 1, 2, 255, 256, 2**64 - 1, 2**200]
+    for _ in range(300):
+        nbits = rng.randint(1, 3000)
+        density = rng.choice((0.001, 0.05, 0.5, 0.99))
+        values.append(sum(1 << i for i in range(nbits) if rng.random() < density))
+    for n in values:
+        assert set_bits(n) == [i for i in range(n.bit_length()) if n >> i & 1]

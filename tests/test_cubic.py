@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -9,12 +11,14 @@ from sympy.abc import x as X
 from sympy.polys.numberfields.basis import round_two
 
 from conftest import FIXTURE_CUBICS
+from modpcurves.cli import main
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               ReduciblePolynomial, analyze_cubic,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
-                              _det3, _monotone_pieces, _mul_mod)
+                              _Y_SIEVE_PRIMES, _bisect, _det3,
+                              _monotone_pieces, _mul_mod, _supported)
 
 
 def test_parse_cubic_formats():
@@ -302,6 +306,139 @@ def brute_force_box(K: CubicField, primes, bound: int):
         if n == 1:
             out.append((x, y, v))
     return sorted(out)
+
+
+def per_y_solver(K: CubicField, primes, bound: int):
+    """Reference: the solver before the y-sieve, which bisects every line
+    y = 1 .. bound for every target in range.  Returns the solutions and
+    the congruence sieve report, as solve_index_equation does."""
+    form = index_form(K)
+    A, B, C, D = form.coefficients
+    report = congruence_sieve(form, primes)
+    maxval = (abs(A) + abs(B) + abs(C) + abs(D)) * bound**3
+    targets = [1]
+    for p in sorted(primes):
+        grown = []
+        for t in targets:
+            while t <= maxval:
+                grown.append(t)
+                t *= p
+        targets = grown
+    sols = set()
+
+    def record(x, y):
+        if max(abs(x), abs(y)) <= bound and gcd(x, y) == 1:
+            v = form(x, y)
+            if v != 0 and _supported(abs(v), primes):
+                sols.add((x, y, abs(v)))
+
+    allowed = {m: set(r) for m, r in report.residues.items()}
+    values = sorted(v for t in set(targets) for v in (t, -t)
+                    if all(v % m in allowed[m] for m in report.moduli))
+    for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        record(x, y)
+    for y in range(1, bound + 1):
+        def g(x):
+            return ((A * x + B * y) * x + C * y * y) * x + D * y**3
+
+        for lo, hi, step in _monotone_pieces(A, B, C, y, -bound, bound):
+            ends = sorted((g(lo), g(hi)))
+            for v in values[bisect_left(values, ends[0]):bisect_right(values, ends[1])]:
+                a = _bisect(g, lo, hi, step, v)
+                if g(a) == v:
+                    record(a, y)
+                    record(-a, -y)
+    scaled = set()
+    for x, y, v in sols:
+        d = 2
+        while d * max(abs(x), abs(y)) <= bound:
+            if _supported(d, primes):
+                scaled.add((d * x, d * y, v * d**3))
+            d += 1
+    return sorted(sols | scaled), report
+
+
+def _differential_boxes(n=44, seed=20261):
+    """Seeded (poly, primes, bound) boxes: plain and scaled cubics, so that
+    the leading coefficient A of the form is divisible by sieve primes;
+    S within the primes up to 37, so sieve primes divide targets; bounds
+    0 to 46, below most sieve primes.  Fixed boxes: the -1751 field at
+    bound 2000, S of five and six primes, and x^3 - 2 at bound 7, whose
+    solution (-4, 7) lies on the last line of the box."""
+    rng = random.Random(seed)
+    boxes = [((-1, -6, 27), (2, 17, 103), 2000),
+             ((-2, -4, -20), (2, 3, 5, 7, 11), 46),
+             ((0, 0, -2), (2, 3, 5, 7, 11, 13), 30),
+             ((0, 0, -2), (2, 3, 5), 7),
+             ((2, -12, -21), (2,), 0)]
+    while len(boxes) < n:
+        k = rng.choice((1, 1, 2, 3, 5, 7))
+        a, b, c = (rng.randint(-9, 9) for _ in range(3))
+        poly = (k * a, k * k * b, k**3 * c)
+        try:
+            analyze_cubic(poly)
+        except ReduciblePolynomial:
+            continue
+        primes = tuple(sorted(rng.sample((2, 3, 5, 7, 11, 13, 31, 37),
+                                         rng.randint(0, 4))))
+        boxes.append((poly, primes, rng.randint(0, 46)))
+    return boxes
+
+
+DIFFERENTIAL_BOXES = _differential_boxes()
+
+
+def test_differential_boxes_cover_the_cases():
+    assert len(DIFFERENTIAL_BOXES) >= 40
+    leading = [index_form(analyze_cubic(poly)).coefficients[0]
+               for poly, _, _ in DIFFERENTIAL_BOXES]
+    assert any(A % q == 0 for A in leading for q in _Y_SIEVE_PRIMES if q >= 5)
+    assert sum(A % 2 == 0 for A in leading) >= 3
+    assert any(len(primes) >= 5 for _, primes, _ in DIFFERENTIAL_BOXES)
+    bounds = [bound for _, _, bound in DIFFERENTIAL_BOXES]
+    assert 0 in bounds and sum(bound < 31 for bound in bounds) >= 20
+    assert max(b for b in bounds if b != 2000) == 46
+    assert ((0, 0, -2), (2, 3, 5), 7) in DIFFERENTIAL_BOXES
+    assert (-4, 7, 750) in solve_index_equation(analyze_cubic((0, 0, -2)),
+                                                {2, 3, 5}, 7)[0]
+
+
+@pytest.mark.parametrize("box", DIFFERENTIAL_BOXES,
+                         ids=lambda b: f"{b[0]}-{b[1]}-{b[2]}")
+def test_solve_matches_per_y_solver(box):
+    poly, primes, bound = box
+    K = analyze_cubic(poly)
+    sols, report = solve_index_equation(K, set(primes), bound)
+    want, want_report = per_y_solver(K, set(primes), bound)
+    assert sols == want
+    assert report == want_report
+    if poly == (-1, -6, 27):
+        assert len(sols) == 88
+    # targets divisible by a sieve prime are found
+    if primes == (2, 3, 5, 7, 11):
+        assert any(v % q == 0 for _, _, v in sols for q in (5, 7, 11))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["index-solve", "x^3 - 2", "--primes", "2,0", "--bound", "5"], "primes entry 0"),
+    (["index-solve", "x^3 - 2", "--primes=2,-2", "--bound", "5"], "primes entry -2"),
+    (["index-solve", "x^3 - 2", "--primes", "2,4", "--bound", "5"], "primes entry 4"),
+    (["index-solve", "x^3 - 2", "--primes", "2", "--bound", "-3"], "search bound -3")])
+def test_cli_rejects_a_bad_index_box(capsys, argv, named):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
+
+
+def test_cli_ignores_a_unit_in_the_primes(capsys):
+    # 1 in S forbids nothing and adds no target; it used to hang the search
+    start = time.perf_counter()
+    assert main(["index-solve", "x^3 - 2", "--primes", "2,1", "--bound", "5"]) == 0
+    with_unit = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert main(["index-solve", "x^3 - 2", "--primes", "2", "--bound", "5"]) == 0
+    assert capsys.readouterr() == with_unit
+    assert "(x,y)=(1,1) index 1" in with_unit.out
 
 
 def test_monotone_pieces_tile_and_are_monotone(rng):
