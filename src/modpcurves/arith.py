@@ -1,10 +1,11 @@
 """Exact integer arithmetic shared by every module.
 
-Factorization (trial division + Brent-cycle Pollard rho; every reported
-prime passes is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW
-above), p-adic valuations, Legendre symbols, the multiple root mod p of a
-polynomial of degree at most 3, and the bit sieve that the Mordell search
-and the index-form solver share: residue classes mod q as a tiled mask, the
+Factorization (trial division by the primes below 10^3, then Brent-cycle
+Pollard rho on every composite cofactor; every reported prime passes
+is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW above), p-adic
+valuations, Legendre symbols, the multiple root mod p of a polynomial of
+degree at most 3, and the bit sieve that the Mordell search and the
+index-form solver share: residue classes mod q as a tiled mask, the
 multiples of p as a mask, and the positions of the surviving bits.
 Everything works on arbitrary-precision ints.
 """
@@ -27,8 +28,6 @@ class IncompleteFactorization(Exception):
 # strong pseudoprime to all of them); above it, is_prime runs BPSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
-
-_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -174,8 +173,6 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     """Brent-cycle rho on composite odd n.  Returns a nontrivial factor, or
     None if the iteration budget runs out first (factors of size p take on
     the order of sqrt(p) iterations)."""
-    if n % 2 == 0:
-        return 2
     used = 0
     c = 1
     while used < budget:
@@ -216,8 +213,9 @@ def _pollard_rho(n: int, budget: int) -> int | None:
 def factor(n: int, effort_bound: int = 10**7) -> Factorization:
     """Complete prime factorization of a nonzero integer.
 
-    Trial division below 10^6, then Pollard rho with an iteration budget of
-    effort_bound (enough for prime factors up to roughly effort_bound^2).
+    Trial division by the primes below 10^3; a cofactor below 10^6 is then
+    prime, and a larger one is split with Pollard rho at an iteration budget
+    of effort_bound (enough for prime factors up to roughly effort_bound^2).
     Every reported prime passes is_prime.  Raises
     IncompleteFactorization with the remaining cofactor if the budget runs
     out on a composite.
@@ -236,16 +234,6 @@ def factor(n: int, effort_bound: int = 10**7) -> Factorization:
     if n > 1 and n < 10**6:
         out[n] = out.get(n, 0) + 1
         n = 1
-    # trial division above 1000 up to 10^6, wheel mod 6
-    if n > 1 and not is_prime(n):
-        d = 1009
-        step = 4  # 1009 % 6 == 1 -> next candidates alternate +4, +2
-        while d <= _TRIAL_LIMIT and d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += step
-            step = 6 - step
     # remaining cofactor: prime, or split with rho
     stack = [n] if n > 1 else []
     while stack:

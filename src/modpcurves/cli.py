@@ -92,11 +92,10 @@ def cmd_serre_conductor(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    A = trace_vector(parse_curve(args.curve), args.p, args.bound)
-    B = trace_vector(parse_curve(args.other), args.p, args.bound)
-    result = compare_reps(A, B)
-    sturm = sturm_bound(max(conductor(parse_curve(args.curve)).value(),
-                            conductor(parse_curve(args.other)).value()))
+    E, F = parse_curve(args.curve), parse_curve(args.other)
+    result = compare_reps(trace_vector(E, args.p, args.bound),
+                          trace_vector(F, args.p, args.bound))
+    sturm = sturm_bound(max(conductor(E).value(), conductor(F).value()))
     if result == "match-up-to-bound":
         _emit(args, {"result": result, "sturm_bound": sturm},
               f"match up to bound {args.bound} (Sturm horizon {sturm})")

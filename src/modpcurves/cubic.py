@@ -257,15 +257,14 @@ class MordellReduction:
     scaling: str
 
 
-def mordell_reduction(K: CubicField, N: int | None = None, n: int = 1) -> MordellReduction:
+def mordell_reduction(K: CubicField) -> MordellReduction:
     """For a field of prime discriminant -N: elements of index N^(3n)
     correspond to S-integral points on Y^2 = X^3 + 432*N."""
-    if N is None:
-        N = -K.field_discriminant
-    if K.field_discriminant != -N or not is_prime(N):
+    N = -K.field_discriminant
+    if not is_prime(N):
         raise DiscriminantNotMinusPrime(str(K.field_discriminant))
     k = 2**4 * 3**3 * N
-    scaling = f"[324*c4/{N}^{{2n}}, 5832*c6/{N}^{{3n}}] with n = {n}"
+    scaling = f"[324*c4/{N}^{{2n}}, 5832*c6/{N}^{{3n}}] with n = 1"
     return MordellReduction(k, N, scaling)
 
 
@@ -304,21 +303,21 @@ def _describe(S, cap, p):
     return f"exponent of {p} in {sorted(S)} (pattern unresolved up to {cap})"
 
 
-def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9),
-                     exponent_cap: int = 11) -> SieveReport:
-    """Which exponents e <= exponent_cap of each allowed prime p occur in
-    some exponent vector of |f(x,y)| = prod p^e that survives the residue
-    tests mod each modulus, for coprime (x, y).
+def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9)) -> SieveReport:
+    """Which exponents e <= 11 of each allowed prime p occur in some exponent
+    vector of |f(x,y)| = prod p^e that survives the residue tests mod each
+    modulus, for coprime (x, y).
 
     The tests see t = prod p^e only through t mod L, L = lcm(moduli), so
     each prime contributes its classes p^e mod L, and e survives exactly
     when p^e * r passes for some product r of the other primes' classes."""
     primes = sorted(allowed_primes)
+    cap = 11
     residues = {m: _attainable_residues(form, m) for m in moduli}
     L = lcm(*moduli)
     passing = {t for t in range(L)
                if all(t % m in residues[m] or -t % m in residues[m] for m in moduli)}
-    classes = [{pow(p, e, L) for e in range(exponent_cap + 1)} for p in primes]
+    classes = [{pow(p, e, L) for e in range(cap + 1)} for p in primes]
 
     def products(sets):
         out = {1 % L}
@@ -329,13 +328,13 @@ def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9),
     surviving = {}
     for i, p in enumerate(primes):
         others = products(classes[:i] + classes[i + 1:])
-        surviving[p] = {e for e in range(exponent_cap + 1)
+        surviving[p] = {e for e in range(cap + 1)
                         if any(pow(p, e, L) * r % L in passing for r in others)}
-    conclusions = tuple(_describe(surviving[p], exponent_cap, p) for p in primes)
+    conclusions = tuple(_describe(surviving[p], cap, p) for p in primes)
     return SieveReport(tuple(moduli),
                        {m: tuple(sorted(residues[m])) for m in moduli},
                        {p: tuple(sorted(surviving[p])) for p in primes},
-                       conclusions, exponent_cap)
+                       conclusions, cap)
 
 
 def _monotone_pieces(A, B, C, y, lo, hi):
@@ -387,8 +386,7 @@ def _y_sieve_tables(A: int, B: int, C: int, D: int):
     return tables
 
 
-def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
-                         moduli=(2, 9)):
+def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     """All (x, y) with max(|x|,|y|) <= search_bound and |f(x, y)| supported
     on allowed_primes, plus the congruence sieve report.
 
@@ -401,7 +399,7 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
 
     Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
     f(x, y) = v for a signed target v = +-prod p^e that passes the residue
-    test mod each modulus.  For each such v, the y in [1, bound] are sieved
+    tests mod 2 and mod 9.  For each such v, the y in [1, bound] are sieved
     as one integer, bit j for y = j + 1, by each prime q <= 31; the mask of
     each (q, v mod q) is built once per call, and only the surviving lines
     y = const are bisected.  The sieve drops no coprime solution (x, y) of
@@ -417,7 +415,7 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int,
     primes = sorted({p for p in allowed_primes if p != 1})
     form = index_form(K)
     A, B, C, D = form.coefficients
-    report = congruence_sieve(form, primes, moduli=moduli)
+    report = congruence_sieve(form, primes)
     Bnd = search_bound
     maxval = (abs(A) + abs(B) + abs(C) + abs(D)) * Bnd**3
     # enumerate targets supported on the allowed primes, up to maxval

@@ -52,19 +52,19 @@ def count_points(E: WeierstrassModel, ell: int) -> int:
                     for x in range(ell)])
 
 
-def ap(E: WeierstrassModel, ell: int, count_bound: int = DEFAULT_COUNT_BOUND) -> int:
+def ap(E: WeierstrassModel, ell: int) -> int:
     """Trace of Frobenius at ell (minimal model; bad-prime conventions)."""
-    _require_countable(ell, count_bound)
+    _require_countable(ell)
     Emin, _, disc = minimal_model(E)
-    return _ap_minimal(Emin, disc, ell, count_bound)
+    return _ap_minimal(Emin, disc, ell)
 
 
 def _ap_minimal(Emin: WeierstrassModel, disc: Factorization, ell: int,
-                count_bound: int = DEFAULT_COUNT_BOUND, ld: LocalData | None = None) -> int:
+                ld: LocalData | None = None) -> int:
     """ap for a globally minimal model Emin with factored discriminant disc;
     ld is tate_local(Emin, ell) when the caller already has it.  A prime
     dividing disc is bad, since the model is minimal there."""
-    _require_countable(ell, count_bound)
+    _require_countable(ell)
     if not disc.exponent(ell):
         a = ell + 1 - count_points(Emin, ell)
         assert a * a < 4 * ell, (Emin, ell, a)
@@ -75,6 +75,7 @@ def _ap_minimal(Emin: WeierstrassModel, disc: Factorization, ell: int,
     return 1 if ld.reduction == SPLIT_MULT else -1
 
 
-def _require_countable(ell: int, count_bound: int) -> None:
-    if ell > count_bound:
-        raise PrimeTooLarge(f"ell = {ell} exceeds counting bound {count_bound}")
+def _require_countable(ell: int) -> None:
+    if ell > DEFAULT_COUNT_BOUND:
+        raise PrimeTooLarge(
+            f"ell = {ell} exceeds counting bound {DEFAULT_COUNT_BOUND}")

@@ -43,8 +43,8 @@ class LocalData:
             assert self.conductor_exponent == 1
 
 
-def _val(n: int, p: int, big: int = 10**9) -> int:
-    return big if n == 0 else valuation(n, p)
+def _val(n: int, p: int) -> int:
+    return 10**9 if n == 0 else valuation(n, p)
 
 
 def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import time
 from math import lcm
 
 import pytest
@@ -45,6 +46,39 @@ def test_incomplete_factorization_reports_cofactor():
     with pytest.raises(IncompleteFactorization) as exc:
         factor(p * q, effort_bound=10**6)
     assert exc.value.cofactor > 1
+
+
+def test_factor_above_trial_division_against_sympy(rng):
+    """Composites with no prime factor below 10^3 go straight to rho: prime
+    powers and products of primes in (10^3, 10^6] and just above 10^6."""
+    sympy = pytest.importorskip("sympy")
+
+    def prime(lo, hi):
+        return sympy.nextprime(rng.randint(lo, hi))
+
+    ranges = [(1000, 10**6), (10**6, 10**6 + 10**5)]
+    cases = [1009 * 1013, 1009**2, 999983 * 1000003, 999983**2]
+    for lo, hi in ranges:
+        for _ in range(30):
+            p, q = prime(lo, hi), prime(lo, hi)
+            cases += [p * p, p**3, p * q, p * p * q,
+                      2**rng.randint(0, 5) * 3**rng.randint(0, 3) * p * q]
+    for n in cases:
+        assert dict(factor(n).factors) == sympy.factorint(n), n
+
+
+def test_factor_splits_large_semiprimes_quickly():
+    # rho finds a factor p in about sqrt(p) steps: about 10^3 for each of these
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+    cases = [p * q for p, q in zip(primes, primes[1:])]
+
+    def elapsed():
+        start = time.perf_counter()
+        for n in cases:
+            factor(n)
+        return time.perf_counter() - start
+
+    assert min(elapsed() for _ in range(3)) < 0.05
 
 
 def test_is_prime_small_exhaustive():

@@ -1,16 +1,21 @@
 """Source hygiene: every name a module of the package imports is read
 somewhere in that module, and so is every private function, class and
 constant it defines at module level; imports sit at module level, never
-inside a function body.  `__init__.py` is skipped, since its imports are
-re-exports."""
+inside a function body; and every parameter default of a function in the
+package is overridden by some call in the repository.  `__init__.py` is
+skipped, since its imports are re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "modpcurves"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "modpcurves"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# every file whose calls may set an option of the package
+CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,6 +74,48 @@ def function_imports(source: str) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameter defaults of the functions defined, at any depth, in the
+    sources of modules (keyed by file name) that no call in callers
+    overrides by position or by keyword; self is skipped for methods.
+    Calls match by the called name alone, so a name collision counts as a
+    use, and a call with *args or **kwargs sets everything."""
+    calls = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def options(tree, in_class=False):
+        """(function, parameter, index among the call's positional
+        arguments or None if keyword-only) for each default."""
+        for node in ast.iter_child_nodes(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from options(node, isinstance(node, ast.ClassDef))
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if in_class and positional and positional[0].arg == "self" else 0
+            first = len(positional) - len(args.defaults)
+            for i, a in enumerate(positional[first:], first):
+                yield node, a.arg, i - skip
+            for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node, a.arg, None
+            yield from options(node)
+
+    def overridden(call, name, index):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, name) for k in call.keywords)
+                or (index is not None and len(call.args) > index))
+
+    return [f"{module}: {func.name}({name}) (line {func.lineno})"
+            for module, source in modules.items()
+            for func, name, index in options(ast.parse(source))
+            if not any(overridden(c, name, index) for c in calls.get(func.name, []))]
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -98,6 +145,20 @@ def test_scan_finds_planted_function_imports():
     assert function_imports(source) == ["gcd (line 3)", "itertools (line 8)"]
 
 
+def test_scan_finds_planted_unset_defaults():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+              "def g(x=0):\n    def h(y=1):\n        return y\n    return h()\n"
+              "class C:\n    def m(self, k=5, j=6):\n        return k\n"
+              "def spread(a=1):\n    return a\n"
+              "def unused(a=1):\n    return a\n")
+    callers = [source,
+               "f(0, 1)\nf(0, d=5)\ng(2)\nobj.m(7)\n"
+               "spread(*args)\nspread(**kw)\n"]
+    assert unset_defaults({"m.py": source}, callers) == [
+        "m.py: f(c) (line 1)", "m.py: f(e) (line 1)", "m.py: h(y) (line 4)",
+        "m.py: m(j) (line 8)", "m.py: unused(a) (line 12)"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -115,3 +176,8 @@ def test_no_dead_private_names(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert function_imports(path.read_text()) == []
+
+
+def test_every_option_is_set_somewhere():
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert unset_defaults(modules, [p.read_text() for p in CALLERS]) == []
