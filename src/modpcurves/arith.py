@@ -3,10 +3,11 @@
 Factorization (trial division by the primes below 10^3, then Brent-cycle
 Pollard rho on every composite cofactor; every reported prime passes
 is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW above), p-adic
-valuations, Legendre symbols, the multiple root mod p of a polynomial of
-degree at most 3, and the bit sieve that the Mordell search and the
-index-form solver share: residue classes mod q as a tiled mask, the
-multiples of p as a mask, and the positions of the surviving bits.
+valuations, Legendre and Jacobi symbols (by reciprocity, with no modular
+exponentiation), the multiple root mod p of a polynomial of degree at most
+3, and the bit sieve that the Mordell search and the index-form solver
+share: residue classes mod q as a tiled mask, the multiples of p as a mask,
+and the positions of the surviving bits.
 Everything works on arbitrary-precision ints.
 """
 
@@ -61,22 +62,6 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's parameters: D the first of
     5, -7, 9, -11, ... with (D|n) = -1, P = 1, Q = (1 - D)/4 (n odd, not
@@ -84,7 +69,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if isqrt(n) ** 2 == n:
         return False  # no such D exists for a square
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := legendre_symbol(D, n)) != -1:
         if j == 0:
             return False  # gcd(D, n) > 1 and |D| < n
         D = -D - 2 if D > 0 else -D + 2
@@ -213,12 +198,12 @@ def _pollard_rho(n: int, budget: int) -> int | None:
 def factor(n: int, effort_bound: int = 10**7) -> Factorization:
     """Complete prime factorization of a nonzero integer.
 
-    Trial division by the primes below 10^3; a cofactor below 10^6 is then
-    prime, and a larger one is split with Pollard rho at an iteration budget
-    of effort_bound (enough for prime factors up to roughly effort_bound^2).
-    Every reported prime passes is_prime.  Raises
-    IncompleteFactorization with the remaining cofactor if the budget runs
-    out on a composite.
+    Trial division by the primes below 10^3; every part below 10^6 of the
+    cofactor is then prime, and a larger composite part is split with Pollard
+    rho at an iteration budget of effort_bound (enough for prime factors up
+    to roughly effort_bound^2).  Every reported prime passes is_prime.
+    Raises IncompleteFactorization with the remaining cofactor if the budget
+    runs out on a composite.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -231,16 +216,13 @@ def factor(n: int, effort_bound: int = 10**7) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1 and n < 10**6:
-        out[n] = out.get(n, 0) + 1
-        n = 1
-    # remaining cofactor: prime, or split with rho
-    stack = [n] if n > 1 else []
+    # a part below 10^6 = 1000^2 with no prime factor below 10^3 is prime
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if m < 10**6 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m, effort_bound)
@@ -264,13 +246,21 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Quadratic residue symbol (a|p) for an odd prime p; values -1, 0, +1."""
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+def legendre_symbol(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity; at a prime
+    n it is the Legendre symbol.  Values -1, 0, +1."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def _multiplicity(cs: list[int], r: int, p: int) -> int:

@@ -21,9 +21,9 @@ from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
-from .tate import conductor, conductor_from_local, tate_local
+from .tate import MinimalCurve, conductor
 from .verify import verify_all, verify_file
-from .weierstrass import invariants, minimal_model, parse_curve
+from .weierstrass import invariants, parse_curve
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -49,19 +49,19 @@ def _plain(obj):
 
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
-    Emin, (u, r, s, t), disc = minimal_model(E)
-    inv = invariants(Emin)
-    locals_ = [tate_local(Emin, p) for p in disc.support]
-    N = conductor_from_local(locals_)
+    C = MinimalCurve(E)
+    inv = invariants(C.model)
+    locals_ = [C.local(p) for p in C.disc.support]
+    N = conductor(C)
     text = [f"model:        {E}",
-            f"minimal:      {Emin}   (u,r,s,t) = {(u, r, s, t)}",
+            f"minimal:      {C.model}   (u,r,s,t) = {C.urst}",
             f"c4, c6:       {inv.c4}, {inv.c6}",
-            f"disc:         {inv.discriminant} = {disc}",
+            f"disc:         {inv.discriminant} = {C.disc}",
             f"conductor:    {N.value()} = {N}"]
     for ld in locals_:
         text.append(f"  at {ld.prime}: {ld.reduction}, {ld.kodaira}, "
                     f"f = {ld.conductor_exponent}, v(disc) = {ld.discriminant_valuation}")
-    _emit(args, {"model": str(E), "minimal": str(Emin), "c4": inv.c4,
+    _emit(args, {"model": str(E), "minimal": str(C.model), "c4": inv.c4,
                  "c6": inv.c6, "disc": inv.discriminant, "conductor": str(N),
                  "local": locals_}, "\n".join(text))
     return 0
@@ -92,7 +92,7 @@ def cmd_serre_conductor(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    E, F = parse_curve(args.curve), parse_curve(args.other)
+    E, F = MinimalCurve(parse_curve(args.curve)), MinimalCurve(parse_curve(args.other))
     result = compare_reps(trace_vector(E, args.p, args.bound),
                           trace_vector(F, args.p, args.bound))
     sturm = sturm_bound(max(conductor(E).value(), conductor(F).value()))

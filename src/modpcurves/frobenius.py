@@ -5,14 +5,14 @@ the square, (2y + a1 x + a3)^2 = g(x), and adds up, over all x in F_ell, the
 number of square roots of g(x) mod ell, read from a table of squares mod ell
 that each call builds: O(ell) time and ell bytes, no modular exponentiation.
 Bad primes follow the standard conventions: +1 split multiplicative,
--1 nonsplit, 0 additive.
+-1 nonsplit, 0 additive, the reduction type read from the curve's
+MinimalCurve record.
 """
 
 from __future__ import annotations
 
-from .arith import Factorization
-from .tate import ADDITIVE, SPLIT_MULT, LocalData, tate_local
-from .weierstrass import WeierstrassModel, minimal_model
+from .tate import ADDITIVE, SPLIT_MULT, MinimalCurve, minimal_curve
+from .weierstrass import WeierstrassModel
 
 
 class PrimeTooLarge(Exception):
@@ -52,30 +52,18 @@ def count_points(E: WeierstrassModel, ell: int) -> int:
                     for x in range(ell)])
 
 
-def ap(E: WeierstrassModel, ell: int) -> int:
-    """Trace of Frobenius at ell (minimal model; bad-prime conventions)."""
-    _require_countable(ell)
-    Emin, _, disc = minimal_model(E)
-    return _ap_minimal(Emin, disc, ell)
-
-
-def _ap_minimal(Emin: WeierstrassModel, disc: Factorization, ell: int,
-                ld: LocalData | None = None) -> int:
-    """ap for a globally minimal model Emin with factored discriminant disc;
-    ld is tate_local(Emin, ell) when the caller already has it.  A prime
-    dividing disc is bad, since the model is minimal there."""
-    _require_countable(ell)
-    if not disc.exponent(ell):
-        a = ell + 1 - count_points(Emin, ell)
-        assert a * a < 4 * ell, (Emin, ell, a)
-        return a
-    ld = ld or tate_local(Emin, ell)
-    if ld.reduction == ADDITIVE:
-        return 0
-    return 1 if ld.reduction == SPLIT_MULT else -1
-
-
-def _require_countable(ell: int) -> None:
+def ap(E: WeierstrassModel | MinimalCurve, ell: int) -> int:
+    """Trace of Frobenius at ell (minimal model; bad-prime conventions).  A
+    prime dividing the minimal discriminant is bad."""
     if ell > DEFAULT_COUNT_BOUND:
         raise PrimeTooLarge(
             f"ell = {ell} exceeds counting bound {DEFAULT_COUNT_BOUND}")
+    C = minimal_curve(E)
+    if not C.disc.exponent(ell):
+        a = ell + 1 - count_points(C.model, ell)
+        assert a * a < 4 * ell, (C.model, ell, a)
+        return a
+    reduction = C.local(ell).reduction
+    if reduction == ADDITIVE:
+        return 0
+    return 1 if reduction == SPLIT_MULT else -1

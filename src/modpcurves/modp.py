@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, factor, primes_below
-from .frobenius import _ap_minimal
-from .tate import ADDITIVE, tate_local
-from .weierstrass import WeierstrassModel, minimal_model
+from .frobenius import ap
+from .tate import ADDITIVE, MinimalCurve, minimal_curve
+from .weierstrass import WeierstrassModel
 
 GOOD_Q = "good"
 BAD_CONVENTION = "bad-prime-convention"
@@ -59,56 +59,53 @@ class SerreData:
     ramification_notes: tuple[tuple[int, str], ...]
 
 
-def trace_vector(E: WeierstrassModel, p: int, bound: int) -> TraceVector:
-    Emin, _, disc = minimal_model(E)
+def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
+    C = minimal_curve(E)
     entries = []
     for ell in primes_below(bound + 1):
         if ell == p:
             continue
-        v = disc.exponent(ell)
+        v = C.disc.exponent(ell)
         if not v:
-            entries.append((ell, _ap_minimal(Emin, disc, ell) % p, GOOD_Q))
-            continue
-        ld = tate_local(Emin, ell)
-        if ld.reduction == ADDITIVE or v % p:
+            entries.append((ell, ap(C, ell) % p, GOOD_Q))
+        elif C.local(ell).reduction == ADDITIVE or v % p:
             entries.append((ell, 0, RAMIFIED_SKIP))
         else:
             # unramified multiplicative: eigenvalues a_ell and ell * a_ell
-            a = _ap_minimal(Emin, disc, ell, ld=ld)
-            entries.append((ell, a * (1 + ell) % p, BAD_CONVENTION))
+            entries.append((ell, ap(C, ell) * (1 + ell) % p, BAD_CONVENTION))
     return TraceVector(p, tuple(entries))
 
 
-def serre_conductor_semistable(E: WeierstrassModel, p: int) -> SerreData:
+def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> SerreData:
     """Prime-to-p Serre conductor under the semistable-outside-p hypothesis.
 
     A multiplicative prime ell != p survives in N(rhobar) exactly when
     p does not divide v_ell(Delta_min)."""
-    Emin, _, disc = minimal_model(E)
+    C = minimal_curve(E)
     kept = []
     notes = []
-    for ell, v in disc.factors:
+    for ell, v in C.disc.factors:
         if ell == p:
             notes.append((ell, "residue characteristic, excluded by definition"))
             continue
-        if tate_local(Emin, ell).reduction == ADDITIVE:
+        if C.local(ell).reduction == ADDITIVE:
             raise NotSemistableOutsideP(ell)
         if v % p == 0:
             notes.append((ell, f"dropped: p | v_{ell}(Delta) = {v}"))
         else:
             kept.append((ell, 1))
             notes.append((ell, f"kept: v_{ell}(Delta) = {v} not divisible by {p}"))
-    return SerreData(p, Factorization(1, tuple(sorted(kept))), tuple(notes))
+    return SerreData(p, Factorization(1, tuple(kept)), tuple(notes))
 
 
-def is_reducible_semistable(E: WeierstrassModel, p: int, bound: int) -> str:
+def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
     a_ell != 1 + ell mod p rules out the reducible case."""
-    Emin, _, disc = minimal_model(E)
+    C = minimal_curve(E)
     for ell in primes_below(bound + 1):
-        if ell == p or disc.exponent(ell):
+        if ell == p or C.disc.exponent(ell):
             continue
-        if (_ap_minimal(Emin, disc, ell) - 1 - ell) % p != 0:
+        if (ap(C, ell) - 1 - ell) % p != 0:
             return IRREDUCIBLE
     return UNDETERMINED
 

@@ -6,7 +6,7 @@ detected by the final case and rescaled in place, so the reported data always
 refers to a model minimal at p.  The algorithm only ever needs the multiple
 root of a polynomial of degree at most 3, which lies in F_p and comes from
 gcd(g, g') in closed form (arith.multiple_root), and whether the tangent
-quadratic at a node splits, which is Euler's criterion; both take O(log p)
+quadratic at a node splits, which is a Legendre symbol; both take O(log p)
 arithmetic operations, so large bad primes cost no more than small ones.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, multiple_root, valuation
+from .arith import Factorization, legendre_symbol, multiple_root, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
                           minimal_model, transform)
 
@@ -108,11 +108,11 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
 
     if b2 % p != 0:
         # multiplicative: the tangent directions T^2 + a1 T - a2 are rational
-        # iff their discriminant b2 is a square mod p (Euler's criterion)
+        # iff their discriminant b2 is a square mod p
         if p == 2:
             split = any((t * t + a1 * t - a2) % 2 == 0 for t in (0, 1))
         else:
-            split = pow(b2, (p - 1) // 2, p) == 1
+            split = legendre_symbol(b2, p) == 1
         red = SPLIT_MULT if split else NONSPLIT_MULT
         return LocalData(p, red, 1, f"I{n}", n)
 
@@ -193,13 +193,27 @@ def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
     return E
 
 
-def conductor(E: WeierstrassModel) -> Factorization:
+class MinimalCurve:
+    """E read once: the globally minimal model, the transformation urst =
+    (u, r, s, t) onto it and the factored discriminant disc of the model.
+    local(p) runs Tate's algorithm at p the first time p is asked for."""
+
+    def __init__(self, E: WeierstrassModel):
+        self.model, self.urst, self.disc = minimal_model(E)
+        self._local: dict[int, LocalData] = {}
+
+    def local(self, p: int) -> LocalData:
+        if p not in self._local:
+            self._local[p] = tate_local(self.model, p)
+        return self._local[p]
+
+
+def minimal_curve(E: WeierstrassModel | MinimalCurve) -> MinimalCurve:
+    return E if isinstance(E, MinimalCurve) else MinimalCurve(E)
+
+
+def conductor(E: WeierstrassModel | MinimalCurve) -> Factorization:
     """Conductor of E as a factorization, from local Tate data."""
-    Emin, _, disc = minimal_model(E)
-    return conductor_from_local([tate_local(Emin, p) for p in disc.support])
-
-
-def conductor_from_local(data: list[LocalData]) -> Factorization:
-    """The conductor from the Tate data at every bad prime."""
-    return Factorization(1, tuple(sorted((ld.prime, ld.conductor_exponent)
-                                         for ld in data if ld.conductor_exponent)))
+    C = minimal_curve(E)
+    return Factorization(1, tuple((p, f) for p in C.disc.support
+                                  if (f := C.local(p).conductor_exponent)))

@@ -23,7 +23,7 @@ from .mordell import search_mordell
 from .quadorder import (QuadraticOrderElement, compute_obstruction,
                         curve_eligibility, order_discriminant,
                         reciprocity_cover)
-from .tate import conductor
+from .tate import MinimalCurve, conductor
 from .weierstrass import minimal_model, parse_curve
 
 PASS = "pass"
@@ -131,25 +131,25 @@ def _check_tracerow(rec: Record):
 
 
 def _check_modrow(rec: Record):
-    E = parse_curve(rec.require("model"))
+    C = MinimalCurve(parse_curve(rec.require("model")))
     p = int(rec.require("p"))
     want = parse_int_list(rec.require("row"))
     ells = _SMALL_PRIMES_TO_37[: len(want)]
-    got = [None if ell == p else ap(E, ell) % p for ell in ells]
+    got = [None if ell == p else ap(C, ell) % p for ell in ells]
     yield _eq_check(rec, f"a_ell mod {p} row of {rec.require('model')}", want, got)
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
-                    int(rec.require("level")), conductor(E).value())
+                    int(rec.require("level")), conductor(C).value())
     yield _eq_check(rec, f"a_2 of {rec.require('model')} nonzero mod {p}",
-                    True, ap(E, 2) % p != 0)
+                    True, ap(C, 2) % p != 0)
 
 
 def _check_a2row(rec: Record):
-    E = parse_curve(rec.require("model"))
+    C = MinimalCurve(parse_curve(rec.require("model")))
     p = int(rec.require("p"))
     yield _eq_check(rec, f"a_2 mod {p} of {rec.require('model')}",
-                    int(rec.require("a2")), ap(E, 2) % p)
+                    int(rec.require("a2")), ap(C, 2) % p)
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
-                    int(rec.require("level")), conductor(E).value())
+                    int(rec.require("level")), conductor(C).value())
 
 
 def _check_tracecheck(rec: Record):

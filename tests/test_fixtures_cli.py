@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from modpcurves import weierstrass
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
                                  parse_pair)
-from modpcurves.fixtures import default_fixture_dir
+from modpcurves.fixtures import default_fixture_dir, load_fixture_file
 from modpcurves.verify import (EXTERNAL, FAIL, PASS, verify_file,
                                verify_records)
 
@@ -133,3 +134,30 @@ def test_cli_reused_parser_matches_fresh_calls(capsys):
     parser = build_parser()
     assert [run(argv) for argv in calls] == alone
     assert build_parser() is parser
+
+
+@pytest.fixture
+def minimal_model_runs(monkeypatch):
+    """The discriminants minimal_model has factored so far, one per run
+    under whatever name the package binds it to."""
+    runs = []
+    original = weierstrass.factor
+
+    def counted(n):
+        runs.append(n)
+        return original(n)
+
+    monkeypatch.setattr(weierstrass, "factor", counted)
+    return runs
+
+
+def test_compare_minimalises_each_curve_once(capsys, minimal_model_runs):
+    assert main(["compare", "[1,1,0,-22,-812]", "[1,1,1,-2,16]", "3"]) == 1
+    assert len(minimal_model_runs) == 2
+
+
+def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
+    path = default_fixture_dir() / "p3_level353.txt"
+    computed = [r for r in load_fixture_file(path) if r.kind != "external"]
+    assert verify_file(path).counts[PASS] > 0
+    assert len(minimal_model_runs) == len(computed) == 15

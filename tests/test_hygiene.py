@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is read
 somewhere in that module, and so is every private function, class and
 constant it defines at module level; imports sit at module level, never
-inside a function body; and every parameter default of a function in the
+inside a function body, and never take a private name from another module
+of the package; and every parameter default of a function in the
 package is overridden by some call in the repository.  `__init__.py` is
 skipped, since its imports are re-exports."""
 
@@ -72,6 +73,15 @@ def function_imports(source: str) -> list[str]:
                     names = ", ".join(a.name for a in node.names)
                     found.add((node.lineno, f"{names} (line {node.lineno})"))
     return [text for _, text in sorted(found)]
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names (one leading underscore) imported from another module
+    of the package by a relative import."""
+    return [f"{alias.name} from .{node.module or ''} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
 
 
 def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
@@ -145,6 +155,15 @@ def test_scan_finds_planted_function_imports():
     assert function_imports(source) == ["gcd (line 3)", "itertools (line 8)"]
 
 
+def test_scan_finds_planted_private_imports():
+    source = ("from math import _private_elsewhere\n"
+              "from .arith import factor, _helper\n"
+              "from . import _tables\n"
+              "from .frobenius import ap as _ap\n")
+    assert private_imports(source) == ["_helper from .arith (line 2)",
+                                       "_tables from . (line 3)"]
+
+
 def test_scan_finds_planted_unset_defaults():
     source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
               "def g(x=0):\n    def h(y=1):\n        return y\n    return h()\n"
@@ -176,6 +195,11 @@ def test_no_dead_private_names(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert function_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_every_option_is_set_somewhere():

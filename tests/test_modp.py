@@ -1,12 +1,15 @@
 import pytest
 
+from modpcurves import tate
+from modpcurves.frobenius import ap
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              RAMIFIED_SKIP, UNDETERMINED,
                              CharacteristicMismatch, NotSemistableOutsideP,
                              compare_reps, is_reducible_semistable,
                              serre_conductor_semistable, sturm_bound,
                              trace_vector)
-from modpcurves.weierstrass import parse_curve
+from modpcurves.tate import MinimalCurve, conductor
+from modpcurves.weierstrass import WeierstrassModel, discriminant, parse_curve
 
 
 def test_serre_conductor_values():
@@ -92,3 +95,50 @@ def test_sturm_bound():
     assert sturm_bound(1) == 1
     assert sturm_bound(2118) == 708
     assert sturm_bound(11, weight=4) == 4
+
+
+def test_one_record_runs_tate_once_per_bad_prime(monkeypatch):
+    # the conductor-2118 curve has bad primes 2, 3, 353; at p = 5 every
+    # function below asks for the local data at each of them
+    calls = []
+    original = tate.tate_local
+
+    def counted(E, p):
+        calls.append(p)
+        return original(E, p)
+
+    monkeypatch.setattr(tate, "tate_local", counted)
+    C = MinimalCurve(parse_curve("[1,1,0,-22,-812]"))
+    assert calls == []
+    trace_vector(C, 5, 400)
+    serre_conductor_semistable(C, 5)
+    conductor(C)
+    assert sorted(calls) == [2, 3, 353]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotSemistableOutsideP as exc:
+        return ("not semistable", exc.ell)
+
+
+def test_record_and_bare_model_agree(rng):
+    # seeded models, additive ones among them, through every entry point
+    # that takes either a WeierstrassModel or its MinimalCurve
+    count = 0
+    while count < 40:
+        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
+        if discriminant(E) == 0:
+            continue
+        count += 1
+        C = MinimalCurve(E)
+        for ell in (2, 3, 5, 7, 11, 13):
+            assert ap(E, ell) == ap(C, ell), (E, ell)
+        assert conductor(E) == conductor(C), E
+        for p in (3, 5):
+            assert trace_vector(E, p, 60) == trace_vector(C, p, 60), (E, p)
+            assert (_outcome(serre_conductor_semistable, E, p)
+                    == _outcome(serre_conductor_semistable, C, p)), (E, p)
+            assert (is_reducible_semistable(E, p, 60)
+                    == is_reducible_semistable(C, p, 60)), (E, p)

@@ -2,8 +2,10 @@ import pytest
 
 from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
 from modpcurves.arith import factor, multiple_root
+from modpcurves import tate
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             LocalData, conductor, tate_local)
+                             LocalData, MinimalCurve, conductor, minimal_curve,
+                             tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, minimal_model, parse_curve,
                                     transform)
@@ -206,3 +208,23 @@ def test_conductor_with_large_bad_prime(model, factors):
     assert N.factors == factors
     assert tuple(f for f in N.factors if f[0] >= 5) \
         == _oracle_conductor_away_from_6(model)
+
+
+def test_minimal_curve_record_is_lazy(monkeypatch):
+    calls = []
+    original = tate.tate_local
+
+    def counted(E, p):
+        calls.append(p)
+        return original(E, p)
+
+    monkeypatch.setattr(tate, "tate_local", counted)
+    E = parse_curve("[0,0,0,-43,-117]")
+    C = MinimalCurve(E)
+    assert (C.model, C.urst, C.disc) == minimal_model(E)
+    assert calls == []
+    assert C.local(2063) == tate_local(C.model, 2063)
+    assert C.local(2063) is C.local(2063)
+    assert calls == [2063]
+    assert minimal_curve(C) is C
+    assert minimal_curve(E).model == C.model
