@@ -2,12 +2,12 @@
 
 Factorization (trial division by the primes below 10^3, then Brent-cycle
 Pollard rho on every composite cofactor; every reported prime passes
-is_prime: deterministic Miller-Rabin below 3.3 * 10^24, BPSW above), p-adic
-valuations, Legendre and Jacobi symbols (by reciprocity, with no modular
-exponentiation), the multiple root mod p of a polynomial of degree at most
-3, and the bit sieve that the Mordell search and the index-form solver
-share: residue classes mod q as a tiled mask, the multiples of p as a mask,
-and the positions of the surviving bits.
+is_prime: deterministic Miller-Rabin on the fewest bases that suffice below
+3.3 * 10^24, BPSW above), p-adic valuations, Legendre and Jacobi symbols (by
+reciprocity, with no modular exponentiation), the multiple root mod p of a
+polynomial of degree at most 3, and the bit sieve that the Mordell search
+and the index-form solver share: residue classes mod q as a tiled mask, the
+multiples of p as a mask, and the positions of the surviving bits.
 Everything works on arbitrary-precision ints.
 """
 
@@ -25,16 +25,22 @@ class IncompleteFactorization(Exception):
         super().__init__(f"could not split composite cofactor {cofactor}")
 
 
-# Miller-Rabin to these bases is deterministic below psi_13 (the least
-# strong pseudoprime to all of them); above it, is_prime runs BPSW.
+# Miller-Rabin to the first k of these bases is deterministic below psi_k,
+# the least strong pseudoprime to all k of them (OEIS A014233: Jaeschke,
+# Math. Comp. 61, 1993; Sorenson-Webster, Math. Comp. 86, 2017, for psi_12
+# and psi_13); above psi_13, is_prime runs BPSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3 * 10^24;
-    above it, Baillie-PSW: a strong test to base 2 and a strong Lucas test.
-    No composite passing BPSW is known."""
+    """Miller-Rabin to the first k of the bases 2..41, k the least with
+    n < psi_k, deterministic below psi_13 ~ 3.3 * 10^24 (two bases below
+    1373653); above it, Baillie-PSW: a strong test to base 2 and a strong
+    Lucas test.  No composite passing BPSW is known."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -45,8 +51,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _PSI_13:
-        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    for k, psi in enumerate(_PSI, 1):
+        if n < psi:
+            return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
     return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
 
 

@@ -95,8 +95,8 @@ def cmd_compare(args) -> int:
     E, F = MinimalCurve(parse_curve(args.curve)), MinimalCurve(parse_curve(args.other))
     result = compare_reps(trace_vector(E, args.p, args.bound),
                           trace_vector(F, args.p, args.bound))
-    sturm = sturm_bound(max(conductor(E).value(), conductor(F).value()))
     if result == "match-up-to-bound":
+        sturm = sturm_bound(max(conductor(E).value(), conductor(F).value()))
         _emit(args, {"result": result, "sturm_bound": sturm},
               f"match up to bound {args.bound} (Sturm horizon {sturm})")
         return 0

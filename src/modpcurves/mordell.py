@@ -5,15 +5,19 @@ on S and gcd(x_num, d) = 1.  Clearing denominators, (x_num, y_num) is an
 integral point on Y^2 = X^3 + K with K = k d^6.  For each d the search
 sieves the box |x_num| <= H as one integer, bit i standing for
 x_num = i - H, with the bit-sieve helpers of arith that the index-form
-solver shares.  Each sieve modulus q has a block of lcm(q, 8) / 8 bytes per
-residue K mod q (arith.residue_block), whose bits are 1 on the x_num with
-x_num^3 + K a square mod q; the block is built once per search, and for
-each d it costs one int.from_bytes of the tiled block (arith.tiled_mask)
-and one AND.  For each prime p | d an AND with the complement of the mask
-of multiples of p (arith.multiples_mask, built by doubling a single bit)
-clears x_num = 0 (mod p).  The few survivors are found with one to_bytes
-and bytes.find (arith.set_bits), and confirmed exactly: x_num^3 + K >= 0,
-an integer square by isqrt, and gcd(x_num, d) = 1.
+solver shares.  The 13 sieve moduli q are paired into 7 groups of coprime
+moduli.  For each q the flags of the x mod q with x^3 + K a square mod q
+are one bytes.translate of the table of cubes mod q through the table of
+squares rotated by K mod q, and arith.residue_block packs them into
+lcm(q, 8) / 8 bytes.  A group of product m has a block of lcm(m, 8) / 8
+bytes (at most 1,763), the AND of its members' blocks tiled to that width,
+built once per search and residue K mod m; for each d it costs one
+int.from_bytes of the tiled block (arith.tiled_mask) and one AND.  For
+each prime p | d an AND with the mask of the x_num prime to p (the
+complement of arith.multiples_mask, built once per search by doubling a
+single bit) clears x_num = 0 (mod p).  The few survivors are found with
+one to_bytes and bytes.find (arith.set_bits), and confirmed exactly:
+x_num^3 + K >= 0, an integer square by isqrt, and gcd(x_num, d) = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from .arith import (is_prime, multiples_mask, residue_block, set_bits,
                     tiled_mask)
@@ -35,9 +39,11 @@ def _square_table(q: int) -> bytes:
     return bytes(table)
 
 
-# the sieve moduli, each with its table of squares
-_SQUARE_TABLES = {q: _square_table(q)
-                  for q in (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)}
+# the sieve moduli in coprime pairs, one tiled block per pair (CRT)
+_SIEVE_GROUPS = ((64, 63), (65, 11), (17, 19), (23, 29), (31, 37), (41, 43), (47,))
+# each modulus with its table of squares and its table of cubes x^3 mod q
+_SQUARE_TABLES = {q: _square_table(q) for group in _SIEVE_GROUPS for q in group}
+_CUBE_TABLES = {q: bytes(x * x * x % q for x in range(q)) for q in _SQUARE_TABLES}
 
 
 @dataclass(frozen=True)
@@ -72,27 +78,52 @@ def _denominators(S, exponent_bound):
     return sorted(set(out))
 
 
+def _cubic_residue_flags(q: int, Kq: int) -> bytes:
+    """Byte x is 1 when x^3 + Kq is a square mod q, for 0 <= x < q: the cube
+    table translated through the square table rotated by Kq (q < 256)."""
+    squares = _SQUARE_TABLES[q]
+    rotated = squares[Kq:] + squares[:Kq]
+    return _CUBE_TABLES[q].translate(rotated.ljust(256, b"\0"))
+
+
+def _group_block(group, K: int, bound: int, cache: dict) -> bytes:
+    """lcm(m, 8) / 8 bytes, m the product of the coprime moduli of group,
+    whose bit j is 1 when x = j - bound has x^3 + K a square mod each of
+    them: the AND of their residue blocks tiled to that width."""
+    width = lcm(prod(group), 8)
+    live = -1
+    for q in group:
+        key = q, K % q
+        tile = cache.get(key)
+        if tile is None:
+            flags = _cubic_residue_flags(*key)
+            tile = cache[key] = tiled_mask(residue_block(flags, -bound), width)
+        live &= tile
+    return live.to_bytes(width // 8, "little")
+
+
 def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
     """Bit i is 1 when x = i - bound has x^3 + K a square mod every sieve
     modulus and x is prime to every prime of S that divides d.
 
-    cache holds the residue blocks, keyed (q, K mod q), and the masks of
-    multiples of p, keyed p; it is valid for one bound."""
+    cache holds the group blocks, keyed (group, K mod m) with m the product
+    of the group's moduli, the residue blocks of each modulus q tiled to its
+    group's width, as ints keyed (q, K mod q), and the masks of the x prime
+    to p, keyed p; it is valid for one bound."""
     nbits = 2 * bound + 1
-    live = (1 << nbits) - 1
-    for q, squares in _SQUARE_TABLES.items():
-        Kq = K % q
-        block = cache.get((q, Kq))
+    full = live = (1 << nbits) - 1
+    for group in _SIEVE_GROUPS:
+        key = group, K % prod(group)
+        block = cache.get(key)
         if block is None:
-            allowed = [squares[(x * x * x + Kq) % q] for x in range(q)]
-            block = cache[q, Kq] = residue_block(allowed, -bound)
+            block = cache[key] = _group_block(group, K, bound, cache)
         live &= tiled_mask(block, nbits)
     for p in S:
         if p > 1 and d % p == 0:  # 1 in S divides every d but forbids no x
-            mask = cache.get(p)
-            if mask is None:
-                mask = cache[p] = multiples_mask(p, bound % p, nbits)
-            live &= ~mask
+            prime_to_p = cache.get(p)
+            if prime_to_p is None:
+                prime_to_p = cache[p] = full & ~multiples_mask(p, bound % p, nbits)
+            live &= prime_to_p
     return live
 
 

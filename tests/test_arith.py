@@ -1,3 +1,4 @@
+import random
 import time
 from math import lcm
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpcurves.arith import (Factorization, IncompleteFactorization,
-                              _strong_lucas_probable_prime, factor, is_prime,
+from modpcurves.arith import (_MR_BASES, Factorization, IncompleteFactorization,
+                              _strong_lucas_probable_prime,
+                              _strong_probable_prime, factor, is_prime,
                               legendre_symbol, multiples_mask, primes_below,
                               residue_block, set_bits, tiled_mask, valuation)
 
@@ -103,6 +105,47 @@ def test_is_prime_rejects_psi_12_and_psi_13():
     assert not is_prime(PSI_13)
     assert factor(2 * PSI_12).factors \
         == ((2, 1), (399165290221, 1), (798330580441, 1))
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (OEIS A014233): is_prime runs Miller-Rabin on those k bases below psi_k
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, PSI_12, PSI_13]
+
+
+def _spsp(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return _strong_probable_prime(n, a, d, s)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_psi_k_is_a_strong_pseudoprime_that_is_prime_rejects(k):
+    psi = PSI[k - 1]
+    assert all(_spsp(psi, a) for a in _MR_BASES[:k])
+    assert not is_prime(psi)
+
+
+@pytest.mark.parametrize("k", [k for k in range(1, 14) if k == 1 or PSI[k - 2] < PSI[k - 1]])
+def test_is_prime_against_sympy_below_each_psi_k(k):
+    """200 seeded n in [psi_{k-1}, psi_k) (from 2 for k = 1), half of them
+    primes and half odd and prime to the 13 bases."""
+    sympy = pytest.importorskip("sympy")
+    lo, hi = (PSI[k - 2] if k > 1 else 2), PSI[k - 1]
+    rng = random.Random(k)
+    cases = [lo, hi - 1]
+    while len(cases) < 200:
+        n = rng.randrange(lo, hi)
+        if len(cases) % 2:
+            n = sympy.prevprime(n) if n > 2 else 2
+        elif any(n % p == 0 for p in _MR_BASES):
+            continue
+        if lo <= n < hi:
+            cases.append(n)
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_above_psi_13():

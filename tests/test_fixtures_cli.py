@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from modpcurves import weierstrass
+from modpcurves import arith, weierstrass
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
@@ -161,3 +162,35 @@ def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
     computed = [r for r in load_fixture_file(path) if r.kind != "external"]
     assert verify_file(path).counts[PASS] > 0
     assert len(minimal_model_runs) == len(computed) == 15
+
+
+@pytest.fixture
+def factor_runs(monkeypatch):
+    """The integers arith.factor has been asked for so far, under every
+    name a module of the package binds it to."""
+    runs = []
+    original = arith.factor
+
+    def counted(n, *args, **kwargs):
+        runs.append(n)
+        return original(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modpcurves") and getattr(module, "factor", None) is original:
+            monkeypatch.setattr(module, "factor", counted)
+    return runs
+
+
+def test_compare_mismatch_skips_the_sturm_horizon(capsys, factor_runs):
+    # one factorization of each discriminant; the level is not factored
+    # again for a horizon that a mismatch never prints
+    assert main(["compare", "[1,1,0,-22,-812]", "[1,1,1,-2,16]", "3"]) == 1
+    assert capsys.readouterr().out == "mismatch at ell = 2\n"
+    assert len(factor_runs) == 2
+
+
+def test_compare_match_prints_the_sturm_horizon(capsys, factor_runs):
+    # 11a1 and 11a3 are 5-isogenous: the same mod-5 traces, level 11
+    assert main(["compare", "[0,-1,1,-10,-20]", "[0,-1,1,0,0]", "5"]) == 0
+    assert capsys.readouterr().out == "match up to bound 100 (Sturm horizon 2)\n"
+    assert len(factor_runs) == 3 and factor_runs[-1] == 11

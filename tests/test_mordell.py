@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 import time
 from math import gcd, isqrt, prod
 
 import pytest
 
+from modpcurves import mordell
 from modpcurves.cli import main
-from modpcurves.mordell import (_SQUARE_TABLES, SIntegerPoint, _sieve,
+from modpcurves.mordell import (_SIEVE_GROUPS, _SQUARE_TABLES, SIntegerPoint,
+                                _cubic_residue_flags, _denominators, _sieve,
                                 scan_twisted_mordell, search_mordell)
 
 
@@ -117,6 +120,41 @@ def test_square_tables_are_the_squares_mod_q():
     for q, table in _SQUARE_TABLES.items():
         assert len(table) == q
         assert {r for r in range(q) if table[r]} == {y * y % q for y in range(q)}
+
+
+def test_translated_flags_are_the_cubic_residues():
+    for q, squares in _SQUARE_TABLES.items():
+        for Kq in range(q):
+            assert list(_cubic_residue_flags(q, Kq)) \
+                == [squares[(x**3 + Kq) % q] for x in range(q)], (q, Kq)
+
+
+def test_sieve_groups_pair_every_modulus_once():
+    moduli = [q for group in _SIEVE_GROUPS for q in group]
+    assert moduli == list(_SQUARE_TABLES) and len(_SIEVE_GROUPS) == 7
+    for group in _SIEVE_GROUPS:
+        assert math.lcm(*group) == prod(group) and math.lcm(prod(group), 8) <= 8 * 1763
+
+
+def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
+    # search_mordell(891216, {2, 3, 2063}, 10^5, 4) of verify: 125
+    # denominators; one full-width mask per modulus would be 13 * 125 = 1625
+    bound = 10**5
+    widths = []
+    original = mordell.tiled_mask
+
+    def counted(block, nbits):
+        widths.append(nbits)
+        return original(block, nbits)
+
+    monkeypatch.setattr(mordell, "tiled_mask", counted)
+    assert search_mordell(891216, {2, 3, 2063}, bound, 4) == []
+    denominators = len(_denominators({2, 3, 2063}, 4))
+    full = widths.count(2 * bound + 1)
+    assert denominators == 125 and full == len(_SIEVE_GROUPS) * denominators
+    # the rest are the group builds, each at most 1,763 bytes wide
+    assert all(nbits <= 8 * 1763 for nbits in widths if nbits != 2 * bound + 1)
+    assert len(widths) - full <= len(_SIEVE_GROUPS) * denominators
 
 
 @pytest.mark.parametrize("K, bound, d, S", [
