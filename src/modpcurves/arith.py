@@ -202,15 +202,19 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     return None
 
 
-def factor(n: int, effort_bound: int = 10**7) -> Factorization:
+# rho iterations allowed per composite part: enough for prime factors up to
+# roughly _RHO_BUDGET^2
+_RHO_BUDGET = 10**7
+
+
+def factor(n: int) -> Factorization:
     """Complete prime factorization of a nonzero integer.
 
     Trial division by the primes below 10^3; every part below 10^6 of the
     cofactor is then prime, and a larger composite part is split with Pollard
-    rho at an iteration budget of effort_bound (enough for prime factors up
-    to roughly effort_bound^2).  Every reported prime passes is_prime.
-    Raises IncompleteFactorization with the remaining cofactor if the budget
-    runs out on a composite.
+    rho at an iteration budget of _RHO_BUDGET.  Every reported prime passes
+    is_prime.  Raises IncompleteFactorization with the remaining cofactor if
+    the budget runs out on a composite.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -232,7 +236,7 @@ def factor(n: int, effort_bound: int = 10**7) -> Factorization:
         if m < 10**6 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, effort_bound)
+        d = _pollard_rho(m, _RHO_BUDGET)
         if d is None:
             raise IncompleteFactorization(m)
         stack.append(d)

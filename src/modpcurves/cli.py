@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict, is_dataclass
 
-from .arith import factor
+from .arith import Factorization, factor
 from .cubic import (analyze_cubic, index_form, mordell_reduction, parse_cubic,
                     s3_serre_conductor, solve_index_equation)
 from .fixtures import parse_pair
@@ -96,7 +96,7 @@ def cmd_compare(args) -> int:
     result = compare_reps(trace_vector(E, args.p, args.bound),
                           trace_vector(F, args.p, args.bound))
     if result == "match-up-to-bound":
-        sturm = sturm_bound(max(conductor(E).value(), conductor(F).value()))
+        sturm = sturm_bound(max(conductor(E), conductor(F), key=Factorization.value))
         _emit(args, {"result": result, "sturm_bound": sturm},
               f"match up to bound {args.bound} (Sturm horizon {sturm})")
         return 0

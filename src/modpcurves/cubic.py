@@ -274,9 +274,8 @@ def mordell_reduction(K: CubicField) -> MordellReduction:
 class SieveReport:
     moduli: tuple[int, ...]
     residues: dict  # modulus -> sorted tuple of attainable residues
-    surviving_exponents: dict  # prime -> sorted tuple of exponents <= cap
+    surviving_exponents: dict  # prime -> sorted tuple of exponents <= 11
     conclusions: tuple[str, ...]
-    exponent_cap: int
 
 
 def _attainable_residues(form: IndexForm, m: int):
@@ -303,15 +302,16 @@ def _describe(S, cap, p):
     return f"exponent of {p} in {sorted(S)} (pattern unresolved up to {cap})"
 
 
-def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9)) -> SieveReport:
+def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
     """Which exponents e <= 11 of each allowed prime p occur in some exponent
-    vector of |f(x,y)| = prod p^e that survives the residue tests mod each
-    modulus, for coprime (x, y).
+    vector of |f(x,y)| = prod p^e that survives the residue tests mod 2 and
+    mod 9, for coprime (x, y).
 
-    The tests see t = prod p^e only through t mod L, L = lcm(moduli), so
-    each prime contributes its classes p^e mod L, and e survives exactly
-    when p^e * r passes for some product r of the other primes' classes."""
+    The tests see t = prod p^e only through t mod L, L = 18, so each prime
+    contributes its classes p^e mod L, and e survives exactly when p^e * r
+    passes for some product r of the other primes' classes."""
     primes = sorted(allowed_primes)
+    moduli = (2, 9)
     cap = 11
     residues = {m: _attainable_residues(form, m) for m in moduli}
     L = lcm(*moduli)
@@ -331,10 +331,10 @@ def congruence_sieve(form: IndexForm, allowed_primes, moduli=(2, 9)) -> SieveRep
         surviving[p] = {e for e in range(cap + 1)
                         if any(pow(p, e, L) * r % L in passing for r in others)}
     conclusions = tuple(_describe(surviving[p], cap, p) for p in primes)
-    return SieveReport(tuple(moduli),
+    return SieveReport(moduli,
                        {m: tuple(sorted(residues[m])) for m in moduli},
                        {p: tuple(sorted(surviving[p])) for p in primes},
-                       conclusions, cap)
+                       conclusions)
 
 
 def _monotone_pieces(A, B, C, y, lo, hi):
@@ -418,7 +418,8 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     report = congruence_sieve(form, primes)
     Bnd = search_bound
     maxval = (abs(A) + abs(B) + abs(C) + abs(D)) * Bnd**3
-    # enumerate targets supported on the allowed primes, up to maxval
+    # enumerate targets supported on the allowed primes, up to maxval, which
+    # bounds every |f(x, y)| in the box
     targets = [1]
     for p in primes:
         grown = []
@@ -427,13 +428,15 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
                 grown.append(t)
                 t *= p
         targets = grown
+    targets.sort()
+    supported = set(targets)
     sols = set()
 
     def record(x, y):
         if max(abs(x), abs(y)) <= Bnd and gcd(x, y) == 1:
-            v = form(x, y)
-            if v != 0 and _supported(abs(v), primes):
-                sols.add((x, y, abs(v)))
+            v = abs(form(x, y))
+            if v in supported:
+                sols.add((x, y, v))
 
     # keep a signed target only if every modulus can attain it: coprime
     # (x, y) have gcd(x, y, m) = 1, so f(x, y) mod m lies in residues[m]
@@ -471,19 +474,12 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
                     if g(a) == v:
                         record(a, y)
                         record(-a, -y)
-    # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y)
+    # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y); every
+    # smooth d <= Bnd <= maxval is a target
     scaled = set()
     for x, y, v in sols:
-        d = 2
-        while d * max(abs(x), abs(y)) <= Bnd:
-            if _supported(d, primes):
-                scaled.add((d * x, d * y, v * d**3))
-            d += 1
+        for d in targets[1:]:
+            if d * max(abs(x), abs(y)) > Bnd:
+                break
+            scaled.add((d * x, d * y, v * d**3))
     return sorted(sols | scaled), report
-
-
-def _supported(n: int, primes) -> bool:
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n == 1

@@ -33,9 +33,6 @@ class Record:
     def check_id(self) -> str:
         return f"{Path(self.path).name}:{self.lineno}"
 
-    def get(self, key: str, default=None):
-        return self.fields.get(key, default)
-
     def require(self, key: str) -> str:
         if key not in self.fields:
             raise FixtureError(self.path, self.lineno, f"missing field {key!r}")

@@ -10,9 +10,8 @@ ramified multiplicative prime and every additive prime is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import Factorization, factor, primes_below
+from .arith import Factorization, primes_below
 from .frobenius import ap
 from .tate import ADDITIVE, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
@@ -129,10 +128,10 @@ def compare_reps(A: TraceVector, B: TraceVector):
     return "match-up-to-bound"
 
 
-def sturm_bound(level: int, weight: int = 2) -> int:
-    """Comparison horizon floor(weight/12 * [SL2(Z):Gamma0(level)]), min 1."""
-    index = Fraction(level)
-    for q, _ in factor(level).factors:
-        index *= Fraction(q + 1, q)
-    b = int(Fraction(weight, 12) * index)
-    return max(b, 1)
+def sturm_bound(level: Factorization) -> int:
+    """Weight-2 comparison horizon floor([SL2(Z):Gamma0(N)] / 6), min 1, for
+    the factored level N."""
+    index = level.value()
+    for q in level.support:
+        index = index // q * (q + 1)
+    return max(index // 6, 1)

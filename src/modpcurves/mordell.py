@@ -108,10 +108,14 @@ def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
 
     cache holds the group blocks, keyed (group, K mod m) with m the product
     of the group's moduli, the residue blocks of each modulus q tiled to its
-    group's width, as ints keyed (q, K mod q), and the masks of the x prime
-    to p, keyed p; it is valid for one bound."""
+    group's width, as ints keyed (q, K mod q), the masks of the x prime to
+    p, keyed p, and the mask of the whole box, keyed "full"; it is valid for
+    one bound."""
     nbits = 2 * bound + 1
-    full = live = (1 << nbits) - 1
+    full = cache.get("full")
+    if full is None:
+        full = cache["full"] = (1 << nbits) - 1
+    live = full
     for group in _SIEVE_GROUPS:
         key = group, K % prod(group)
         block = cache.get(key)
@@ -181,17 +185,6 @@ class TwistedScanReport:
     @property
     def hits(self):
         return tuple((k, pts) for k, pts in self.cases if pts)
-
-    def candidate_c4c6(self):
-        """Each point (X, Y) yields a candidate invariant pair c4 = X,
-        c6 = Y with 1728 * Delta = X^3 - Y^2 = -k * d^6."""
-        out = []
-        for k, pts in self.cases:
-            for P in pts:
-                delta_num = P.x_num**3 - P.y_num**2
-                if delta_num % 1728 == 0:
-                    out.append((k, P.x_num, P.y_num, delta_num // 1728, P.denom))
-        return out
 
 
 def scan_twisted_mordell(N: int, a_bound: int, b_bound: int, S,

@@ -22,10 +22,6 @@ from math import isqrt
 from .arith import factor, is_prime, legendre_symbol
 
 
-class RationalEigenvalue(Exception):
-    pass
-
-
 def _is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factor(n).factors)
 
@@ -90,14 +86,6 @@ class QuadraticOrderElement:
         assert n.b == 0
         return n.a
 
-    def trace(self) -> int:
-        t = self + self.conjugate()
-        assert t.b == 0
-        return t.a
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -108,11 +96,6 @@ class QuadraticOrderElement:
 
 def order_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
-
-
-def splits(d: int, p: int) -> bool:
-    """Whether p splits in the order Z[omega] of the field Q(sqrt(d))."""
-    return legendre_symbol(order_discriminant(d), p) == 1
 
 
 @dataclass(frozen=True)
@@ -131,27 +114,21 @@ def hasse_interval(ell: int) -> range:
     return range(-m, m + 1)
 
 
-def compute_obstruction(a_ell: QuadraticOrderElement, ell: int,
-                        declared_bad=(), strict: bool = False) -> ObstructionReport:
+def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionReport:
     """A(ell) and the prime support of its norm.
 
     A(ell) = (a^2 - (1+ell)^2) * prod over the Hasse interval of (a - i); a
     mod-p match with an elliptic curve trace at ell requires p to divide
-    N(A(ell)) (or p to be a declared bad prime).  If a_ell is rational the
-    product can vanish and the report is degenerate (raised instead when
-    strict)."""
+    N(A(ell)).  If a_ell is rational the product can vanish, and then the
+    report is degenerate and names no prime."""
     assert is_prime(ell)
-    if strict and a_ell.is_rational():
-        raise RationalEigenvalue(str(a_ell))
     A = a_ell * a_ell - (1 + ell) ** 2
     for i in hasse_interval(ell):
         A = A * (a_ell - i)
     degenerate = A.is_zero()
     norm = A.norm()
-    primes = set(declared_bad)
-    if not degenerate:
-        primes.update(p for p, _ in factor(abs(norm)).factors)
-    return ObstructionReport(ell, a_ell, A, norm, frozenset(primes), degenerate)
+    primes = frozenset() if degenerate else frozenset(factor(abs(norm)).support)
+    return ObstructionReport(ell, a_ell, A, norm, primes, degenerate)
 
 
 GOOD_POSSIBLE = "good-reduction-possible"

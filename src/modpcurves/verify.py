@@ -8,13 +8,12 @@ exhaustive published tables that a bounded desk run cannot reproduce).
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from pathlib import Path
 
 from .arith import primes_below
-from .cubic import (analyze_cubic, congruence_sieve, index_form, s3_serre_conductor,
-                    solve_index_equation)
+from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
+                    s3_serre_conductor, solve_index_equation)
 from .fixtures import (Record, default_fixture_dir, load_fixture_file,
                        parse_factorization, parse_int_list, parse_pair)
 from .frobenius import ap
@@ -77,7 +76,7 @@ def _eq_check(rec: Record, description, expected, computed) -> Check:
 
 
 def _check_field(rec: Record):
-    poly = ast.literal_eval(rec.require("poly"))
+    poly = parse_cubic(rec.require("poly"))
     K = analyze_cubic(poly)
     yield _eq_check(rec, f"field disc of {poly}",
                     int(rec.require("disc")), K.field_discriminant)
@@ -162,7 +161,7 @@ def _check_tracecheck(rec: Record):
 
 
 def _check_sieve(rec: Record):
-    K = analyze_cubic(ast.literal_eval(rec.require("poly")))
+    K = analyze_cubic(parse_cubic(rec.require("poly")))
     prime = int(rec.require("prime"))
     primes = {int(t) for t in rec.require("primes").split(",")}
     report = congruence_sieve(index_form(K), primes)
@@ -172,7 +171,7 @@ def _check_sieve(rec: Record):
 
 
 def _check_indexsolve(rec: Record):
-    K = analyze_cubic(ast.literal_eval(rec.require("poly")))
+    K = analyze_cubic(parse_cubic(rec.require("poly")))
     primes = {int(t) for t in rec.require("primes").split(",")}
     sols, _ = solve_index_equation(K, primes, int(rec.require("bound")))
     yield _eq_check(rec, f"index equation solutions for field {K.field_discriminant}",

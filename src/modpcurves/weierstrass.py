@@ -184,8 +184,3 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     inv = invariants(E)
     twisted = WeierstrassModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
     return minimal_model(twisted)[0]
-
-
-def isomorphic(E: WeierstrassModel, F: WeierstrassModel) -> bool:
-    """Q-isomorphism test via equality of reduced minimal models."""
-    return minimal_model(E)[0] == minimal_model(F)[0]

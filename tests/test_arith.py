@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpcurves import arith
 from modpcurves.arith import (_MR_BASES, Factorization, IncompleteFactorization,
                               _strong_lucas_probable_prime,
                               _strong_probable_prime, factor, is_prime,
@@ -41,12 +42,13 @@ def test_factor_large_semiprime():
     assert factor(p * q).factors == ((p, 1), (q, 1))
 
 
-def test_incomplete_factorization_reports_cofactor():
-    # product of two 40-digit-ish primes is far beyond the effort bound
+def test_incomplete_factorization_reports_cofactor(monkeypatch):
+    # product of two 40-digit-ish primes is far beyond the rho budget
     p = 2**127 - 1
     q = 2**89 - 1
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 10**6)
     with pytest.raises(IncompleteFactorization) as exc:
-        factor(p * q, effort_bound=10**6)
+        factor(p * q)
     assert exc.value.cofactor > 1
 
 

@@ -18,7 +18,7 @@ from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
                               _Y_SIEVE_PRIMES, _bisect, _det3,
-                              _monotone_pieces, _mul_mod, _supported)
+                              _monotone_pieces, _mul_mod)
 
 
 def test_parse_cubic_formats():
@@ -228,11 +228,9 @@ def test_sieve_matches_enumeration():
         == sieve_by_enumeration(x3_minus_2, {2, 3, 5, 7})
     for poly, _ in FIXTURE_CUBICS:
         form = index_form(analyze_cubic(poly))
-        for primes, moduli in (({2, 2063}, (2, 9)), ({3, 5, 7}, (4, 9)),
-                               ({2, 3, 13}, (7, 8, 9))):
-            report = congruence_sieve(form, primes, moduli=moduli)
-            assert report.surviving_exponents \
-                == sieve_by_enumeration(form, primes, moduli), (poly, primes)
+        report = congruence_sieve(form, {2, 2063})
+        assert report.surviving_exponents \
+            == sieve_by_enumeration(form, {2, 2063}), poly
 
 
 def test_sieve_six_primes_is_fast():
@@ -306,6 +304,13 @@ def brute_force_box(K: CubicField, primes, bound: int):
         if n == 1:
             out.append((x, y, v))
     return sorted(out)
+
+
+def _supported(n: int, primes) -> bool:
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def per_y_solver(K: CubicField, primes, bound: int):

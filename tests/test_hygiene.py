@@ -2,9 +2,11 @@
 somewhere in that module, and so is every private function, class and
 constant it defines at module level; imports sit at module level, never
 inside a function body, and never take a private name from another module
-of the package; and every parameter default of a function in the
-package is overridden by some call in the repository.  `__init__.py` is
-skipped, since its imports are re-exports."""
+of the package.  Against the program sources (`src/`, `scripts/` and
+`perfbench/`, not the tests), every parameter default of a function in the
+package is overridden by some call, and every function, class and method
+of the package is read by name or exported by `__all__`.  `__init__.py` is
+not scanned itself, since its imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -14,8 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modpcurves"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# every file whose calls may set an option of the package
-CALLERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+# the program: every file whose calls may set an option of the package or
+# read one of its names; a default or a helper that only tests reach is dead
+PROGRAM = sorted(p for d in ("src", "scripts", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 
 
@@ -126,6 +129,33 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
             if not any(overridden(c, name, index) for c in calls.get(func.name, []))]
 
 
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Functions, classes and methods defined, at any depth, in the sources
+    of modules (keyed by file name) whose name no source in readers reads,
+    as a variable or an attribute, and no __all__ in readers lists; dunder
+    names are skipped, since Python calls them.  Names match alone, as in
+    unset_defaults, so a name collision counts as a read."""
+    read = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+    unread = []
+    for module, source in modules.items():
+        defs = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        unread.extend(f"{module}: {node.name} (line {node.lineno})"
+                      for node in sorted(defs, key=lambda node: node.lineno)
+                      if not (node.name.startswith("__") and node.name.endswith("__"))
+                      and node.name not in read)
+    return unread
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -178,6 +208,20 @@ def test_scan_finds_planted_unset_defaults():
         "m.py: m(j) (line 8)", "m.py: unused(a) (line 12)"]
 
 
+def test_scan_finds_planted_unread_definitions():
+    source = ("class C:\n    def used(self):\n        return 1\n"
+              "    def spare(self):\n        return 2\n"
+              "    def __len__(self):\n        return 0\n"
+              "def f():\n    def inner():\n        return 3\n    return C().used()\n"
+              "def exported():\n    return f()\n"
+              "def only_tests():\n    return 4\n"
+              "class Gone:\n    pass\n")
+    readers = [source, "__all__ = ['exported']\n"]
+    assert unread_definitions({"m.py": source}, readers) == [
+        "m.py: spare (line 4)", "m.py: inner (line 9)",
+        "m.py: only_tests (line 14)", "m.py: Gone (line 16)"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -204,4 +248,9 @@ def test_no_private_imports_across_modules(path):
 
 def test_every_option_is_set_somewhere():
     modules = {path.name: path.read_text() for path in MODULES}
-    assert unset_defaults(modules, [p.read_text() for p in CALLERS]) == []
+    assert unset_defaults(modules, [p.read_text() for p in PROGRAM]) == []
+
+
+def test_every_definition_is_read_somewhere():
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert unread_definitions(modules, [p.read_text() for p in PROGRAM]) == []

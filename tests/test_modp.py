@@ -1,6 +1,7 @@
 import pytest
 
 from modpcurves import tate
+from modpcurves.arith import factor
 from modpcurves.frobenius import ap
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              RAMIFIED_SKIP, UNDETERMINED,
@@ -91,10 +92,9 @@ def test_irreducibility():
 
 
 def test_sturm_bound():
-    assert sturm_bound(11) == 2
-    assert sturm_bound(1) == 1
-    assert sturm_bound(2118) == 708
-    assert sturm_bound(11, weight=4) == 4
+    assert sturm_bound(factor(11)) == 2
+    assert sturm_bound(factor(1)) == 1
+    assert sturm_bound(factor(2118)) == 708
 
 
 def test_one_record_runs_tate_once_per_bad_prime(monkeypatch):

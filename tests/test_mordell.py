@@ -273,5 +273,3 @@ def test_scan_twisted_shape():
     assert ks == {353, -353, 3 * 353, -3 * 353}
     for k, pts, in rep.cases:
         assert all(P.on_curve(k) for P in pts)
-    for k, x, y, delta, d in rep.candidate_c4c6():
-        assert x**3 - y**2 == 1728 * delta

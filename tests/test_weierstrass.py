@@ -7,7 +7,7 @@ from modpcurves.arith import factor, valuation
 from modpcurves.tate import GOOD, tate_local
 from modpcurves.weierstrass import (NotSquarefree, SingularModel,
                                     WeierstrassModel, discriminant,
-                                    invariants, isomorphic, minimal_model,
+                                    invariants, minimal_model,
                                     parse_curve, quadratic_twist, transform)
 
 coeff = st.integers(min_value=-50, max_value=50)
@@ -89,7 +89,7 @@ def test_minimal_model_undoes_scaling():
                                zip(blown.coeffs, (6, 36, 216, 1296, 46656))))
     Emin, _, _ = minimal_model(blown)
     assert discriminant(Emin) == discriminant(E)
-    assert isomorphic(Emin, E)
+    assert minimal_model(Emin)[0] == minimal_model(E)[0]
 
 
 def test_minimal_discriminant_factorization(rng):
@@ -139,4 +139,4 @@ def test_quadratic_twist_invariants():
 
 def test_twist_by_one_is_isomorphic():
     E, _, _ = minimal_model(parse_curve("[1,1,0,-22,-812]"))
-    assert isomorphic(quadratic_twist(E, 1), E)
+    assert minimal_model(quadratic_twist(E, 1))[0] == minimal_model(E)[0]
