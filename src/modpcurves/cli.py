@@ -13,8 +13,9 @@ import sys
 from dataclasses import asdict, is_dataclass
 
 from .arith import Factorization, factor
-from .cubic import (analyze_cubic, index_form, mordell_reduction, parse_cubic,
-                    s3_serre_conductor, solve_index_equation)
+from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
+                    mordell_reduction, parse_cubic, s3_serre_conductor,
+                    solve_index_equation)
 from .fixtures import parse_pair
 from .frobenius import ap
 from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
@@ -125,7 +126,7 @@ def cmd_cubic_info(args) -> int:
     try:
         mr = mordell_reduction(K)
         text.append(f"mordell k:    {mr.k} ({mr.scaling})")
-    except Exception:
+    except DiscriminantNotMinusPrime:
         pass
     _emit(args, {"poly_disc": K.poly_discriminant,
                  "field_disc": K.field_discriminant,

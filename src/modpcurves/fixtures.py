@@ -39,7 +39,7 @@ class Record:
         return self.fields[key]
 
 
-def parse_fixture_text(text: str, path: str = "<string>") -> list[Record]:
+def parse_fixture_text(text: str, path: str) -> list[Record]:
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

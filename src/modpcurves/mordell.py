@@ -188,8 +188,7 @@ class TwistedScanReport:
 
 
 def scan_twisted_mordell(N: int, a_bound: int, b_bound: int, S,
-                         height_bound: int,
-                         exponent_bound: int = 0) -> TwistedScanReport:
+                         height_bound: int, exponent_bound: int) -> TwistedScanReport:
     """Search Y^2 = X^3 + s * 3^a * N^b for S-integral points, for both
     signs s and 0 <= a <= a_bound, 1 <= b <= b_bound."""
     cases = []

@@ -150,11 +150,12 @@ def curve_eligibility(a_ell_mod_p: int, ell: int, p: int) -> str:
     return IMPOSSIBLE
 
 
-def reciprocity_cover(p: int, candidates=(2, 5, 10)) -> int:
+def reciprocity_cover(p: int, candidates: tuple[int, ...]) -> int:
     """Some d among the candidates with (d | p) = +1.
 
-    Exists because the quadratic residue symbol is multiplicative:
-    (2|p)(5|p) = (10|p), so the three cannot all be -1."""
+    Exists for the candidates (2, 5, 10) because the quadratic residue
+    symbol is multiplicative: (2|p)(5|p) = (10|p), so the three cannot all
+    be -1."""
     assert is_prime(p) and p > 11 and p % 2 and p % 5
     for d in candidates:
         if legendre_symbol(d, p) == 1:

@@ -25,7 +25,7 @@ def test_parse_fixture_text():
     with pytest.raises(FixtureError):
         recs[1].require("model")
     with pytest.raises(FixtureError):
-        parse_fixture_text("curve; no-equals-here\n")
+        parse_fixture_text("curve; no-equals-here\n", "<string>")
 
 
 def test_parse_helpers():
@@ -47,7 +47,7 @@ def test_verify_empty_records():
 
 
 def test_verify_unknown_kind_skipped():
-    recs = parse_fixture_text("mystery; a=1\n")
+    recs = parse_fixture_text("mystery; a=1\n", "<string>")
     report = verify_records(recs)
     assert report.counts["skipped"] == 1
 

@@ -2,11 +2,12 @@ import pytest
 
 from conftest import ALL_CURVES
 from modpcurves.arith import legendre_symbol, primes_below
-from modpcurves.frobenius import PrimeTooLarge, ap, count_points
+from modpcurves import frobenius
+from modpcurves.frobenius import PACKED_BELOW, PrimeTooLarge, ap, count_points
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
                              tate_local)
-from modpcurves.weierstrass import (discriminant, minimal_model, parse_curve,
-                                    quadratic_twist)
+from modpcurves.weierstrass import (WeierstrassModel, discriminant, minimal_model,
+                                    parse_curve, quadratic_twist)
 
 
 def brute_force_count(E, ell):
@@ -52,6 +53,41 @@ def test_count_points_against_legendre_oracle():
         E = parse_curve(text)
         for ell in (1009, 10007):
             assert count_points(E, ell) == count_by_legendre(E, ell), (E, ell)
+
+
+def test_packed_count_against_legendre_oracle(rng):
+    # every odd ell < 2000, on both sides of PACKED_BELOW: seeded curves with
+    # large coefficients, a cusp y^2 = x^3 and a node y^2 = x^3 + x^2 (singular
+    # at every ell), and curves with bad ell = 5 (additive) and 353 (split)
+    ells = primes_below(2000)[1:]
+    assert ells[:3] == [3, 5, 7] and ells[0] < PACKED_BELOW < ells[-1]
+    curves = [WeierstrassModel(*(rng.randrange(-10**9, 10**9) for _ in range(5)))
+              for _ in range(3)]
+    curves += [WeierstrassModel(0, 0, 0, 0, 0), WeierstrassModel(0, 1, 0, 0, 0),
+               parse_curve("[0,0,1,-50,281]"), parse_curve("[1,1,0,-22,-812]")]
+    for E in curves:
+        for ell in ells:
+            assert count_points(E, ell) == count_by_legendre(E, ell), (E, ell)
+
+
+def test_count_at_or_above_cap_caches_nothing():
+    E = parse_curve("[0,0,1,-1,0]")
+    for ell in (1031, 2003):
+        assert ell >= PACKED_BELOW
+        assert count_points(E, ell) == count_by_legendre(E, ell)
+        assert ell not in frobenius._PACKED
+
+
+def test_cache_holds_only_primes_below_cap():
+    E = parse_curve("[0,-1,1,-10,-20]")
+    for ell in primes_below(1100):
+        count_points(E, ell)
+    primes = set(primes_below(PACKED_BELOW))
+    assert set(frobenius._PACKED) == primes - {2, 3}
+    # 3 packed ints of 4 ell bytes and an ell-byte table per ell: about 1 MB
+    for ell, (x3, x1, ones, roots) in frobenius._PACKED.items():
+        assert max(x3, x1, ones) < 2**(32 * ell) and len(roots) == ell
+    assert 13 * sum(primes) <= 2**20
 
 
 def test_ap_against_brute_force_oracle():

@@ -4,9 +4,10 @@ constant it defines at module level; imports sit at module level, never
 inside a function body, and never take a private name from another module
 of the package.  Against the program sources (`src/`, `scripts/` and
 `perfbench/`, not the tests), every parameter default of a function in the
-package is overridden by some call, and every function, class and method
-of the package is read by name or exported by `__all__`.  `__init__.py` is
-not scanned itself, since its imports are re-exports."""
+package is overridden by some call and left unset by another, and every
+function, class and method of the package is read by name or exported by
+`__all__`.  `__init__.py` is not scanned itself, since its imports are
+re-exports."""
 
 import ast
 from pathlib import Path
@@ -90,9 +91,11 @@ def private_imports(source: str) -> list[str]:
 def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     """Parameter defaults of the functions defined, at any depth, in the
     sources of modules (keyed by file name) that no call in callers
-    overrides by position or by keyword; self is skipped for methods.
-    Calls match by the called name alone, so a name collision counts as a
-    use, and a call with *args or **kwargs sets everything."""
+    overrides by position or by keyword, and those that every call in
+    callers (at least one) overrides, so the default is never used;
+    self is skipped for methods.  Calls match by the called name alone, so
+    a name collision counts as a use, and a call with *args or **kwargs
+    may set everything but surely sets nothing."""
     calls = {}
     for text in callers:
         for node in ast.walk(ast.parse(text)):
@@ -118,15 +121,28 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
                     yield node, a.arg, None
             yield from options(node)
 
-    def overridden(call, name, index):
-        return (any(isinstance(a, ast.Starred) for a in call.args)
-                or any(k.arg in (None, name) for k in call.keywords)
-                or (index is not None and len(call.args) > index))
+    def sets(call, name, index):
+        """Whether call surely sets the parameter"""
+        starred = [isinstance(a, ast.Starred) for a in call.args]
+        return (any(k.arg == name for k in call.keywords)
+                or (index is not None and len(call.args) > index
+                    and not any(starred[:index + 1])))
 
-    return [f"{module}: {func.name}({name}) (line {func.lineno})"
-            for module, source in modules.items()
-            for func, name, index in options(ast.parse(source))
-            if not any(overridden(c, name, index) for c in calls.get(func.name, []))]
+    def may_set(call, name, index):
+        return (sets(call, name, index)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords))
+
+    found = []
+    for module, source in modules.items():
+        for func, name, index in options(ast.parse(source)):
+            uses = calls.get(func.name, [])
+            if not any(may_set(c, name, index) for c in uses):
+                found.append(f"{module}: {func.name}({name}) (line {func.lineno})")
+            elif all(sets(c, name, index) for c in uses):
+                found.append(f"{module}: {func.name}({name}) (line {func.lineno}) "
+                             "set by every call")
+    return found
 
 
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
@@ -199,13 +215,16 @@ def test_scan_finds_planted_unset_defaults():
               "def g(x=0):\n    def h(y=1):\n        return y\n    return h()\n"
               "class C:\n    def m(self, k=5, j=6):\n        return k\n"
               "def spread(a=1):\n    return a\n"
-              "def unused(a=1):\n    return a\n")
+              "def unused(a=1):\n    return a\n"
+              "def always(a, b=1, c=2):\n    return a\n")
     callers = [source,
-               "f(0, 1)\nf(0, d=5)\ng(2)\nobj.m(7)\n"
-               "spread(*args)\nspread(**kw)\n"]
+               "f(0, 1)\nf(0, d=5)\ng(2)\ng()\nobj.m(7)\nobj.m()\n"
+               "spread(*args)\nspread(**kw)\n"
+               "always(0, 2, c=3)\nalways(1, b=3, **kw)\nalways(2, 4, *rest)\n"]
     assert unset_defaults({"m.py": source}, callers) == [
         "m.py: f(c) (line 1)", "m.py: f(e) (line 1)", "m.py: h(y) (line 4)",
-        "m.py: m(j) (line 8)", "m.py: unused(a) (line 12)"]
+        "m.py: m(j) (line 8)", "m.py: unused(a) (line 12)",
+        "m.py: always(b) (line 14) set by every call"]
 
 
 def test_scan_finds_planted_unread_definitions():

@@ -267,7 +267,7 @@ def test_point_validation():
 
 
 def test_scan_twisted_shape():
-    rep = scan_twisted_mordell(353, 1, 1, set(), 500)
+    rep = scan_twisted_mordell(353, 1, 1, set(), 500, 0)
     assert rep.N == 353 and len(rep.cases) == 4  # two signs x a in {0,1}
     ks = {k for k, _ in rep.cases}
     assert ks == {353, -353, 3 * 353, -3 * 353}
