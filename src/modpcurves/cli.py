@@ -12,19 +12,19 @@ import json
 import sys
 from dataclasses import asdict, is_dataclass
 
-from .arith import Factorization, factor
-from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
-                    mordell_reduction, parse_cubic, s3_serre_conductor,
-                    solve_index_equation)
-from .fixtures import parse_pair
-from .frobenius import ap
-from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
-                   trace_vector)
+from .arith import Factorization, IncompleteFactorization, factor
+from .cubic import (DiscriminantNotMinusPrime, ReduciblePolynomial,
+                    analyze_cubic, index_form, mordell_reduction, parse_cubic,
+                    s3_serre_conductor, solve_index_equation)
+from .fixtures import FixtureError, parse_pair
+from .frobenius import PrimeTooLarge, ap
+from .modp import (CharacteristicMismatch, NotSemistableOutsideP, compare_reps,
+                   serre_conductor_semistable, sturm_bound, trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
 from .tate import MinimalCurve, conductor
 from .verify import verify_all, verify_file
-from .weierstrass import invariants, parse_curve
+from .weierstrass import SingularModel, invariants, parse_curve
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -300,7 +300,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # domain errors (singular model, etc.)
+    except (IncompleteFactorization, ReduciblePolynomial, DiscriminantNotMinusPrime,
+            FixtureError, PrimeTooLarge, NotSemistableOutsideP,
+            CharacteristicMismatch, SingularModel, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -287,19 +287,22 @@ def _attainable_residues(form: IndexForm, m: int):
     return vals
 
 
-def _describe(S, cap, p):
+_CAP = 11  # the largest exponent congruence_sieve decides
+
+
+def _describe(S, p):
     if not S:
         return f"no exponent of {p} is allowed: equation impossible"
     if S == {0}:
         return f"exponent of {p} forced to 0"
-    if len(S) == cap + 1:
+    if len(S) == _CAP + 1:
         return f"exponent of {p} unconstrained"
-    for k in range(1, cap):
+    for k in range(1, _CAP):
         residues = {e % k for e in S}
-        if all((e in S) == (e % k in residues) for e in range(cap + 1)):
+        if all((e in S) == (e % k in residues) for e in range(_CAP + 1)):
             rs = ",".join(str(r) for r in sorted(residues))
             return f"exponent of {p} = {rs} (mod {k})"
-    return f"exponent of {p} in {sorted(S)} (pattern unresolved up to {cap})"
+    return f"exponent of {p} in {sorted(S)} (pattern unresolved up to {_CAP})"
 
 
 def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
@@ -312,12 +315,11 @@ def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
     passes for some product r of the other primes' classes."""
     primes = sorted(allowed_primes)
     moduli = (2, 9)
-    cap = 11
     residues = {m: _attainable_residues(form, m) for m in moduli}
     L = lcm(*moduli)
     passing = {t for t in range(L)
                if all(t % m in residues[m] or -t % m in residues[m] for m in moduli)}
-    classes = [{pow(p, e, L) for e in range(cap + 1)} for p in primes]
+    classes = [{pow(p, e, L) for e in range(_CAP + 1)} for p in primes]
 
     def products(sets):
         out = {1 % L}
@@ -328,9 +330,9 @@ def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
     surviving = {}
     for i, p in enumerate(primes):
         others = products(classes[:i] + classes[i + 1:])
-        surviving[p] = {e for e in range(cap + 1)
+        surviving[p] = {e for e in range(_CAP + 1)
                         if any(pow(p, e, L) * r % L in passing for r in others)}
-    conclusions = tuple(_describe(surviving[p], cap, p) for p in primes)
+    conclusions = tuple(_describe(surviving[p], p) for p in primes)
     return SieveReport(moduli,
                        {m: tuple(sorted(residues[m])) for m in moduli},
                        {p: tuple(sorted(surviving[p])) for p in primes},

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, primes_below
+from .arith import Factorization, is_prime, primes_below
 from .frobenius import ap
 from .tate import ADDITIVE, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
@@ -59,6 +59,8 @@ class SerreData:
 
 
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     C = minimal_curve(E)
     entries = []
     for ell in primes_below(bound + 1):
@@ -80,6 +82,8 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
 
     A multiplicative prime ell != p survives in N(rhobar) exactly when
     p does not divide v_ell(Delta_min)."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     C = minimal_curve(E)
     kept = []
     notes = []

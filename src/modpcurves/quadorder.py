@@ -33,7 +33,8 @@ class QuadraticOrderElement:
     b: int  # element a + b*omega
 
     def __post_init__(self):
-        assert self.d > 1 and _is_squarefree(self.d), self.d
+        if self.d < 2 or not _is_squarefree(self.d):
+            raise ValueError(f"d = {self.d} is not a squarefree integer > 1")
 
     @property
     def half_basis(self) -> bool:
@@ -121,7 +122,8 @@ def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionRe
     mod-p match with an elliptic curve trace at ell requires p to divide
     N(A(ell)).  If a_ell is rational the product can vanish, and then the
     report is degenerate and names no prime."""
-    assert is_prime(ell)
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not prime")
     A = a_ell * a_ell - (1 + ell) ** 2
     for i in hasse_interval(ell):
         A = A * (a_ell - i)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from modpcurves import arith, weierstrass
+from modpcurves import arith, cli, weierstrass
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
@@ -78,6 +78,34 @@ def test_cli_exit_codes(capsys):
     # usage error -> 2
     assert main(["ap"]) == 2
     assert main(["ap", "[not-a-curve]", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((["ap", "[0,-1,1,-10,-20]", ell], f"ell = {ell} is not prime")
+      for ell in ("0", "1", "4", "9", "1025")),
+    (["trace-table", "[0,-1,1,-10,-20]", "0"], "p = 0 is not prime"),
+    (["serre-conductor", "[0,-1,1,-10,-20]", "4"], "p = 4 is not prime"),
+    (["compare", "[0,-1,1,-10,-20]", "[0,0,1,-1,0]", "1"], "p = 1 is not prime"),
+    (["obstruct", "--disc", "4", "--a", "(1,1)", "--ell", "2"],
+     "d = 4 is not a squarefree integer > 1"),
+    (["obstruct", "--disc", "5", "--a", "(1,1)", "--ell", "9"], "ell = 9 is not prime")])
+def test_cli_rejects_a_non_prime_or_non_squarefree_argument(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_cli_reports_package_errors_and_lets_bugs_through(capsys, monkeypatch):
+    assert main(["curve-info", "[0,0,0,0,0]"]) == 2
+    assert capsys.readouterr().err.startswith("error: SingularModel: ")
+    assert main(["verify", "no-such-fixture.txt"]) == 2
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+    def broken(E, ell):
+        raise ZeroDivisionError("planted bug")
+    monkeypatch.setattr(cli, "ap", broken)
+    with pytest.raises(ZeroDivisionError, match="planted bug"):
+        main(["ap", "[0,-1,1,-10,-20]", "5"])
 
 
 def test_cli_json_output(capsys):

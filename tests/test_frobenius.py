@@ -3,7 +3,7 @@ import pytest
 from conftest import ALL_CURVES
 from modpcurves.arith import legendre_symbol, primes_below
 from modpcurves import frobenius
-from modpcurves.frobenius import PACKED_BELOW, PrimeTooLarge, ap, count_points
+from modpcurves.frobenius import TABLE_BELOW, PrimeTooLarge, ap, count_points
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
                              tate_local)
 from modpcurves.weierstrass import (WeierstrassModel, discriminant, minimal_model,
@@ -55,12 +55,48 @@ def test_count_points_against_legendre_oracle():
             assert count_points(E, ell) == count_by_legendre(E, ell), (E, ell)
 
 
-def test_packed_count_against_legendre_oracle(rng):
-    # every odd ell < 2000, on both sides of PACKED_BELOW: seeded curves with
+def short_model_counts(ell):
+    """counts[A][B] = #{y^2 = x^3 + A x + B over F_ell}, by enumerating every
+    (x, y, A): the affine point (x, y) lies on the curve with that A and
+    B = y^2 - x^3 - A x, so each curve's points are counted one by one."""
+    counts = [[1] * ell for _ in range(ell)]
+    for x in range(ell):
+        for y in range(ell):
+            for A in range(ell):
+                counts[A][(y * y - x**3 - A * x) % ell] += 1
+    return counts
+
+
+def test_short_model_counts_agree_with_brute_force():
+    for ell in (5, 7, 11, 13):
+        counts = short_model_counts(ell)
+        for A in range(ell):
+            for B in range(ell):
+                E = WeierstrassModel(0, 0, 0, A, B)
+                assert counts[A][B] == brute_force_count(E, ell), (A, B, ell)
+
+
+def test_table_count_every_short_model_to_61():
+    # every (A, B) in F_ell^2: both twist classes of A (square and nonsquare),
+    # ell = 1 and 3 mod 4, A = 0 (j = 0, counted per x) and the singular
+    # models 4A^3 + 27B^2 = 0
+    ells = primes_below(62)[2:]
+    assert ells[0] == 5 and ells[-1] == 61
+    assert {ell % 4 for ell in ells} == {1, 3}
+    for ell in ells:
+        counts = short_model_counts(ell)
+        for A in range(ell):
+            for B in range(ell):
+                assert count_points(WeierstrassModel(0, 0, 0, A, B), ell) \
+                    == counts[A][B], (A, B, ell)
+
+
+def test_table_count_against_legendre_oracle(rng):
+    # every odd ell < 2000, on both sides of TABLE_BELOW: seeded curves with
     # large coefficients, a cusp y^2 = x^3 and a node y^2 = x^3 + x^2 (singular
     # at every ell), and curves with bad ell = 5 (additive) and 353 (split)
     ells = primes_below(2000)[1:]
-    assert ells[:3] == [3, 5, 7] and ells[0] < PACKED_BELOW < ells[-1]
+    assert ells[:3] == [3, 5, 7] and ells[0] < TABLE_BELOW < ells[-1]
     curves = [WeierstrassModel(*(rng.randrange(-10**9, 10**9) for _ in range(5)))
               for _ in range(3)]
     curves += [WeierstrassModel(0, 0, 0, 0, 0), WeierstrassModel(0, 1, 0, 0, 0),
@@ -73,21 +109,33 @@ def test_packed_count_against_legendre_oracle(rng):
 def test_count_at_or_above_cap_caches_nothing():
     E = parse_curve("[0,0,1,-1,0]")
     for ell in (1031, 2003):
-        assert ell >= PACKED_BELOW
+        assert ell >= TABLE_BELOW
         assert count_points(E, ell) == count_by_legendre(E, ell)
-        assert ell not in frobenius._PACKED
+        assert ell not in frobenius._TABLES
 
 
 def test_cache_holds_only_primes_below_cap():
     E = parse_curve("[0,-1,1,-10,-20]")
     for ell in primes_below(1100):
         count_points(E, ell)
-    primes = set(primes_below(PACKED_BELOW))
-    assert set(frobenius._PACKED) == primes - {2, 3}
-    # 3 packed ints of 4 ell bytes and an ell-byte table per ell: about 1 MB
-    for ell, (x3, x1, ones, roots) in frobenius._PACKED.items():
-        assert max(x3, x1, ones) < 2**(32 * ell) and len(roots) == ell
-    assert 13 * sum(primes) <= 2**20
+    primes = set(primes_below(TABLE_BELOW))
+    assert set(frobenius._TABLES) == primes - {2, 3}
+    # roots (ell bytes), sqrt, n_1 and n_z (2 ell bytes each): 7 ell bytes
+    for ell, (roots, sqrt, zi, n1, nz) in frobenius._TABLES.items():
+        assert len(roots) == len(sqrt) == len(n1) == len(nz) == ell
+        assert len(roots) + sqrt.nbytes + n1.nbytes + nz.nbytes <= 7 * ell
+        assert 0 < zi < ell and roots[zi] == 0
+    assert 7 * sum(primes) <= 2**20
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, 9, 25, 1001, 1025, -5])
+def test_non_prime_ell_raises_and_caches_nothing(ell):
+    E = parse_curve("[0,-1,1,-10,-20]")
+    with pytest.raises(ValueError, match="not prime"):
+        count_points(E, ell)
+    with pytest.raises(ValueError, match="not prime"):
+        ap(E, ell)
+    assert ell not in frobenius._TABLES
 
 
 def test_ap_against_brute_force_oracle():

@@ -4,10 +4,10 @@ constant it defines at module level; imports sit at module level, never
 inside a function body, and never take a private name from another module
 of the package.  Against the program sources (`src/`, `scripts/` and
 `perfbench/`, not the tests), every parameter default of a function in the
-package is overridden by some call and left unset by another, and every
-function, class and method of the package is read by name or exported by
-`__all__`.  `__init__.py` is not scanned itself, since its imports are
-re-exports."""
+package is overridden by some call and left unset by another, every
+function and class of the package is read by name or exported by `__all__`,
+and every method is read as an attribute.  `__init__.py` is not scanned
+itself, since its imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -147,28 +147,36 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
 
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Functions, classes and methods defined, at any depth, in the sources
-    of modules (keyed by file name) whose name no source in readers reads,
-    as a variable or an attribute, and no __all__ in readers lists; dunder
-    names are skipped, since Python calls them.  Names match alone, as in
-    unset_defaults, so a name collision counts as a read."""
-    read = set()
+    of modules (keyed by file name) whose name no source in readers reads
+    and no __all__ in readers lists.  A module-level or nested function or
+    class is read by a variable or an attribute access of its name or by
+    __all__; a method (anything defined directly in a class body) only by an
+    attribute access `.name`, so a local variable of the same name does not
+    keep it alive.  Dunder names are skipped, since Python calls them.  Names
+    match alone, as in unset_defaults, so a name collision counts as a
+    read."""
+    variables, attributes = set(), set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                variables.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) == "__all__" for t in node.targets):
-                read.update(ast.literal_eval(node.value))
+                variables.update(ast.literal_eval(node.value))
     unread = []
     for module, source in modules.items():
-        defs = [node for node in ast.walk(ast.parse(source))
+        tree = ast.parse(source)
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        defs = [node for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         unread.extend(f"{module}: {node.name} (line {node.lineno})"
                       for node in sorted(defs, key=lambda node: node.lineno)
                       if not (node.name.startswith("__") and node.name.endswith("__"))
-                      and node.name not in read)
+                      and node.name not in attributes
+                      and (id(node) in methods or node.name not in variables))
     return unread
 
 
@@ -231,14 +239,16 @@ def test_scan_finds_planted_unread_definitions():
     source = ("class C:\n    def used(self):\n        return 1\n"
               "    def spare(self):\n        return 2\n"
               "    def __len__(self):\n        return 0\n"
+              "    def total(self):\n        return 5\n"
               "def f():\n    def inner():\n        return 3\n    return C().used()\n"
               "def exported():\n    return f()\n"
               "def only_tests():\n    return 4\n"
-              "class Gone:\n    pass\n")
-    readers = [source, "__all__ = ['exported']\n"]
+              "class Gone:\n    pass\n"
+              "def g(items):\n    total = sum(items)\n    return total\n")
+    readers = [source, "__all__ = ['exported', 'g']\n"]
     assert unread_definitions({"m.py": source}, readers) == [
-        "m.py: spare (line 4)", "m.py: inner (line 9)",
-        "m.py: only_tests (line 14)", "m.py: Gone (line 16)"]
+        "m.py: spare (line 4)", "m.py: total (line 8)", "m.py: inner (line 11)",
+        "m.py: only_tests (line 16)", "m.py: Gone (line 18)"]
 
 
 def test_package_has_modules_to_scan():
