@@ -6,8 +6,8 @@ is_prime: deterministic Miller-Rabin on the fewest bases that suffice below
 3.3 * 10^24, BPSW above), p-adic valuations, Legendre and Jacobi symbols (by
 reciprocity, with no modular exponentiation), the multiple root mod p of a
 polynomial of degree at most 3, and the bit sieve that the Mordell search
-and the index-form solver share: residue classes mod q as a tiled mask, the
-multiples of p as a mask, and the positions of the surviving bits.
+and the index-form solver share: a periodic pattern tiled over the box by
+doubling shift-or steps, and the positions of the surviving bits.
 Everything works on arbitrary-precision ints.
 """
 
@@ -328,41 +328,23 @@ def multiple_root(coeffs: list[int], p: int) -> tuple[int, int] | None:
 # A sieve over n consecutive integers is one int with bit i for the i-th of
 # them; each modulus clears its excluded classes with one AND.
 
-# flag bytes 0 and 1 -> the digits "0" and "1"
-_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def residue_block(allowed, offset: int) -> bytes:
-    """lcm(q, 8) / 8 bytes, q = len(allowed), whose little-endian bit j is
-    allowed[(j + offset) % q]; allowed is a list or bytes of q flags, each 0
-    or 1.  The width is a multiple of q, so bit i of the block repeated
-    keeps that meaning for every i."""
-    q = len(allowed)
-    k = offset % q
-    pattern = int(bytes(allowed[k:] + allowed[:k])[::-1].translate(_ASCII01), 2)
-    width = q
-    while width % 8:
-        pattern |= pattern << width
+def tile(pattern: int, period: int, nbits: int) -> int:
+    """The period-bit pattern repeated over nbits bits, as one int: bit i is
+    bit i mod period of pattern for every i < nbits.  Shift-or steps double
+    the width while it fits, and one last step shifts by what is left, so
+    the result ends at the first multiple of period >= nbits: fewer than
+    nbits + period bits, which the caller ANDs into a mask of nbits bits.
+    The cost grows with nbits, and with log(nbits / period) Python steps."""
+    total = period * -(-nbits // period)
+    if total <= 0:
+        return 0
+    mask, width = pattern, period
+    while 2 * width <= total:
+        mask |= mask << width
         width *= 2
-    return pattern.to_bytes(width // 8, "little")
-
-
-def tiled_mask(block: bytes, nbits: int) -> int:
-    """The block repeated to at least nbits bits, as one int: bit i is bit
-    i mod (8 len(block)) of the block.  Bits at nbits and above, up to the
-    end of the last copy, may be set, so AND it into a mask of nbits bits."""
-    return int.from_bytes(block * -(-nbits // (8 * len(block))), "little")
-
-
-def multiples_mask(p: int, start: int, nbits: int) -> int:
-    """Bit i is 1 for each i < nbits with i = start (mod p), 0 <= start < p,
-    built by doubling a single bit, so the cost grows with log(nbits / p),
-    not p.  Bits above nbits may be set, as for tiled_mask."""
-    mask, span = 1, p
-    while span < nbits - start:
-        mask |= mask << span
-        span *= 2
-    return mask << start
+    if width < total:
+        mask |= mask << (total - width)
+    return mask
 
 
 # byte b -> 1 when b != 0, and the positions of the 1 bits of b

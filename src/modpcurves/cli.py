@@ -176,7 +176,8 @@ def cmd_scan_twisted(args) -> int:
 
 def cmd_obstruct(args) -> int:
     a, b = parse_pair(args.a)
-    rep = compute_obstruction(QuadraticOrderElement(args.disc, a, b), args.ell)
+    rep = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
+                              args.ell)
     text = (f"A({args.ell}) = {rep.A_value}; norm {rep.norm} = "
             f"{factor(abs(rep.norm)) if rep.norm else 0}; "
             f"obstructed primes {sorted(rep.obstructed_primes)}"

@@ -15,11 +15,11 @@ triple root mod q of a characteristic polynomial.  Everything is exact
 integer arithmetic; the basis is returned as Fractions.  The index-equation
 solver keeps only the targets that the congruence sieve allows; for each
 target it sieves the lines y = const of the box with one integer, a bit per
-y, by the residues of the form mod small primes (arith.residue_block and
-tiled_mask, as the Mordell search sieves x), splits each surviving line into
-pieces where the form is monotone (critical points from isqrt), and bisects
-for integer roots; the reducibility test finds integer roots of the cubic
-the same way.
+y, by the residues of the form mod small primes q: a q-bit pattern read off
+the classes of y^-3 mod q and tiled over the box by arith.tile, as the
+Mordell search sieves x.  It splits each surviving line into pieces where
+the form is monotone (critical points from isqrt), and bisects for integer
+roots; the reducibility test finds integer roots of the cubic the same way.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import (Factorization, factor, is_prime, multiple_root,
-                    residue_block, set_bits, tiled_mask)
+from .arith import (Factorization, factor, is_prime, multiple_root, set_bits,
+                    tile)
 
 
 class ReduciblePolynomial(Exception):
@@ -272,19 +272,18 @@ def mordell_reduction(K: CubicField) -> MordellReduction:
 
 @dataclass(frozen=True)
 class SieveReport:
-    moduli: tuple[int, ...]
-    residues: dict  # modulus -> sorted tuple of attainable residues
+    residues: dict  # modulus 2 and 9 -> sorted tuple of attainable residues
     surviving_exponents: dict  # prime -> sorted tuple of exponents <= 11
     conclusions: tuple[str, ...]
 
 
 def _attainable_residues(form: IndexForm, m: int):
-    vals = set()
-    for x in range(m):
-        for y in range(m):
-            if gcd(gcd(x, y), m) == 1:
-                vals.add(form(x, y) % m)
-    return vals
+    """f(x, y) mod m over the pairs with gcd(x, y, m) = 1, m a prime power:
+    one of x, y is then a unit u, so f(x, y) = u^3 f(t, 1) or u^3 f(1, t),
+    and (t, 1), (1, t) are such pairs for every t."""
+    cubes = {u**3 % m for u in range(m) if gcd(u, m) == 1}
+    values = {form(t, 1) for t in range(m)} | {form(1, t) for t in range(m)}
+    return {c * v % m for c in cubes for v in values}
 
 
 _CAP = 11  # the largest exponent congruence_sieve decides
@@ -333,8 +332,7 @@ def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
         surviving[p] = {e for e in range(_CAP + 1)
                         if any(pow(p, e, L) * r % L in passing for r in others)}
     conclusions = tuple(_describe(surviving[p], p) for p in primes)
-    return SieveReport(moduli,
-                       {m: tuple(sorted(residues[m])) for m in moduli},
+    return SieveReport({m: tuple(sorted(residues[m])) for m in moduli},
                        {p: tuple(sorted(surviving[p])) for p in primes},
                        conclusions)
 
@@ -376,16 +374,31 @@ def _bisect(g, lo: int, hi: int, step: int, v: int) -> int:
 _Y_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _y_sieve_tables(A: int, B: int, C: int, D: int):
-    """For each y-sieve prime q: the image of F(t, 1) mod q, y^-3 mod q for
-    y = 1 .. q - 1, and the set A x^3 mod q over the units x."""
-    tables = []
-    for q in _Y_SIEVE_PRIMES:
-        image = {(((A * t + B) * t + C) * t + D) % q for t in range(q)}
-        inv_cubes = [pow(y, -3, q) for y in range(1, q)]
-        unit_cubes = {A * x**3 % q for x in range(1, q)}
-        tables.append((q, image, inv_cubes, unit_cubes))
-    return tables
+def _cube_classes(q: int):
+    """(q, bits, cubes) for a y-sieve prime q, independent of the form:
+    bits[w] is the int with bit y - 1 set for each unit y mod q, 0 < y < q,
+    with y^-3 = w (mod q), and cubes the sorted list of the unit cubes."""
+    bits = [0] * q
+    for y in range(1, q):
+        bits[pow(y, -3, q)] |= 1 << (y - 1)
+    return q, bits, sorted({y**3 % q for y in range(1, q)})
+
+
+_Y_SIEVE_CLASSES = [_cube_classes(q) for q in _Y_SIEVE_PRIMES]
+
+
+def _y_pattern(q: int, vq: int, image, a_cubes, bits) -> int:
+    """The q-bit pattern of the y-sieve for v = vq (mod q), given the image of
+    F(t, 1) mod q and the set A x^3 mod q over the units x: bit y - 1 for each
+    y in [1, q] that the argument of solve_index_equation keeps (y^-3 = t/v)."""
+    if vq:
+        inv = pow(vq, -1, q)
+        pattern = 0
+        for t in image:
+            pattern |= bits[t * inv % q]
+    else:
+        pattern = (1 << (q - 1)) - 1 if 0 in image else 0
+    return pattern | (vq in a_cubes) << (q - 1)
 
 
 def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
@@ -442,26 +455,27 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
 
     # keep a signed target only if every modulus can attain it: coprime
     # (x, y) have gcd(x, y, m) = 1, so f(x, y) mod m lies in residues[m]
-    allowed = {m: set(r) for m, r in report.residues.items()}
-    values = [v for t in targets for v in (t, -t)
-              if all(v % m in allowed[m] for m in report.moduli)]
+    mod2, mod9 = set(report.residues[2]), set(report.residues[9])
+    values = [v for t in targets for v in (t, -t) if v % 9 in mod9 and v % 2 in mod2]
 
     # y = 0 and x = 0 edges
     for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         record(x, y)
-    tables = _y_sieve_tables(A, B, C, D)
-    masks = {}  # (q, v mod q) -> mask of the y allowed for v
+    # per y-sieve prime q: the image of F(t, 1) mod q, A x^3 mod q over the
+    # units x, the classes of y^-3, and the masks by v mod q, built on first use
+    Ft = [((A * t + B) * t + C) * t + D for t in range(_Y_SIEVE_PRIMES[-1])]
+    tables = [(q, {f % q for f in Ft[:q]}, {A * c % q for c in cubes}, bits, [None] * q)
+              for q, bits, cubes in _Y_SIEVE_CLASSES]
     box = (1 << Bnd) - 1
     for v in values:
         live = box
-        for q, image, inv_cubes, unit_cubes in tables:
+        for q, image, a_cubes, bits, masks in tables:
             if not live:
                 break
             vq = v % q
-            mask = masks.get((q, vq))
+            mask = masks[vq]
             if mask is None:
-                ys = [vq in unit_cubes] + [vq * c % q in image for c in inv_cubes]
-                mask = masks[q, vq] = tiled_mask(residue_block(ys, 1), Bnd)
+                mask = masks[vq] = tile(_y_pattern(q, vq, image, a_cubes, bits), q, Bnd)
             live &= mask
         for j in set_bits(live):
             y = j + 1

@@ -8,16 +8,15 @@ x_num = i - H, with the bit-sieve helpers of arith that the index-form
 solver shares.  The 13 sieve moduli q are paired into 7 groups of coprime
 moduli.  For each q the flags of the x mod q with x^3 + K a square mod q
 are one bytes.translate of the table of cubes mod q through the table of
-squares rotated by K mod q, and arith.residue_block packs them into
-lcm(q, 8) / 8 bytes.  A group of product m has a block of lcm(m, 8) / 8
-bytes (at most 1,763), the AND of its members' blocks tiled to that width,
-built once per search and residue K mod m; for each d it costs one
-int.from_bytes of the tiled block (arith.tiled_mask) and one AND.  For
-each prime p | d an AND with the mask of the x_num prime to p (the
-complement of arith.multiples_mask, built once per search by doubling a
-single bit) clears x_num = 0 (mod p).  The few survivors are found with
-one to_bytes and bytes.find (arith.set_bits), and confirmed exactly:
-x_num^3 + K >= 0, an integer square by isqrt, and gcd(x_num, d) = 1.
+squares rotated by K mod q, read as a q-bit int.  A group of product m
+(at most 4,032) has an m-bit block, the AND of its members' patterns
+tiled to m bits by arith.tile, built once per search and residue K mod m;
+for each d it costs one arith.tile of the block over the box and one AND.
+For each prime p | d an AND with the mask of the x_num prime to p (the
+complement of a single bit tiled with period p, built once per search)
+clears x_num = 0 (mod p).  The few survivors are found with one to_bytes
+and bytes.find (arith.set_bits), and confirmed exactly: x_num^3 + K >= 0,
+an integer square by isqrt, and gcd(x_num, d) = 1.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
-from .arith import (is_prime, multiples_mask, residue_block, set_bits,
-                    tiled_mask)
+from .arith import is_prime, set_bits, tile
 
 
 def _square_table(q: int) -> bytes:
@@ -44,6 +42,8 @@ _SIEVE_GROUPS = ((64, 63), (65, 11), (17, 19), (23, 29), (31, 37), (41, 43), (47
 # each modulus with its table of squares and its table of cubes x^3 mod q
 _SQUARE_TABLES = {q: _square_table(q) for group in _SIEVE_GROUPS for q in group}
 _CUBE_TABLES = {q: bytes(x * x * x % q for x in range(q)) for q in _SQUARE_TABLES}
+# flag bytes 0 and 1 -> the digits "0" and "1"
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,21 @@ def _cubic_residue_flags(q: int, Kq: int) -> bytes:
     return _CUBE_TABLES[q].translate(rotated.ljust(256, b"\0"))
 
 
-def _group_block(group, K: int, bound: int, cache: dict) -> bytes:
-    """lcm(m, 8) / 8 bytes, m the product of the coprime moduli of group,
-    whose bit j is 1 when x = j - bound has x^3 + K a square mod each of
-    them: the AND of their residue blocks tiled to that width."""
-    width = lcm(prod(group), 8)
+def _group_block(group, m: int, K: int, bound: int, cache: dict) -> int:
+    """The m-bit block, m the product of the coprime moduli of group, whose
+    bit j is 1 when x = j - bound has x^3 + K a square mod each of them: the
+    AND of their flag patterns, each rotated by bound and tiled to m bits."""
     live = -1
     for q in group:
         key = q, K % q
-        tile = cache.get(key)
-        if tile is None:
+        tiled = cache.get(key)
+        if tiled is None:
             flags = _cubic_residue_flags(*key)
-            tile = cache[key] = tiled_mask(residue_block(flags, -bound), width)
-        live &= tile
-    return live.to_bytes(width // 8, "little")
+            k = -bound % q
+            pattern = int((flags[k:] + flags[:k])[::-1].translate(_ASCII01), 2)
+            tiled = cache[key] = tile(pattern, q, m)
+        live &= tiled
+    return live
 
 
 def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
@@ -107,26 +108,27 @@ def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
     modulus and x is prime to every prime of S that divides d.
 
     cache holds the group blocks, keyed (group, K mod m) with m the product
-    of the group's moduli, the residue blocks of each modulus q tiled to its
-    group's width, as ints keyed (q, K mod q), the masks of the x prime to
-    p, keyed p, and the mask of the whole box, keyed "full"; it is valid for
-    one bound."""
+    of the group's moduli, the flag pattern of each modulus q tiled to its
+    group's width, keyed (q, K mod q), the masks of the x prime to p, keyed
+    p, and the mask of the whole box, keyed "full"; it is valid for one
+    bound."""
     nbits = 2 * bound + 1
     full = cache.get("full")
     if full is None:
         full = cache["full"] = (1 << nbits) - 1
     live = full
     for group in _SIEVE_GROUPS:
-        key = group, K % prod(group)
+        m = prod(group)
+        key = group, K % m
         block = cache.get(key)
         if block is None:
-            block = cache[key] = _group_block(group, K, bound, cache)
-        live &= tiled_mask(block, nbits)
+            block = cache[key] = _group_block(group, m, K, bound, cache)
+        live &= tile(block, m, nbits)
     for p in S:
         if p > 1 and d % p == 0:  # 1 in S divides every d but forbids no x
             prime_to_p = cache.get(p)
             if prime_to_p is None:
-                prime_to_p = cache[p] = full & ~multiples_mask(p, bound % p, nbits)
+                prime_to_p = cache[p] = full & ~(tile(1, p, nbits) << bound % p)
             live &= prime_to_p
     return live
 

@@ -22,19 +22,20 @@ from math import isqrt
 from .arith import factor, is_prime, legendre_symbol
 
 
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factor(n).factors)
-
-
 @dataclass(frozen=True)
 class QuadraticOrderElement:
     d: int  # squarefree, > 1
     a: int
     b: int  # element a + b*omega
 
-    def __post_init__(self):
-        if self.d < 2 or not _is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not a squarefree integer > 1")
+    @classmethod
+    def checked(cls, d: int, a: int, b: int) -> "QuadraticOrderElement":
+        """a + b*omega for a d from outside; raises ValueError unless d is a
+        squarefree integer > 1.  Sums and products build their results with
+        the constructor, which does not check d."""
+        if d < 2 or any(e > 1 for _, e in factor(d).factors):
+            raise ValueError(f"d = {d} is not a squarefree integer > 1")
+        return cls(d, a, b)
 
     @property
     def half_basis(self) -> bool:

@@ -192,7 +192,7 @@ def _check_obstruct(rec: Record):
     d = int(rec.require("d"))
     a, b = parse_pair(rec.require("a"))
     ell = int(rec.require("ell"))
-    report = compute_obstruction(QuadraticOrderElement(d, a, b), ell)
+    report = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
     subset = {int(t) for t in rec.require("subset").split(",")}
     yield _eq_check(rec, f"obstructed primes at level {rec.require('level')} within {sorted(subset)}",
                     True, report.obstructed_primes <= subset and not report.degenerate)

@@ -1,6 +1,5 @@
 import random
 import time
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +9,8 @@ from modpcurves import arith
 from modpcurves.arith import (_MR_BASES, Factorization, IncompleteFactorization,
                               _strong_lucas_probable_prime,
                               _strong_probable_prime, factor, is_prime,
-                              legendre_symbol, multiples_mask, primes_below,
-                              residue_block, set_bits, tiled_mask, valuation)
+                              legendre_symbol, primes_below, set_bits, tile,
+                              valuation)
 
 
 def test_factor_round_trip_exhaustive_to_one_million():
@@ -225,35 +224,29 @@ def test_factorization_str():
     assert str(factor(1)) == "1"
 
 
-def test_tiled_residue_block_repeats_the_pattern(rng):
-    widths = list(range(1, 66)) + [rng.randint(66, 400) for _ in range(15)]
-    for q in widths:
-        allowed = [rng.randint(0, 1) for _ in range(q)]
-        offset = rng.randint(-10**6, 10**6)
-        block = residue_block(allowed, offset)
-        width = 8 * len(block)
-        assert width == lcm(q, 8)
-        pattern = int.from_bytes(block, "little")
-        assert [pattern >> j & 1 for j in range(width)] \
-            == [allowed[(j + offset) % q] for j in range(width)]
-        # below one width, and in every class mod 8 across several copies
-        counts = {rng.randint(0, width - 1), width, width + 1}
-        counts |= {8 * rng.randint(0, 3 * len(block)) + r for r in range(8)}
-        for nbits in counts:
-            mask = tiled_mask(block, nbits)
-            assert all(mask >> i & 1 == pattern >> (i % width) & 1
-                       for i in range(nbits)), (q, offset, nbits)
-            assert mask >> (width * -(-nbits // width)) == 0
-
-
-def test_multiples_mask_marks_one_class(rng):
-    cases = [(2, 0, 1), (2, 1, 1), (3, 2, 3), (10**9 + 7, 5, 100), (7, 6, 6)]
-    cases += [(p, rng.randrange(p), rng.randint(0, 600))
-              for p in (rng.choice((2, 3, 5, 7, 11, 101, 1009)) for _ in range(200))]
-    for p, start, nbits in cases:
-        mask = multiples_mask(p, start, nbits)
-        assert [mask >> i & 1 for i in range(nbits)] \
-            == [int(i % p == start) for i in range(nbits)], (p, start, nbits)
+def test_tile_repeats_the_pattern_and_stops_within_one_period(rng):
+    periods = list(range(1, 66)) + [rng.randint(66, 400) for _ in range(15)]
+    cases = []
+    for period in periods:
+        # nbits from 0 to a few periods, in every class mod the period
+        counts = {0, 1, period - 1, period, period + 1, 2 * period + 1}
+        counts |= {rng.randint(0, 3) * period + r for r in range(period)}
+        for pattern in (rng.getrandbits(period) | 1 << (period - 1),
+                        1, 1 << rng.randrange(period)):
+            cases += [(pattern, period, nbits) for nbits in counts]
+    p = 10**9 + 7
+    cases += [(pattern, p, nbits) for pattern in (1, 1 << 40 | 5)
+              for nbits in (0, 1, 41, 100, 10**6)]
+    for pattern, period, nbits in cases:
+        mask = tile(pattern, period, nbits)
+        # the first min(period, nbits) binary digits of the pattern, lowest
+        # first, repeated to nbits digits
+        width = min(period, nbits)
+        digits = format(pattern, "b")[::-1].ljust(width, "0")[:width]
+        want = (digits * -(-nbits // period))[:nbits]
+        assert mask & ((1 << nbits) - 1) == int(want[::-1] or "0", 2), \
+            (pattern, period, nbits)
+        assert mask >> (nbits + period - 1) == 0, (pattern, period, nbits)
 
 
 def test_set_bits_matches_the_naive_list(rng):

@@ -18,7 +18,9 @@ from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
                               _Y_SIEVE_PRIMES, _bisect, _det3,
-                              _monotone_pieces, _mul_mod)
+                              _Y_SIEVE_CLASSES, _monotone_pieces, _mul_mod,
+                              _y_pattern)
+from modpcurves.arith import tile
 
 
 def test_parse_cubic_formats():
@@ -231,6 +233,15 @@ def test_sieve_matches_enumeration():
         report = congruence_sieve(form, {2, 2063})
         assert report.surviving_exponents \
             == sieve_by_enumeration(form, {2, 2063}), poly
+    # the residues mod 2 and 9 against every coprime pair, on the fixture
+    # fields and the seeded forms of the differential boxes, A = 0 mod 2 or
+    # mod 3 among them
+    polys = [poly for poly, _ in FIXTURE_CUBICS] + [box[0] for box in DIFFERENTIAL_BOXES]
+    for poly in polys:
+        form = index_form(analyze_cubic(poly))
+        assert congruence_sieve(form, ()).residues \
+            == {m: tuple(sorted({form(x, y) % m for x in range(m) for y in range(m)
+                                 if gcd(gcd(x, y), m) == 1})) for m in (2, 9)}, poly
 
 
 def test_sieve_six_primes_is_fast():
@@ -339,7 +350,7 @@ def per_y_solver(K: CubicField, primes, bound: int):
 
     allowed = {m: set(r) for m, r in report.residues.items()}
     values = sorted(v for t in set(targets) for v in (t, -t)
-                    if all(v % m in allowed[m] for m in report.moduli))
+                    if all(v % m in allowed[m] for m in report.residues))
     for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         record(x, y)
     for y in range(1, bound + 1):
@@ -475,6 +486,39 @@ def test_solve_matches_brute_force(rng):
         sols, _ = solve_index_equation(K, primes, bound)
         assert sols == brute_force_box(K, primes, bound), (poly, primes, bound)
         done += 1
+
+
+def test_y_sieve_masks_match_the_definition(rng):
+    # seeded forms, with the leading coefficient A scaled by sieve primes
+    # so that A = 0 mod q for some q; every q, every v mod q, and bounds
+    # below, at and above q, where the tiling stops mid-pattern
+    forms = [(1, 0, 0, -2), (7, 3, -1, 2), (2 * 3 * 5 * 29, 1, 1, 1), (31, 0, 4, 9)]
+    forms += [(rng.choice((1, 2, 3, 29, 31, 6)) * rng.randint(1, 9),
+               *(rng.randint(-20, 20) for _ in range(3))) for _ in range(8)]
+    assert any(A % q == 0 for A, *_ in forms for q in (2, 3, 29, 31))
+    assert [q for q, _, _ in _Y_SIEVE_CLASSES] == list(_Y_SIEVE_PRIMES)
+    for A, B, C, D in forms:
+        for q, bits, _ in _Y_SIEVE_CLASSES:
+            F = {(A * t**3 + B * t * t + C * t + D) % q for t in range(q)}
+            units_A = {A * x**3 % q for x in range(1, q)}
+            for bound in {0, 1, q - 1, q, q + 1, 2 * q + 3, rng.randint(1, 70)}:
+                for v in range(q):
+                    mask = tile(_y_pattern(q, v, F, units_A, bits), q, bound)
+                    want = [(v * pow(y, -3, q) % q in F) if y % q else (v in units_A)
+                            for y in range(1, bound + 1)]
+                    assert [bool(mask >> (y - 1) & 1) for y in range(1, bound + 1)] \
+                        == want, ((A, B, C, D), q, v, bound)
+                    assert mask >> (bound + q - 1) == 0
+
+
+@pytest.mark.parametrize("q", (2, 3, 29, 31))
+def test_solve_matches_brute_force_at_bounds_near_a_sieve_prime(q):
+    # x^3 - 2 (A = 1) and the form (10, 16, 8, 1), A = 0 mod 2 and mod 5
+    for poly in ((0, 0, -2), (-2, -4, -20)):
+        K = analyze_cubic(poly)
+        for bound in (q - 1, q, q + 1, 2 * q):
+            sols, _ = solve_index_equation(K, {2, 3, 5}, bound)
+            assert sols == brute_force_box(K, {2, 3, 5}, bound), (poly, bound)
 
 
 def test_solve_x3_minus_2_regression():

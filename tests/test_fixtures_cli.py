@@ -88,7 +88,9 @@ def test_cli_exit_codes(capsys):
     (["compare", "[0,-1,1,-10,-20]", "[0,0,1,-1,0]", "1"], "p = 1 is not prime"),
     (["obstruct", "--disc", "4", "--a", "(1,1)", "--ell", "2"],
      "d = 4 is not a squarefree integer > 1"),
-    (["obstruct", "--disc", "5", "--a", "(1,1)", "--ell", "9"], "ell = 9 is not prime")])
+    (["obstruct", "--disc", "5", "--a", "(1,1)", "--ell", "9"], "ell = 9 is not prime"),
+    (["obstruct", "--disc", "12", "--a", "(1,1)", "--ell", "2"],
+     "d = 12 is not a squarefree integer > 1")])
 def test_cli_rejects_a_non_prime_or_non_squarefree_argument(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -140,21 +140,26 @@ def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
     # search_mordell(891216, {2, 3, 2063}, 10^5, 4) of verify: 125
     # denominators; one full-width mask per modulus would be 13 * 125 = 1625
     bound = 10**5
-    widths = []
-    original = mordell.tiled_mask
+    calls = []
+    original = mordell.tile
 
-    def counted(block, nbits):
-        widths.append(nbits)
-        return original(block, nbits)
+    def counted(pattern, period, nbits):
+        calls.append((period, nbits))
+        return original(pattern, period, nbits)
 
-    monkeypatch.setattr(mordell, "tiled_mask", counted)
+    monkeypatch.setattr(mordell, "tile", counted)
     assert search_mordell(891216, {2, 3, 2063}, bound, 4) == []
     denominators = len(_denominators({2, 3, 2063}, 4))
-    full = widths.count(2 * bound + 1)
-    assert denominators == 125 and full == len(_SIEVE_GROUPS) * denominators
-    # the rest are the group builds, each at most 1,763 bytes wide
-    assert all(nbits <= 8 * 1763 for nbits in widths if nbits != 2 * bound + 1)
-    assert len(widths) - full <= len(_SIEVE_GROUPS) * denominators
+    products = {prod(group) for group in _SIEVE_GROUPS}
+    full = [period for period, nbits in calls if nbits == 2 * bound + 1]
+    blocks = sum(period in products for period in full)
+    assert denominators == 125 and blocks == len(_SIEVE_GROUPS) * denominators
+    # the other full-width masks are the x prime to p, one per prime of S
+    assert sorted(p for p in full if p not in products) == [2, 3, 2063]
+    # the rest are the group builds, each as wide as its group's product
+    rest = [(period, nbits) for period, nbits in calls if nbits != 2 * bound + 1]
+    assert all(nbits in products and nbits % period == 0 for period, nbits in rest)
+    assert len(rest) <= len(_SIEVE_GROUPS) * denominators
 
 
 @pytest.mark.parametrize("K, bound, d, S", [
@@ -168,7 +173,11 @@ def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
     # a prime of d wider than the box clears x = 0 alone
     ((10**9 + 7)**6, 60, 10**9 + 7, {2, 10**9 + 7}),
     # x = bound = 64 has x^3 + K = 520^2; the doubled mask must still clear it
-    (129 * 2**6, 64, 2, {2})])
+    (129 * 2**6, 64, 2, {2}),
+    # 2 * bound + 1 just below and above the widest group product, 4032, and
+    # at, below and above the narrowest, 47, where tiling stops mid-block
+    (-26, 2015, 1, set()), (17 * 2**6, 2016, 2, {2}),
+    (-7, 22, 1, set()), (1, 23, 1, set()), (5 * 3**6, 24, 3, {3})])
 def test_sieve_keeps_exactly_the_locally_possible_x(K, bound, d, S):
     squares = {q: {y * y % q for y in range(q)} for q in _SQUARE_TABLES}
     want = [int(all((x**3 + K) % q in squares[q] for q in squares)

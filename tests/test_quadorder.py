@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpcurves.arith import legendre_symbol, primes_below
+from modpcurves import quadorder
+from modpcurves.arith import factor, legendre_symbol, primes_below
 from modpcurves.quadorder import (GOOD_POSSIBLE, IMPOSSIBLE, MULT_POSSIBLE,
                                   QuadraticOrderElement, compute_obstruction,
                                   curve_eligibility, hasse_interval,
@@ -49,6 +51,31 @@ def test_obstruction_level23():
     assert rep.A_value == QuadraticOrderElement(5, -20, 5)
     assert rep.norm == 275
     assert rep.obstructed_primes == frozenset({5, 11})
+
+
+def test_obstruction_factors_d_at_most_once(monkeypatch):
+    # every sum and product used to factor d again: 387 calls of factor(5)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(quadorder, "factor", counted)
+    rep = compute_obstruction(QuadraticOrderElement.checked(5, -1, 1), 1009)
+    assert calls.count(5) <= 1
+    assert not rep.degenerate and rep.obstructed_primes
+    assert rep.obstructed_primes == frozenset(factor(abs(rep.norm)).support)
+
+
+@pytest.mark.parametrize("d", (-5, 0, 1, 4, 12, 18))
+def test_checked_rejects_a_d_that_is_not_squarefree_above_one(d):
+    with pytest.raises(ValueError, match=f"d = {d} is not a squarefree integer > 1"):
+        QuadraticOrderElement.checked(d, 1, 1)
+
+
+def test_checked_keeps_the_element():
+    assert QuadraticOrderElement.checked(10, 3, -2) == QuadraticOrderElement(10, 3, -2)
 
 
 def test_obstruction_rational_degenerate():
