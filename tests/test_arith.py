@@ -224,29 +224,44 @@ def test_factorization_str():
     assert str(factor(1)) == "1"
 
 
-def test_tile_repeats_the_pattern_and_stops_within_one_period(rng):
+def _check_tile(pattern, period, nbits):
+    mask = tile(pattern, period, nbits)
+    # the first min(period, nbits) binary digits of the pattern, lowest
+    # first, repeated to nbits digits
+    width = min(period, nbits)
+    digits = format(pattern, "b")[::-1].ljust(width, "0")[:width]
+    want = (digits * -(-nbits // period))[:nbits]
+    assert mask & ((1 << nbits) - 1) == int(want[::-1] or "0", 2), \
+        (pattern, period, nbits)
+    # it stops within one period past nbits
+    assert mask >> (nbits + period - 1) == 0, (pattern, period, nbits)
+
+
+def test_tiled_residue_block_repeats_the_pattern(rng):
     periods = list(range(1, 66)) + [rng.randint(66, 400) for _ in range(15)]
-    cases = []
     for period in periods:
         # nbits from 0 to a few periods, in every class mod the period
         counts = {0, 1, period - 1, period, period + 1, 2 * period + 1}
         counts |= {rng.randint(0, 3) * period + r for r in range(period)}
-        for pattern in (rng.getrandbits(period) | 1 << (period - 1),
-                        1, 1 << rng.randrange(period)):
-            cases += [(pattern, period, nbits) for nbits in counts]
-    p = 10**9 + 7
-    cases += [(pattern, p, nbits) for pattern in (1, 1 << 40 | 5)
-              for nbits in (0, 1, 41, 100, 10**6)]
-    for pattern, period, nbits in cases:
-        mask = tile(pattern, period, nbits)
-        # the first min(period, nbits) binary digits of the pattern, lowest
-        # first, repeated to nbits digits
-        width = min(period, nbits)
-        digits = format(pattern, "b")[::-1].ljust(width, "0")[:width]
-        want = (digits * -(-nbits // period))[:nbits]
-        assert mask & ((1 << nbits) - 1) == int(want[::-1] or "0", 2), \
-            (pattern, period, nbits)
-        assert mask >> (nbits + period - 1) == 0, (pattern, period, nbits)
+        pattern = rng.getrandbits(period) | 1 << (period - 1)
+        for nbits in counts:
+            _check_tile(pattern, period, nbits)
+    for nbits in (0, 1, 41, 100, 10**6):
+        _check_tile(1 << 40 | 5, 10**9 + 7, nbits)
+
+
+def test_multiples_mask_marks_one_class(rng):
+    cases = [(2, 0, 1), (2, 1, 1), (3, 2, 3), (10**9 + 7, 5, 100), (7, 6, 6),
+             (10**9 + 7, 0, 10**6)]
+    cases += [(p, rng.randrange(p), rng.randint(0, 600))
+              for p in (rng.choice((2, 3, 5, 7, 11, 101, 1009)) for _ in range(200))]
+    cases += [(p, rng.randrange(p), rng.randint(0, 3 * p))
+              for p in list(range(1, 66)) + [rng.randint(66, 400) for _ in range(15)]]
+    for p, start, nbits in cases:
+        mask = tile(1 << start, p, nbits)
+        assert [mask >> i & 1 for i in range(nbits)] \
+            == [int(i % p == start) for i in range(nbits)], (p, start, nbits)
+        assert mask >> (nbits + p - 1) == 0, (p, start, nbits)
 
 
 def test_set_bits_matches_the_naive_list(rng):
