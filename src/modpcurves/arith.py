@@ -121,7 +121,7 @@ def primes_below(limit: int) -> list[int]:
     """Ascending list of primes < limit."""
     if limit <= 1001:
         return [p for p in _PRIMES_1K if p < limit]
-    return [p for p in _small_primes(limit - 1)]
+    return _small_primes(limit - 1)
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,11 @@ def cmd_obstruct(args) -> int:
     a, b = parse_pair(args.a)
     rep = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
                               args.ell)
-    text = (f"A({args.ell}) = {rep.A_value}; norm {rep.norm} = "
-            f"{factor(abs(rep.norm)) if rep.norm else 0}; "
+    norm = "0" if rep.degenerate else str(rep.norm)
+    text = (f"N(A({args.ell})) = {norm}; "
             f"obstructed primes {sorted(rep.obstructed_primes)}"
             + ("; degenerate (rational eigenvalue)" if rep.degenerate else ""))
-    _emit(args, {"norm": rep.norm,
+    _emit(args, {"norm": norm,
                  "obstructed_primes": sorted(rep.obstructed_primes),
                  "degenerate": rep.degenerate}, text)
     return 0

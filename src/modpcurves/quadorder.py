@@ -1,4 +1,4 @@
-"""Exact arithmetic in real quadratic orders and the level-raising obstruction.
+"""Real quadratic orders and the level-raising obstruction.
 
 The order is Z[omega] with omega = (1 + sqrt(d))/2 when d = 1 mod 4 and
 omega = sqrt(d) otherwise (d squarefree, d > 1).  Elements are integer pairs
@@ -10,8 +10,16 @@ For an eigenvalue a_ell living in such an order, the obstruction
 
 vanishes mod p exactly when a_ell mod p could match an elliptic curve's
 trace at ell (good reduction forces a Hasse-interval lift, multiplicative
-reduction forces +-(1+ell)).  When a_ell is irrational, A(ell) != 0 and only
-the primes dividing its norm can support such a match.
+reduction forces +-(1+ell)).  Only the primes dividing N(A(ell)) can support
+such a match.  The norm is multiplicative and N(a_ell - X) = m(X) with
+m(X) = X^2 - Tr(a_ell)*X + N(a_ell), so
+
+    N(A(ell)) = m(1+ell) * m(-1-ell) * prod_{i^2 < 4*ell} m(i),
+
+a product of O(sqrt(ell)) small integers that are factored one by one;
+A(ell) itself is never multiplied out.  Z[omega] is a domain, so A(ell) = 0
+exactly when some m(i) = 0, which needs a rational a_ell equal to one of
+those i; the report is then degenerate and names no prime.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import factor, is_prime, legendre_symbol
+from .arith import Factorization, factor, is_prime, legendre_symbol
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,7 @@ class QuadraticOrderElement:
     @classmethod
     def checked(cls, d: int, a: int, b: int) -> "QuadraticOrderElement":
         """a + b*omega for a d from outside; raises ValueError unless d is a
-        squarefree integer > 1.  Sums and products build their results with
-        the constructor, which does not check d."""
+        squarefree integer > 1."""
         if d < 2 or any(e > 1 for _, e in factor(d).factors):
             raise ValueError(f"d = {d} is not a squarefree integer > 1")
         return cls(d, a, b)
@@ -41,59 +48,16 @@ class QuadraticOrderElement:
     def half_basis(self) -> bool:
         return self.d % 4 == 1
 
-    def _same(self, other) -> None:
-        assert isinstance(other, QuadraticOrderElement) and other.d == self.d
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QuadraticOrderElement(self.d, other, 0)
-        self._same(other)
-        return QuadraticOrderElement(self.d, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QuadraticOrderElement(self.d, other, 0)
-        self._same(other)
-        return QuadraticOrderElement(self.d, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return QuadraticOrderElement(self.d, -self.a, -self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadraticOrderElement(self.d, self.a * other, self.b * other)
-        self._same(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if self.half_basis:
-            # omega^2 = omega + (d - 1)/4
-            m = (self.d - 1) // 4
-            return QuadraticOrderElement(self.d,
-                                         a1 * a2 + b1 * b2 * m,
-                                         a1 * b2 + b1 * a2 + b1 * b2)
-        # omega^2 = d
-        return QuadraticOrderElement(self.d,
-                                     a1 * a2 + b1 * b2 * self.d,
-                                     a1 * b2 + b1 * a2)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        if self.half_basis:
-            # omega-bar = 1 - omega
-            return QuadraticOrderElement(self.d, self.a + self.b, -self.b)
-        return QuadraticOrderElement(self.d, self.a, -self.b)
+    def trace(self) -> int:
+        # omega + omega-bar is 1 when d = 1 mod 4, else 0
+        return 2 * self.a + self.b if self.half_basis else 2 * self.a
 
     def norm(self) -> int:
-        n = self * self.conjugate()
-        assert n.b == 0
-        return n.a
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __str__(self):
-        unit = "(1+sqrt(%d))/2" % self.d if self.half_basis else "sqrt(%d)" % self.d
-        return f"{self.a} + {self.b}*{unit}"
+        # omega * omega-bar is -(d - 1)/4 when d = 1 mod 4, else -d
+        a, b = self.a, self.b
+        if self.half_basis:
+            return a * a + a * b - (self.d - 1) // 4 * b * b
+        return a * a - self.d * b * b
 
 
 def order_discriminant(d: int) -> int:
@@ -104,8 +68,7 @@ def order_discriminant(d: int) -> int:
 class ObstructionReport:
     ell: int
     a_ell: QuadraticOrderElement
-    A_value: QuadraticOrderElement
-    norm: int
+    norm: Factorization | None  # N(A(ell)); None when A(ell) = 0
     obstructed_primes: frozenset
     degenerate: bool
 
@@ -117,21 +80,26 @@ def hasse_interval(ell: int) -> range:
 
 
 def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionReport:
-    """A(ell) and the prime support of its norm.
+    """The factored norm of A(ell) and its prime support.
 
-    A(ell) = (a^2 - (1+ell)^2) * prod over the Hasse interval of (a - i); a
-    mod-p match with an elliptic curve trace at ell requires p to divide
-    N(A(ell)).  If a_ell is rational the product can vanish, and then the
-    report is degenerate and names no prime."""
+    A mod-p match with an elliptic curve trace at ell requires p to divide
+    N(A(ell)), the product of m(i) = N(a_ell - i) over i = +-(1+ell) and the
+    Hasse interval.  If some m(i) is 0 then A(ell) = 0: the report is
+    degenerate, names no prime and factors nothing."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
-    A = a_ell * a_ell - (1 + ell) ** 2
-    for i in hasse_interval(ell):
-        A = A * (a_ell - i)
-    degenerate = A.is_zero()
-    norm = A.norm()
-    primes = frozenset() if degenerate else frozenset(factor(abs(norm)).support)
-    return ObstructionReport(ell, a_ell, A, norm, primes, degenerate)
+    t, n = a_ell.trace(), a_ell.norm()
+    values = [i * i - t * i + n for i in (1 + ell, -1 - ell, *hasse_interval(ell))]
+    if 0 in values:
+        return ObstructionReport(ell, a_ell, None, frozenset(), True)
+    sign, exponents = 1, {}
+    for m in values:
+        f = factor(m)
+        sign *= f.sign
+        for p, e in f.factors:
+            exponents[p] = exponents.get(p, 0) + e
+    norm = Factorization(sign, tuple(sorted(exponents.items())))
+    return ObstructionReport(ell, a_ell, norm, frozenset(norm.support), False)
 
 
 GOOD_POSSIBLE = "good-reduction-possible"
@@ -153,14 +121,14 @@ def curve_eligibility(a_ell_mod_p: int, ell: int, p: int) -> str:
     return IMPOSSIBLE
 
 
-def reciprocity_cover(p: int, candidates: tuple[int, ...]) -> int:
-    """Some d among the candidates with (d | p) = +1.
+def reciprocity_cover(p: int, candidates: tuple[int, ...]) -> int | None:
+    """The first d among the candidates with (d | p) = +1, or None.
 
-    Exists for the candidates (2, 5, 10) because the quadratic residue
-    symbol is multiplicative: (2|p)(5|p) = (10|p), so the three cannot all
-    be -1."""
-    assert is_prime(p) and p > 11 and p % 2 and p % 5
+    For the candidates (2, 5, 10) there is one at every odd prime p != 5,
+    because the quadratic residue symbol is multiplicative: (2|p)(5|p) =
+    (10|p), so the three cannot all be -1."""
+    assert is_prime(p) and p % 2
     for d in candidates:
         if legendre_symbol(d, p) == 1:
             return d
-    raise AssertionError(f"no quadratic residue among {candidates} mod {p}")
+    return None

@@ -30,9 +30,6 @@ FAIL = "fail"
 EXTERNAL = "external-claim"
 SKIPPED = "skipped"
 
-_SMALL_PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 @dataclass(frozen=True)
 class Check:
     check_id: str
@@ -121,11 +118,8 @@ def _check_tracerow(rec: Record):
     bound = int(rec.require("bound"))
     want = parse_int_list(rec.require("row"))
     tv = trace_vector(E, p, bound)
-    got = []
-    for ell in _SMALL_PRIMES_TO_37:
-        if ell > bound:
-            break
-        got.append(None if ell == p else tv.trace_at(ell)[0])
+    got = [None if ell == p else tv.trace_at(ell)[0]
+           for ell in primes_below(min(bound, 37) + 1)]
     yield _eq_check(rec, f"trace row of {rec.require('model')} mod {p}", want, got)
 
 
@@ -133,7 +127,7 @@ def _check_modrow(rec: Record):
     C = MinimalCurve(parse_curve(rec.require("model")))
     p = int(rec.require("p"))
     want = parse_int_list(rec.require("row"))
-    ells = _SMALL_PRIMES_TO_37[: len(want)]
+    ells = primes_below(38)[: len(want)]
     got = [None if ell == p else ap(C, ell) % p for ell in ells]
     yield _eq_check(rec, f"a_ell mod {p} row of {rec.require('model')}", want, got)
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
@@ -207,14 +201,9 @@ def _check_order(rec: Record):
 def _check_reciprocity(rec: Record):
     pmin, pmax = int(rec.require("pmin")), int(rec.require("pmax"))
     candidates = tuple(int(t) for t in rec.require("candidates").split(","))
-    missing = []
-    for p in primes_below(pmax + 1):
-        if p < pmin or p in (2, 5):
-            continue
-        try:
-            reciprocity_cover(p, candidates)
-        except AssertionError:
-            missing.append(p)
+    missing = [p for p in primes_below(pmax + 1)
+               if p >= pmin and p not in (2, 5)
+               and reciprocity_cover(p, candidates) is None]
     yield _eq_check(rec, f"quadratic-residue cover {candidates} for primes in "
                     f"[{pmin}, {pmax}]", [], missing)
 

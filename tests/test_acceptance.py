@@ -235,7 +235,7 @@ def test_criterion_8_level_raising():
     rep = compute_obstruction(QuadraticOrderElement(5, -1, 1), 2)
     support_ok = rep.obstructed_primes <= {5, 11} and not rep.degenerate
     cover_ok = all(reciprocity_cover(p, (2, 5, 10)) in (2, 5, 10)
-                   for p in primes_below(10**4) if p > 11 and p % 5)
+                   for p in primes_below(10**4) if p % 2 and p % 5)
     _report(8, support_ok and cover_ok,
             "N(A(2)) supported on {5, 11}; residue cover holds below 10^4")
 

@@ -9,6 +9,7 @@ from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
                                  parse_pair)
 from modpcurves.fixtures import default_fixture_dir, load_fixture_file
+from modpcurves.quadorder import QuadraticOrderElement, compute_obstruction
 from modpcurves.verify import (EXTERNAL, FAIL, PASS, verify_file,
                                verify_records)
 
@@ -60,6 +61,14 @@ def test_verify_all_counts_and_known_failures(full_report):
     assert {c.check_id for c in report.failed} \
         == {"gl2f2_fields.txt:25", "gl2f2_fields.txt:34", "p5_level67.txt:5"}
     assert counts[EXTERNAL] == 8
+
+
+def test_verify_reciprocity_cover_from_three():
+    # 10, 2 and 5 are residues mod 3, 7 and 11; they were once reported missing
+    recs = parse_fixture_text("reciprocity; pmin=3; pmax=100; candidates=2,5,10\n",
+                              "<string>")
+    report = verify_records(recs)
+    assert report.counts[PASS] == 1 and not report.failed
 
 
 def test_verify_render_deterministic():
@@ -117,7 +126,28 @@ def test_cli_json_output(capsys):
     assert main(["obstruct", "--disc", "5", "--a", "(-1,1)",
                  "--ell", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["norm"] == 275 and payload["obstructed_primes"] == [5, 11]
+    assert payload["norm"] == "5^2 * 11" and payload["obstructed_primes"] == [5, 11]
+
+
+def test_cli_obstruct_prints_the_factored_norm(capsys):
+    assert main(["obstruct", "--disc", "5", "--a", "(-1,1)", "--ell", "2"]) == 0
+    assert capsys.readouterr().out == "N(A(2)) = 5^2 * 11; obstructed primes [5, 11]\n"
+    assert main(["obstruct", "--disc", "5", "--a", "(1,0)", "--ell", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "norm": "0", "obstructed_primes": [], "degenerate": True}
+
+
+@pytest.mark.parametrize("json_flag", ([], ["--json"]))
+def test_cli_obstruct_at_a_large_ell(capsys, json_flag):
+    # the whole product had 6,009 digits here and overflowed int-to-str
+    assert main(["obstruct", "--disc", "5", "--a", "(-1,1)",
+                 "--ell", "100003", *json_flag]) == 0
+    rep = compute_obstruction(QuadraticOrderElement(5, -1, 1), 100003)
+    primes = sorted(rep.obstructed_primes)
+    expected = (json.dumps({"degenerate": False, "norm": str(rep.norm),
+                            "obstructed_primes": primes}, sort_keys=True)
+                if json_flag else f"N(A(100003)) = {rep.norm}; obstructed primes {primes}")
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_cli_verify_single_fixture(capsys, tmp_path):
