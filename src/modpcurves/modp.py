@@ -9,10 +9,11 @@ ramified multiplicative prime and every additive prime is skipped.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .arith import Factorization, is_prime, primes_below
-from .frobenius import ap
+from .frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, traces
 from .tate import ADDITIVE, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
 
@@ -59,17 +60,26 @@ class SerreData:
 
 
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
+    """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
+    ell are counted in one pass over the curve; PrimeTooLarge is raised
+    before any count if some ell to count is above DEFAULT_COUNT_BOUND."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     C = minimal_curve(E)
+    bad = dict(C.disc.factors)
+    ells = [ell for ell in primes_below(bound + 1) if ell != p]
+    # additive, or multiplicative and ramified mod p
+    skip = {ell for ell, v in bad.items() if ell != p and ell <= bound
+            and (C.local(ell).reduction == ADDITIVE or v % p)}
+    for ell in ells[bisect_right(ells, DEFAULT_COUNT_BOUND):]:
+        if ell not in skip:
+            raise PrimeTooLarge(ell)
+    a_ell = traces(C.model, [ell for ell in ells if ell not in bad])
     entries = []
-    for ell in primes_below(bound + 1):
-        if ell == p:
-            continue
-        v = C.disc.exponent(ell)
-        if not v:
-            entries.append((ell, ap(C, ell) % p, GOOD_Q))
-        elif C.local(ell).reduction == ADDITIVE or v % p:
+    for ell in ells:
+        if ell not in bad:
+            entries.append((ell, next(a_ell) % p, GOOD_Q))
+        elif ell in skip:
             entries.append((ell, 0, RAMIFIED_SKIP))
         else:
             # unramified multiplicative: eigenvalues a_ell and ell * a_ell
@@ -103,12 +113,17 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
 
 def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
-    a_ell != 1 + ell mod p rules out the reducible case."""
+    a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
+    the first such ell, so PrimeTooLarge is raised only when no good ell
+    below DEFAULT_COUNT_BOUND is one."""
     C = minimal_curve(E)
-    for ell in primes_below(bound + 1):
-        if ell == p or C.disc.exponent(ell):
-            continue
-        if (ap(C, ell) - 1 - ell) % p != 0:
+    bad = dict(C.disc.factors)
+    good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]
+    a_ell = traces(C.model, good)
+    for ell in good:
+        if ell > DEFAULT_COUNT_BOUND:
+            raise PrimeTooLarge(ell)
+        if (next(a_ell) - 1 - ell) % p != 0:
             return IRREDUCIBLE
     return UNDETERMINED
 

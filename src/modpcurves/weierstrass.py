@@ -1,4 +1,4 @@
-"""Long Weierstrass models over Q: invariants, minimal models, twists.
+"""Long Weierstrass models over Q: invariants and minimal models.
 
 A curve is the integer quintuple [a1,a2,a3,a4,a6] of
 y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6.
@@ -17,10 +17,6 @@ from .arith import Factorization, factor, valuation
 
 
 class SingularModel(Exception):
-    pass
-
-
-class NotSquarefree(Exception):
     pass
 
 
@@ -173,14 +169,3 @@ def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int
     assert transform(E, u, r, s, t) == Emin
     return Emin, (u, r, s, t), Factorization(factored.sign, tuple(min_factors))
 
-
-def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
-    """Minimal model of the twist of E by the squarefree integer d."""
-    if d == 0:
-        raise NotSquarefree("d = 0")
-    for p, e in factor(d).factors:
-        if e >= 2:
-            raise NotSquarefree(f"{d} is divisible by {p}^2")
-    inv = invariants(E)
-    twisted = WeierstrassModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
-    return minimal_model(twisted)[0]

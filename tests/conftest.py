@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from modpcurves.arith import factor
 from modpcurves.verify import verify_all
-from modpcurves.weierstrass import parse_curve
+from modpcurves.weierstrass import WeierstrassModel, invariants, minimal_model, parse_curve
 
 # curves of known conductor (classical small-conductor models)
 SMALL_CONDUCTOR = [
@@ -79,3 +80,20 @@ def rng():
 
 def curves():
     return [parse_curve(t) for t in ALL_CURVES]
+
+
+class NotSquarefree(Exception):
+    pass
+
+
+def quadratic_twist(E, d):
+    """Oracle: the minimal model of the twist of E by the squarefree integer
+    d, minimized from (0, 0, 0, -27 d^2 c4, -54 d^3 c6)."""
+    if d == 0:
+        raise NotSquarefree("d = 0")
+    for p, e in factor(d).factors:
+        if e >= 2:
+            raise NotSquarefree(f"{d} is divisible by {p}^2")
+    inv = invariants(E)
+    twisted = WeierstrassModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
+    return minimal_model(twisted)[0]

@@ -12,7 +12,7 @@ three records as FAIL.
 
 import pytest
 
-from conftest import FIXTURE_CUBICS
+from conftest import FIXTURE_CUBICS, quadratic_twist
 from modpcurves.arith import factor, legendre_symbol, primes_below
 from modpcurves.cubic import (analyze_cubic, congruence_sieve, index_form,
                               mordell_reduction, s3_serre_conductor)
@@ -25,7 +25,7 @@ from modpcurves.tate import conductor, tate_local
 from modpcurves.verify import EXTERNAL
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, invariants, minimal_model,
-                                    parse_curve, quadratic_twist)
+                                    parse_curve)
 
 from test_cubic import element_index
 from test_frobenius import brute_force_count

@@ -1,13 +1,15 @@
 import pytest
 
-from conftest import ALL_CURVES
+from conftest import ALL_CURVES, quadratic_twist
 from modpcurves.arith import legendre_symbol, primes_below
 from modpcurves import frobenius
 from modpcurves.frobenius import TABLE_BELOW, PrimeTooLarge, ap, count_points
+from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE, RAMIFIED_SKIP,
+                             UNDETERMINED, is_reducible_semistable, trace_vector)
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             tate_local)
-from modpcurves.weierstrass import (WeierstrassModel, discriminant, minimal_model,
-                                    parse_curve, quadratic_twist)
+                             MinimalCurve, tate_local)
+from modpcurves.weierstrass import (WeierstrassModel, discriminant, invariants,
+                                    minimal_model, parse_curve)
 
 
 def brute_force_count(E, ell):
@@ -120,11 +122,21 @@ def test_cache_holds_only_primes_below_cap():
         count_points(E, ell)
     primes = set(primes_below(TABLE_BELOW))
     assert set(frobenius._TABLES) == primes - {2, 3}
-    # roots (ell bytes), sqrt, n_1 and n_z (2 ell bytes each): 7 ell bytes
-    for ell, (roots, sqrt, zi, n1, nz) in frobenius._TABLES.items():
-        assert len(roots) == len(sqrt) == len(n1) == len(nz) == ell
-        assert len(roots) + sqrt.nbytes + n1.nbytes + nz.nbytes <= 7 * ell
-        assert 0 < zi < ell and roots[zi] == 0
+    # roots (ell bytes), w, n_1 and n_z (2 ell bytes each): 7 ell bytes
+    for ell, (roots, w, n1, nz) in frobenius._TABLES.items():
+        assert len(roots) == len(w) == len(n1) == len(nz) == ell
+        assert len(roots) + w.nbytes + n1.nbytes + nz.nbytes <= 7 * ell
+        # a = r d^2 with r = 1 for a square, else z, the least nonresidue;
+        # |w[a]| = d^-3 for some such d, and w[a] > 0 exactly when d is a square
+        root = {d * d % ell: d for d in range(1, ell)}
+        z = next(v for v in range(2, ell) if v not in root)
+        for a in range(1, ell):
+            assert roots[a] == (2 if a in root else 0), (ell, a)
+            r = 1 if roots[a] else z
+            d = root[a * pow(r, -1, ell) % ell]
+            ds = [e for e in (d, ell - d) if pow(e, -3, ell) == abs(w[a])]
+            assert len(ds) == 1, (ell, a)
+            assert (w[a] > 0) == (ds[0] in root), (ell, a)
     assert 7 * sum(primes) <= 2**20
 
 
@@ -206,3 +218,57 @@ def test_twist_equivariance(rng):
 def test_prime_too_large():
     with pytest.raises(PrimeTooLarge):
         ap(parse_curve("[0,0,1,-1,0]"), 10**7 + 19)
+
+
+def test_one_pass_matches_ap_one_ell_at_a_time(rng):
+    # the per-curve pass behind trace_vector and is_reducible_semistable
+    # against ap at one ell at a time, and ap against the Legendre count, on
+    # seeded models (additive ones among them), a model with c4 = 0 (j = 0 at
+    # every ell), X0(11) (c4 = 2^4 * 31: j = 0 at 31), and a non-minimal short
+    # model of X0(11), each as given and as its MinimalCurve, for every
+    # ell <= 1100 (2 and 3 included, both sides of TABLE_BELOW)
+    bound = 1100
+    ells = primes_below(bound + 1)
+    assert ells[:2] == [2, 3] and ells[-1] > TABLE_BELOW
+    curves = [parse_curve("[0,0,1,0,-7]"), parse_curve("[0,-1,1,-10,-20]"),
+              WeierstrassModel(0, 0, 0, -27 * 496, -54 * 20008)]
+    while len(curves) < 40:
+        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
+        if discriminant(E) != 0:
+            curves.append(E)
+    additive = j_zero = 0
+    for E in curves:
+        Emin, _, disc = minimal_model(E)
+        C = MinimalCurve(E)
+        a = {}
+        for ell in ells:
+            a[ell] = ap(C, ell)
+            count = brute_force_count(Emin, ell) if ell == 2 else count_by_legendre(Emin, ell)
+            assert a[ell] == ell + 1 - count, (E, ell)
+            assert ap(E, ell) == a[ell], (E, ell)
+        for ell in disc.support:
+            additive += ell <= bound and C.local(ell).reduction == ADDITIVE
+        iv = invariants(Emin)
+        j_zero += any(iv.c4 % ell == 0 and not disc.exponent(ell)
+                      for ell in ells if 5 <= ell < TABLE_BELOW)
+        for p in (3, 5):
+            want = []
+            for ell in ells:
+                if ell == p:
+                    continue
+                v = disc.exponent(ell)
+                if not v:
+                    want.append((ell, a[ell] % p, GOOD_Q))
+                elif C.local(ell).reduction == ADDITIVE or v % p:
+                    want.append((ell, 0, RAMIFIED_SKIP))
+                else:
+                    want.append((ell, a[ell] * (1 + ell) % p, BAD_CONVENTION))
+            for F in (E, C):
+                assert trace_vector(F, p, bound).entries == tuple(want), (E, p)
+            for b in (7, 30, bound):
+                witness = any((a[ell] - 1 - ell) % p for ell, _, q in want
+                              if q == GOOD_Q and ell <= b)
+                for F in (E, C):
+                    assert is_reducible_semistable(F, p, b) == (
+                        IRREDUCIBLE if witness else UNDETERMINED), (E, p, b)
+    assert additive >= 10 and j_zero >= 2

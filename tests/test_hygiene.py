@@ -5,9 +5,9 @@ inside a function body, and never take a private name from another module
 of the package.  Against the program sources (`src/`, `scripts/` and
 `perfbench/`, not the tests), every parameter default of a function in the
 package is overridden by some call and left unset by another, every
-function and class of the package is read by name or exported by `__all__`,
-and every method is read as an attribute.  `__init__.py` is not scanned
-itself, since its imports are re-exports."""
+function and class of the package is read by name (a listing in `__all__`
+does not count), and every method is read as an attribute.  `__init__.py`
+is not scanned itself, since its imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -147,14 +147,14 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
 
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Functions, classes and methods defined, at any depth, in the sources
-    of modules (keyed by file name) whose name no source in readers reads
-    and no __all__ in readers lists.  A module-level or nested function or
-    class is read by a variable or an attribute access of its name or by
-    __all__; a method (anything defined directly in a class body) only by an
-    attribute access `.name`, so a local variable of the same name does not
-    keep it alive.  Dunder names are skipped, since Python calls them.  Names
-    match alone, as in unset_defaults, so a name collision counts as a
-    read."""
+    of modules (keyed by file name) whose name no source in readers reads.
+    A module-level or nested function or class is read by a variable or an
+    attribute access of its name; a method (anything defined directly in a
+    class body) only by an attribute access `.name`, so a local variable of
+    the same name does not keep it alive.  A name listed in `__all__` is not
+    read by that listing: an export that no program source uses is dead.
+    Dunder names are skipped, since Python calls them.  Names match alone,
+    as in unset_defaults, so a name collision counts as a read."""
     variables, attributes = set(), set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
@@ -162,9 +162,6 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
                 variables.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) == "__all__" for t in node.targets):
-                variables.update(ast.literal_eval(node.value))
     unread = []
     for module, source in modules.items():
         tree = ast.parse(source)
@@ -245,10 +242,22 @@ def test_scan_finds_planted_unread_definitions():
               "def only_tests():\n    return 4\n"
               "class Gone:\n    pass\n"
               "def g(items):\n    total = sum(items)\n    return total\n")
-    readers = [source, "__all__ = ['exported', 'g']\n"]
+    readers = [source, "from m import exported, g\nprint(exported(), g([1]))\n"]
     assert unread_definitions({"m.py": source}, readers) == [
         "m.py: spare (line 4)", "m.py: total (line 8)", "m.py: inner (line 11)",
         "m.py: only_tests (line 16)", "m.py: Gone (line 18)"]
+
+
+def test_scan_does_not_count_all_as_a_read():
+    # both functions are exported; only `used` is also called by a program
+    # source, so `exported_only` is as dead as `unlisted`
+    source = ("def used():\n    return 1\n"
+              "def exported_only():\n    return 2\n"
+              "def unlisted():\n    return 3\n")
+    init = "from .m import exported_only, used\n__all__ = ['exported_only', 'used']\n"
+    readers = [source, init, "import pkg\nprint(pkg.used())\n"]
+    assert unread_definitions({"m.py": source}, readers) == [
+        "m.py: exported_only (line 3)", "m.py: unlisted (line 5)"]
 
 
 def test_package_has_modules_to_scan():

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
-from modpcurves import tate
+from modpcurves import modp, tate
 from modpcurves.arith import factor
-from modpcurves.frobenius import ap
+from modpcurves.frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              RAMIFIED_SKIP, UNDETERMINED,
                              CharacteristicMismatch, NotSemistableOutsideP,
@@ -142,3 +144,34 @@ def test_record_and_bare_model_agree(rng):
                     == _outcome(serre_conductor_semistable, C, p)), (E, p)
             assert (is_reducible_semistable(E, p, 60)
                     == is_reducible_semistable(C, p, 60)), (E, p)
+
+
+def test_trace_vector_past_the_counting_bound_fails_fast():
+    # 1000003 is the first prime above DEFAULT_COUNT_BOUND, and good here
+    E = parse_curve("[0,-1,1,-10,-20]")
+    start = time.perf_counter()
+    with pytest.raises(PrimeTooLarge, match="ell = 1000003 exceeds counting bound 1000000"):
+        trace_vector(E, 5, DEFAULT_COUNT_BOUND + 3)
+    assert time.perf_counter() - start < 1
+    # a witness below the bound still answers without raising
+    assert is_reducible_semistable(E, 3, DEFAULT_COUNT_BOUND + 3) == IRREDUCIBLE
+
+
+def test_counting_bound_checked_before_counting_and_lazily(monkeypatch):
+    # with the bound lowered to 50: 53 is the first prime above it and good
+    # for X0(11), which is reducible mod 5 (a rational 5-torsion point), so
+    # no ell is a witness mod 5, while mod 3 one comes before 50
+    E = parse_curve("[0,-1,1,-10,-20]")
+    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 50)
+    with monkeypatch.context() as m:
+        m.setattr(modp, "traces", lambda *args: pytest.fail("counted"))
+        with pytest.raises(PrimeTooLarge, match="ell = 53 "):
+            trace_vector(E, 5, 60)
+    assert is_reducible_semistable(E, 3, 60) == IRREDUCIBLE
+    with pytest.raises(PrimeTooLarge, match="ell = 53 "):
+        is_reducible_semistable(E, 5, 60)
+    # an ell above the bound that is skipped (353: multiplicative, ramified
+    # mod 3) is not counted, so it raises nothing
+    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 350)
+    tv = trace_vector(parse_curve("[1,1,0,-22,-812]"), 3, 353)
+    assert tv.trace_at(353) == (0, RAMIFIED_SKIP)

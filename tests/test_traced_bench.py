@@ -47,6 +47,8 @@ def test_tracer_install_records_and_uninstall_restores():
             fn = getattr(importlib.import_module(f"modpcurves.{module_name}"), fn_name)
             assert hasattr(fn, "__wrapped__"), (module_name, fn_name)
         modpcurves.modp.trace_vector(parse_curve("[1,1,0,-22,-812]"), 3, 20)
+        # trace_vector counts every good ell in one pass, without count_points
+        modpcurves.frobenius.count_points(parse_curve("[1,1,0,-22,-812]"), 19)
         modpcurves.tate.conductor(parse_curve("[0,0,0,29,-123]"))
     finally:
         tracer.uninstall()

@@ -2,13 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import curves
+from conftest import NotSquarefree, curves, quadratic_twist
 from modpcurves.arith import factor, valuation
 from modpcurves.tate import GOOD, tate_local
-from modpcurves.weierstrass import (NotSquarefree, SingularModel,
-                                    WeierstrassModel, discriminant,
-                                    invariants, minimal_model,
-                                    parse_curve, quadratic_twist, transform)
+from modpcurves.weierstrass import (SingularModel, WeierstrassModel, discriminant,
+                                    invariants, minimal_model, parse_curve, transform)
 
 coeff = st.integers(min_value=-50, max_value=50)
 models = st.builds(WeierstrassModel, coeff, coeff, coeff, coeff, coeff)
