@@ -23,7 +23,7 @@ from .modp import (CharacteristicMismatch, NotSemistableOutsideP, compare_reps,
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
 from .tate import MinimalCurve, conductor
-from .verify import verify_all, verify_file
+from .verify import verify_all
 from .weierstrass import SingularModel, invariants, parse_curve
 
 
@@ -189,21 +189,16 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.fixture:
-        report = verify_file(args.fixture)
-    else:
-        report = verify_all(args.fixtures)
+    report = verify_all(args.path)
     _emit(args, {"checks": list(report.checks), "counts": report.counts},
           report.render())
     return 1 if report.failed else 0
 
 
-def _common_options(json_default, fixtures_default) -> argparse.ArgumentParser:
+def _common_options(json_default) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=json_default,
                         help="machine-readable output")
-    common.add_argument("--fixtures", metavar="DIR", default=fixtures_default,
-                        help="fixture directory (default: packaged fixtures)")
     return common
 
 
@@ -214,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modpcurves",
         description="Elliptic curves, their mod-p fingerprints, and the "
                     "cubic-field / Mordell / level-raising toolkit around them.",
-        parents=[_common_options(False, None)])
+        parents=[_common_options(False)])
     sub = parser.add_subparsers(dest="command", required=True)
-    # a subcommand's copies of the options set nothing unless given, so that
-    # a value given before the subcommand survives
-    common = _common_options(argparse.SUPPRESS, argparse.SUPPRESS)
+    # a subcommand's copy of --json sets nothing unless given, so that a
+    # --json given before the subcommand survives
+    common = _common_options(argparse.SUPPRESS)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -284,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_obstruct)
 
     p = add_parser("verify", help="run fixture verification")
-    p.add_argument("fixture", nargs="?", default=None,
-                   help="single fixture file (default: all packaged fixtures)")
+    p.add_argument("path", nargs="?", default=None,
+                   help="fixture file or directory (default: the packaged fixtures)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -116,6 +116,8 @@ def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: i
     a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
     the first such ell, so PrimeTooLarge is raised only when no good ell
     below DEFAULT_COUNT_BOUND is one."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]

@@ -122,12 +122,12 @@ def curve_eligibility(a_ell_mod_p: int, ell: int, p: int) -> str:
 
 
 def reciprocity_cover(p: int, candidates: tuple[int, ...]) -> int | None:
-    """The first d among the candidates with (d | p) = +1, or None.
+    """The first d among the candidates with (d | p) = +1, or None; p is an
+    odd prime, which is not checked.
 
     For the candidates (2, 5, 10) there is one at every odd prime p != 5,
     because the quadratic residue symbol is multiplicative: (2|p)(5|p) =
     (10|p), so the three cannot all be -1."""
-    assert is_prime(p) and p % 2
     for d in candidates:
         if legendre_symbol(d, p) == 1:
             return d

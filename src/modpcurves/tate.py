@@ -82,115 +82,106 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
 
     Returns reduction type, Kodaira symbol and conductor exponent for a model
     minimal at p (the input is minimized locally first if necessary).
-    A singular model raises SingularModel, from discriminant in _tate_once.
+    A singular model raises SingularModel, from discriminant.
     """
     while True:
-        result = _tate_once(E, p)
-        if isinstance(result, LocalData):
-            return result
-        # non-minimal at p: result is E moved into p^i | a_i shape; rescale it
-        # by u = p and rerun
-        E = transform(result, p, 0, 0, 0)
+        n = valuation(discriminant(E), p)
+        if n == 0:
+            return LocalData(p, GOOD, 0, "I0", 0)
 
+        # move the singular point to the origin
+        x0, y0 = _singular_point(E, p)
+        E = transform(E, 1, x0, 0, y0)
+        a1, a2, a3, a4, a6 = E.coeffs
+        b2 = a1 * a1 + 4 * a2
 
-def _tate_once(E: WeierstrassModel, p: int) -> LocalData | WeierstrassModel:
-    """Local data of E at p, or, when E is not minimal at p, the model that E
-    was translated into, with p^i dividing a_i for i = 1, 2, 3, 4, 6."""
-    n = valuation(discriminant(E), p)
-    if n == 0:
-        return LocalData(p, GOOD, 0, "I0", 0)
+        if b2 % p != 0:
+            # multiplicative: the tangent directions T^2 + a1 T - a2 are rational
+            # iff their discriminant b2 is a square mod p
+            if p == 2:
+                split = any((t * t + a1 * t - a2) % 2 == 0 for t in (0, 1))
+            else:
+                split = legendre_symbol(b2, p) == 1
+            red = SPLIT_MULT if split else NONSPLIT_MULT
+            return LocalData(p, red, 1, f"I{n}", n)
 
-    # move the singular point to the origin
-    x0, y0 = _singular_point(E, p)
-    E = transform(E, 1, x0, 0, y0)
-    a1, a2, a3, a4, a6 = E.coeffs
-    b2 = a1 * a1 + 4 * a2
+        if _val(a6, p) < 2:
+            return LocalData(p, ADDITIVE, n, "II", n)
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        if _val(b8, p) < 3:
+            return LocalData(p, ADDITIVE, n - 1, "III", n)
+        b6 = a3 * a3 + 4 * a6
+        if _val(b6, p) < 3:
+            return LocalData(p, ADDITIVE, n - 2, "IV", n)
 
-    if b2 % p != 0:
-        # multiplicative: the tangent directions T^2 + a1 T - a2 are rational
-        # iff their discriminant b2 is a square mod p
+        # normalize: p | a1, a2;  p^2 | a3, a4;  p^3 | a6
         if p == 2:
-            split = any((t * t + a1 * t - a2) % 2 == 0 for t in (0, 1))
+            s = a2 % 2
         else:
-            split = legendre_symbol(b2, p) == 1
-        red = SPLIT_MULT if split else NONSPLIT_MULT
-        return LocalData(p, red, 1, f"I{n}", n)
+            s = (-a1 * pow(2, -1, p)) % p
+        E = transform(E, 1, 0, s, 0)
+        a1, a2, a3, a4, a6 = E.coeffs
+        if p == 2:
+            t = 2 * ((a6 // 4) % 2)
+        else:
+            t = p * ((-(a3 // p) * pow(2, -1, p)) % p)
+        E = transform(E, 1, 0, 0, t)
+        a1, a2, a3, a4, a6 = E.coeffs
+        assert a1 % p == 0 and a2 % p == 0
+        assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0, (E, p)
 
-    if _val(a6, p) < 2:
-        return LocalData(p, ADDITIVE, n, "II", n)
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    if _val(b8, p) < 3:
-        return LocalData(p, ADDITIVE, n - 1, "III", n)
-    b6 = a3 * a3 + 4 * a6
-    if _val(b6, p) < 3:
-        return LocalData(p, ADDITIVE, n - 2, "IV", n)
+        # cubic P(T) = T^3 + a2/p T^2 + a4/p^2 T + a6/p^3 over F_p
+        b = a2 // p
+        c = a4 // p**2
+        d = a6 // p**3
+        root = multiple_root([d, c, b, 1], p)
+        if root is None:
+            return LocalData(p, ADDITIVE, n - 4, "I0*", n)
+        alpha, mult = root
 
-    # normalize: p | a1, a2;  p^2 | a3, a4;  p^3 | a6
-    if p == 2:
-        s = a2 % 2
-    else:
-        s = (-a1 * pow(2, -1, p)) % p
-    E = transform(E, 1, 0, s, 0)
-    a1, a2, a3, a4, a6 = E.coeffs
-    if p == 2:
-        t = 2 * ((a6 // 4) % 2)
-    else:
-        t = p * ((-(a3 // p) * pow(2, -1, p)) % p)
-    E = transform(E, 1, 0, 0, t)
-    a1, a2, a3, a4, a6 = E.coeffs
-    assert a1 % p == 0 and a2 % p == 0
-    assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0, (E, p)
+        if mult == 2:
+            # type I_m*: move the double root to T = 0 and loop
+            E = transform(E, 1, p * alpha, 0, 0)
+            a1, a2, a3, a4, a6 = E.coeffs
+            m = 1
+            k = 2
+            while True:
+                # Y-quadratic Y^2 + (a3/p^k) Y - a6/p^(2k)
+                rho = _quadratic_double_root(1, a3 // p**k, -(a6 // p ** (2 * k)), p)
+                if rho is None:
+                    return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
+                E = transform(E, 1, 0, 0, rho * p**k)
+                a1, a2, a3, a4, a6 = E.coeffs
+                m += 1
+                # X-quadratic (a2/p) X^2 + (a4/p^(k+1)) X + a6/p^(2k+1)
+                xi = _quadratic_double_root(a2 // p, a4 // p ** (k + 1),
+                                            a6 // p ** (2 * k + 1), p)
+                if xi is None:
+                    return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
+                E = transform(E, 1, xi * p**k, 0, 0)
+                a1, a2, a3, a4, a6 = E.coeffs
+                m += 1
+                k += 1
+                assert m <= n, "I_n* loop failed to terminate"
 
-    # cubic P(T) = T^3 + a2/p T^2 + a4/p^2 T + a6/p^3 over F_p
-    b = a2 // p
-    c = a4 // p**2
-    d = a6 // p**3
-    root = multiple_root([d, c, b, 1], p)
-    if root is None:
-        return LocalData(p, ADDITIVE, n - 4, "I0*", n)
-    alpha, mult = root
-
-    if mult == 2:
-        # type I_m*: move the double root to T = 0 and loop
+        # triple root: translate it to T = 0
         E = transform(E, 1, p * alpha, 0, 0)
         a1, a2, a3, a4, a6 = E.coeffs
-        m = 1
-        k = 2
-        while True:
-            # Y-quadratic Y^2 + (a3/p^k) Y - a6/p^(2k)
-            rho = _quadratic_double_root(1, a3 // p**k, -(a6 // p ** (2 * k)), p)
-            if rho is None:
-                return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
-            E = transform(E, 1, 0, 0, rho * p**k)
-            a1, a2, a3, a4, a6 = E.coeffs
-            m += 1
-            # X-quadratic (a2/p) X^2 + (a4/p^(k+1)) X + a6/p^(2k+1)
-            xi = _quadratic_double_root(a2 // p, a4 // p ** (k + 1),
-                                        a6 // p ** (2 * k + 1), p)
-            if xi is None:
-                return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
-            E = transform(E, 1, xi * p**k, 0, 0)
-            a1, a2, a3, a4, a6 = E.coeffs
-            m += 1
-            k += 1
-            assert m <= n, "I_n* loop failed to terminate"
 
-    # triple root: translate it to T = 0
-    E = transform(E, 1, p * alpha, 0, 0)
-    a1, a2, a3, a4, a6 = E.coeffs
+        # Y^2 + (a3/p^2) Y - a6/p^4
+        rho = _quadratic_double_root(1, a3 // p**2, -(a6 // p**4), p)
+        if rho is None:
+            return LocalData(p, ADDITIVE, n - 6, "IV*", n)
+        E = transform(E, 1, 0, 0, rho * p**2)
+        a1, a2, a3, a4, a6 = E.coeffs
 
-    # Y^2 + (a3/p^2) Y - a6/p^4
-    rho = _quadratic_double_root(1, a3 // p**2, -(a6 // p**4), p)
-    if rho is None:
-        return LocalData(p, ADDITIVE, n - 6, "IV*", n)
-    E = transform(E, 1, 0, 0, rho * p**2)
-    a1, a2, a3, a4, a6 = E.coeffs
-
-    if _val(a4, p) < 4:
-        return LocalData(p, ADDITIVE, n - 7, "III*", n)
-    if _val(a6, p) < 6:
-        return LocalData(p, ADDITIVE, n - 8, "II*", n)
-    return E
+        if _val(a4, p) < 4:
+            return LocalData(p, ADDITIVE, n - 7, "III*", n)
+        if _val(a6, p) < 6:
+            return LocalData(p, ADDITIVE, n - 8, "II*", n)
+        # not minimal at p: E is now translated so that p^i | a_i for
+        # i = 1, 2, 3, 4, 6; rescale it by u = p and rerun
+        E = transform(E, p, 0, 0, 0)
 
 
 class MinimalCurve:

@@ -252,13 +252,13 @@ def verify_records(records) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def verify_file(path) -> VerificationReport:
-    return verify_records(load_fixture_file(path))
-
-
-def verify_all(fixture_dir=None) -> VerificationReport:
-    base = Path(fixture_dir) if fixture_dir else default_fixture_dir()
-    records = []
-    for path in sorted(base.glob("*.txt")):
-        records.extend(load_fixture_file(path))
-    return verify_records(records)
+def verify_all(path=None) -> VerificationReport:
+    """Verify the fixture file at path, or every *.txt file of the directory
+    at path in sorted order; with no path, the packaged fixtures.  A
+    directory with no *.txt file raises FileNotFoundError naming it, as a
+    missing path does when it is read as a file."""
+    path = default_fixture_dir() if path is None else Path(path)
+    files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
+    if not files:
+        raise FileNotFoundError(f"no *.txt fixture files in {path}")
+    return verify_records([rec for f in files for rec in load_fixture_file(f)])

@@ -10,8 +10,8 @@ from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_pair)
 from modpcurves.fixtures import default_fixture_dir, load_fixture_file
 from modpcurves.quadorder import QuadraticOrderElement, compute_obstruction
-from modpcurves.verify import (EXTERNAL, FAIL, PASS, verify_file,
-                               verify_records)
+from modpcurves.verify import (EXTERNAL, FAIL, PASS, VerificationReport,
+                               verify_all, verify_records)
 
 
 def test_parse_fixture_text():
@@ -73,8 +73,8 @@ def test_verify_reciprocity_cover_from_three():
 
 def test_verify_render_deterministic():
     path = default_fixture_dir() / "quadratic_forms.txt"
-    a = verify_file(path).render()
-    b = verify_file(path).render()
+    a = verify_all(path).render()
+    b = verify_all(path).render()
     assert a == b
     assert a.splitlines()[-1].startswith("summary:")
 
@@ -162,14 +162,44 @@ def test_cli_verify_single_fixture(capsys, tmp_path):
 
 
 def test_cli_options_before_the_subcommand(capsys, tmp_path):
-    # --json and --fixtures given before the subcommand are not reset by it
+    # --json given before the subcommand is not reset by it
     assert main(["--json", "curve-info", "[0,0,1,-1,0]"]) == 0
     assert json.loads(capsys.readouterr().out)["conductor"] == "37"
     (tmp_path / "only.txt").write_text("order; d=10; order_disc=40\n")
-    assert main(["--fixtures", str(tmp_path), "verify"]) == 0
+    assert main(["verify", str(tmp_path)]) == 0
     assert "1 pass, 0 fail" in capsys.readouterr().out
-    assert main(["--fixtures", str(tmp_path), "--json", "verify"]) == 0
+    assert main(["--json", "verify", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 1
+
+
+def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
+    # the packaged fixtures give one report by default, as a directory and
+    # merged from their files one by one
+    base = default_fixture_dir()
+    assert verify_all(base) == full_report
+    merged = sorted((c for path in sorted(base.glob("*.txt"))
+                     for c in verify_all(path).checks),
+                    key=lambda c: (c.check_id, c.description))
+    assert VerificationReport(tuple(merged)) == full_report
+
+
+def test_cli_verify_a_path_with_no_fixtures(capsys, tmp_path):
+    # a missing path, or a directory with no *.txt file, is an error naming
+    # it, never an empty pass
+    (tmp_path / "empty").mkdir()
+    for path in (tmp_path / "nonexistent", tmp_path / "empty"):
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [["--fixtures", "x", "verify"],
+                                  ["verify", "--fixtures", "x"],
+                                  ["ap", "[0,-1,1,-10,-20]", "7", "--fixtures", "x"]])
+def test_cli_has_no_fixtures_option(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: modpcurves ")
 
 
 def test_cli_reused_parser_matches_fresh_calls(capsys):
@@ -219,7 +249,7 @@ def test_compare_minimalises_each_curve_once(capsys, minimal_model_runs):
 def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
     path = default_fixture_dir() / "p3_level353.txt"
     computed = [r for r in load_fixture_file(path) if r.kind != "external"]
-    assert verify_file(path).counts[PASS] > 0
+    assert verify_all(path).counts[PASS] > 0
     assert len(minimal_model_runs) == len(computed) == 15
 
 

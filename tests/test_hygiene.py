@@ -7,12 +7,18 @@ of the package.  Against the program sources (`src/`, `scripts/` and
 package is overridden by some call and left unset by another, every
 function and class of the package is read by name (a listing in `__all__`
 does not count), and every method is read as an attribute.  `__init__.py`
-is not scanned itself, since its imports are re-exports."""
+is not scanned itself, since its imports are re-exports.  Every option of
+a CLI subcommand is read by the subcommand's handler."""
 
+import argparse
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from modpcurves import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modpcurves"
@@ -177,6 +183,31 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
     return unread
 
 
+def attribute_reads(func) -> set[str]:
+    """The attributes that func reads off its first parameter."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    first = tree.body[0].args.args[0].arg
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == first}
+
+
+def unread_options(parser: argparse.ArgumentParser, shared: set[str]) -> list[str]:
+    """The options of each subcommand of parser, as `subcommand: dest`, that
+    its handler (the `func` default of its subparser) never reads off its
+    first parameter; help and the dests in shared, which a helper that
+    every handler calls reads, are skipped.  Such an option is accepted and
+    then ignored."""
+    unread = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                read = attribute_reads(sub.get_default("func")) | shared | {"help"}
+                unread.extend(f"{name}: {option.dest}" for option in sub._actions
+                              if option.dest not in read)
+    return unread
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -260,6 +291,24 @@ def test_scan_does_not_count_all_as_a_read():
         "m.py: exported_only (line 3)", "m.py: unlisted (line 5)"]
 
 
+def test_scan_finds_planted_unread_options():
+    def reads_both(args):
+        return args.curve, args.bound
+
+    def reads_one(opts):
+        return opts.curve
+
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for name, func in (("both", reads_both), ("one", reads_one)):
+        p = sub.add_parser(name)
+        p.add_argument("curve")
+        p.add_argument("--bound", type=int)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+    assert unread_options(parser, {"json"}) == ["one: bound"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -292,3 +341,8 @@ def test_every_option_is_set_somewhere():
 def test_every_definition_is_read_somewhere():
     modules = {path.name: path.read_text() for path in MODULES}
     assert unread_definitions(modules, [p.read_text() for p in PROGRAM]) == []
+
+
+def test_every_subcommand_reads_its_options():
+    # _emit reads --json for every handler
+    assert unread_options(cli.build_parser(), attribute_reads(cli._emit)) == []

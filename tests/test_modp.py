@@ -93,6 +93,12 @@ def test_irreducibility():
         == UNDETERMINED
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_irreducibility_rejects_a_p_that_is_not_prime(p):
+    with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+        is_reducible_semistable(parse_curve("[1,1,0,-22,-812]"), p, 100)
+
+
 def test_sturm_bound():
     assert sturm_bound(factor(11)) == 2
     assert sturm_bound(factor(1)) == 1
