@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 
-class IncompleteFactorization(Exception):
+class Error(Exception):
+    """The base of every exception the package raises on its own account."""
+
+
+class IncompleteFactorization(Error):
     """A composite cofactor resisted splitting within the effort bound."""
 
     def __init__(self, cofactor: int):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computed-check failure (verify / compare mismatch),
-2 usage or parse errors.
+2 usage or parse errors, and every error of the package (a subclass of
+arith.Error) or of the file system.
 """
 
 from __future__ import annotations
@@ -12,19 +13,19 @@ import json
 import sys
 from dataclasses import asdict, is_dataclass
 
-from .arith import Factorization, IncompleteFactorization, factor
-from .cubic import (DiscriminantNotMinusPrime, ReduciblePolynomial,
-                    analyze_cubic, index_form, mordell_reduction, parse_cubic,
-                    s3_serre_conductor, solve_index_equation)
-from .fixtures import FixtureError, parse_pair
-from .frobenius import PrimeTooLarge, ap
-from .modp import (CharacteristicMismatch, NotSemistableOutsideP, compare_reps,
-                   serre_conductor_semistable, sturm_bound, trace_vector)
+from .arith import Error, Factorization, factor
+from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
+                    mordell_reduction, parse_cubic, s3_serre_conductor,
+                    solve_index_equation)
+from .fixtures import parse_pair
+from .frobenius import ap
+from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
+                   trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
 from .tate import MinimalCurve, conductor
 from .verify import verify_all
-from .weierstrass import SingularModel, invariants, parse_curve
+from .weierstrass import invariants, parse_curve
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -160,15 +161,15 @@ def cmd_mordell(args) -> int:
 
 def cmd_scan_twisted(args) -> int:
     S = {int(t) for t in args.S.split(",")} if args.S else set()
-    report = scan_twisted_mordell(args.N, args.a_bound, args.b_bound, S,
-                                  args.height, args.exponent_bound)
-    hits = report.hits
-    lines = [f"scanned {len(report.cases)} curves Y^2 = X^3 +- 3^a*{args.N}^b"]
+    cases = scan_twisted_mordell(args.N, args.a_bound, args.b_bound, S,
+                                 args.height, args.exponent_bound)
+    hits = [(k, pts) for k, pts in cases if pts]
+    lines = [f"scanned {len(cases)} curves Y^2 = X^3 +- 3^a*{args.N}^b"]
     for k, pts in hits:
         lines.append(f"k = {k}: " + ", ".join(f"({P.x}, {P.y})" for P in pts))
     if not hits:
         lines.append("no points found")
-    _emit(args, {"cases": len(report.cases),
+    _emit(args, {"cases": len(cases),
                  "hits": [[k, [[P.x_num, P.y_num, P.denom] for P in pts]]
                           for k, pts in hits]}, "\n".join(lines))
     return 0
@@ -296,9 +297,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IncompleteFactorization, ReduciblePolynomial, DiscriminantNotMinusPrime,
-            FixtureError, PrimeTooLarge, NotSemistableOutsideP,
-            CharacteristicMismatch, SingularModel, OSError) as exc:
+    except (Error, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

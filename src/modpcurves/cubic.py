@@ -29,15 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import (Factorization, factor, is_prime, multiple_root, set_bits,
-                    tile)
+from .arith import (Error, Factorization, factor, is_prime, multiple_root,
+                    set_bits, tile)
 
 
-class ReduciblePolynomial(Exception):
+class ReduciblePolynomial(Error):
     pass
 
 
-class DiscriminantNotMinusPrime(Exception):
+class DiscriminantNotMinusPrime(Error):
     pass
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .arith import Factorization, factor
+from .arith import Error, Factorization, factor
 
 
-class FixtureError(Exception):
+class FixtureError(Error):
     def __init__(self, path, lineno, message):
         self.path, self.lineno = path, lineno
         super().__init__(f"{path}:{lineno}: {message}")

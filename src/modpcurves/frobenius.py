@@ -24,12 +24,12 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator, Sequence
 
-from .arith import is_prime
+from .arith import Error, is_prime
 from .tate import ADDITIVE, SPLIT_MULT, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
 
 
-class PrimeTooLarge(Exception):
+class PrimeTooLarge(Error):
     def __init__(self, ell: int):
         super().__init__(f"ell = {ell} exceeds counting bound {DEFAULT_COUNT_BOUND}")
 

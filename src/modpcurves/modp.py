@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .arith import Factorization, is_prime, primes_below
+from .arith import Error, Factorization, is_prime, primes_below
 from .frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, traces
 from .tate import ADDITIVE, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
@@ -25,13 +25,13 @@ IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-class NotSemistableOutsideP(Exception):
+class NotSemistableOutsideP(Error):
     def __init__(self, ell: int):
         self.ell = ell
         super().__init__(f"additive reduction at {ell}: semistable rule does not apply")
 
 
-class CharacteristicMismatch(Exception):
+class CharacteristicMismatch(Error):
     pass
 
 

@@ -176,29 +176,15 @@ def search_mordell(k: int, S, height_bound: int,
     return points
 
 
-@dataclass(frozen=True)
-class TwistedScanReport:
-    N: int
-    S: tuple[int, ...]
-    height_bound: int
-    exponent_bound: int
-    cases: tuple[tuple[int, tuple[SIntegerPoint, ...]], ...]
-
-    @property
-    def hits(self):
-        return tuple((k, pts) for k, pts in self.cases if pts)
-
-
 def scan_twisted_mordell(N: int, a_bound: int, b_bound: int, S,
-                         height_bound: int, exponent_bound: int) -> TwistedScanReport:
+                         height_bound: int, exponent_bound: int) -> list:
     """Search Y^2 = X^3 + s * 3^a * N^b for S-integral points, for both
-    signs s and 0 <= a <= a_bound, 1 <= b <= b_bound."""
+    signs s and 0 <= a <= a_bound, 1 <= b <= b_bound: the list of (k, points)
+    for each k searched."""
     cases = []
     for a in range(a_bound + 1):
         for b in range(1, b_bound + 1):
             for sign in (1, -1):
                 k = sign * 3**a * N**b
-                pts = search_mordell(k, S, height_bound, exponent_bound)
-                cases.append((k, tuple(pts)))
-    return TwistedScanReport(N, tuple(sorted(S)), height_bound,
-                             exponent_bound, tuple(cases))
+                cases.append((k, search_mordell(k, S, height_bound, exponent_bound)))
+    return cases

@@ -66,8 +66,6 @@ def order_discriminant(d: int) -> int:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    ell: int
-    a_ell: QuadraticOrderElement
     norm: Factorization | None  # N(A(ell)); None when A(ell) = 0
     obstructed_primes: frozenset
     degenerate: bool
@@ -91,7 +89,7 @@ def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionRe
     t, n = a_ell.trace(), a_ell.norm()
     values = [i * i - t * i + n for i in (1 + ell, -1 - ell, *hasse_interval(ell))]
     if 0 in values:
-        return ObstructionReport(ell, a_ell, None, frozenset(), True)
+        return ObstructionReport(None, frozenset(), True)
     sign, exponents = 1, {}
     for m in values:
         f = factor(m)
@@ -99,7 +97,7 @@ def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionRe
         for p, e in f.factors:
             exponents[p] = exponents.get(p, 0) + e
     norm = Factorization(sign, tuple(sorted(exponents.items())))
-    return ObstructionReport(ell, a_ell, norm, frozenset(norm.support), False)
+    return ObstructionReport(norm, frozenset(norm.support), False)
 
 
 GOOD_POSSIBLE = "good-reduction-possible"

@@ -70,13 +70,6 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
     return x, (-(a1 * x + a3) * pow(2, -1, p)) % p
 
 
-def _quadratic_double_root(a: int, b: int, c: int, p: int):
-    """For a x^2 + b x + c mod p with a a unit: None if two distinct roots
-    in an algebraic closure, else the double root, which lies in F_p."""
-    root = multiple_root([c, b, a], p)
-    return None if root is None else root[0]
-
-
 def tate_local(E: WeierstrassModel, p: int) -> LocalData:
     """Run Tate's algorithm on E at p.
 
@@ -147,18 +140,18 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
             k = 2
             while True:
                 # Y-quadratic Y^2 + (a3/p^k) Y - a6/p^(2k)
-                rho = _quadratic_double_root(1, a3 // p**k, -(a6 // p ** (2 * k)), p)
+                rho = multiple_root([-(a6 // p ** (2 * k)), a3 // p**k, 1], p)
                 if rho is None:
                     return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
-                E = transform(E, 1, 0, 0, rho * p**k)
+                E = transform(E, 1, 0, 0, rho[0] * p**k)
                 a1, a2, a3, a4, a6 = E.coeffs
                 m += 1
                 # X-quadratic (a2/p) X^2 + (a4/p^(k+1)) X + a6/p^(2k+1)
-                xi = _quadratic_double_root(a2 // p, a4 // p ** (k + 1),
-                                            a6 // p ** (2 * k + 1), p)
+                xi = multiple_root([a6 // p ** (2 * k + 1), a4 // p ** (k + 1),
+                                    a2 // p], p)
                 if xi is None:
                     return LocalData(p, ADDITIVE, n - 4 - m, f"I{m}*", n)
-                E = transform(E, 1, xi * p**k, 0, 0)
+                E = transform(E, 1, xi[0] * p**k, 0, 0)
                 a1, a2, a3, a4, a6 = E.coeffs
                 m += 1
                 k += 1
@@ -169,10 +162,10 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
         a1, a2, a3, a4, a6 = E.coeffs
 
         # Y^2 + (a3/p^2) Y - a6/p^4
-        rho = _quadratic_double_root(1, a3 // p**2, -(a6 // p**4), p)
+        rho = multiple_root([-(a6 // p**4), a3 // p**2, 1], p)
         if rho is None:
             return LocalData(p, ADDITIVE, n - 6, "IV*", n)
-        E = transform(E, 1, 0, 0, rho * p**2)
+        E = transform(E, 1, 0, 0, rho[0] * p**2)
         a1, a2, a3, a4, a6 = E.coeffs
 
         if _val(a4, p) < 4:

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import primes_below
+from .arith import Error, is_prime, primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
                     s3_serre_conductor, solve_index_equation)
-from .fixtures import (Record, default_fixture_dir, load_fixture_file,
-                       parse_factorization, parse_int_list, parse_pair)
+from .fixtures import (FixtureError, Record, default_fixture_dir,
+                       load_fixture_file, parse_factorization, parse_int_list,
+                       parse_pair)
 from .frobenius import ap
 from .modp import is_reducible_semistable, serre_conductor_semistable, trace_vector
 from .mordell import search_mordell
@@ -28,7 +29,6 @@ from .weierstrass import minimal_model, parse_curve
 PASS = "pass"
 FAIL = "fail"
 EXTERNAL = "external-claim"
-SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class Check:
@@ -45,7 +45,7 @@ class VerificationReport:
 
     @property
     def counts(self) -> dict:
-        out = {PASS: 0, FAIL: 0, EXTERNAL: 0, SKIPPED: 0}
+        out = {PASS: 0, FAIL: 0, EXTERNAL: 0}
         for c in self.checks:
             out[c.status] += 1
         return out
@@ -62,14 +62,18 @@ class VerificationReport:
             if c.status == FAIL:
                 lines.append(f"{'':>17} expected {c.expected} ; computed {c.computed}")
         counts = self.counts
-        lines.append("summary: %d pass, %d fail, %d external-claim, %d skipped"
-                     % (counts[PASS], counts[FAIL], counts[EXTERNAL], counts[SKIPPED]))
+        lines.append("summary: %d pass, %d fail, %d external-claim"
+                     % (counts[PASS], counts[FAIL], counts[EXTERNAL]))
         return "\n".join(lines)
 
 
 def _eq_check(rec: Record, description, expected, computed) -> Check:
     status = PASS if expected == computed else FAIL
     return Check(rec.check_id, description, str(expected), str(computed), status)
+
+
+def _check_external(rec: Record):
+    yield Check(rec.check_id, rec.require("claim"), "", "", EXTERNAL)
 
 
 def _check_field(rec: Record):
@@ -149,6 +153,8 @@ def _check_tracecheck(rec: Record):
     E = parse_curve(rec.require("model"))
     p = int(rec.require("p"))
     ell = int(rec.require("ell"))
+    if ell == p or not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not a prime other than p = {p}")
     tv = trace_vector(E, p, ell)
     yield _eq_check(rec, f"trace of {rec.require('model')} mod {p} at {ell}",
                     int(rec.require("value")), tv.trace_at(ell)[0])
@@ -158,6 +164,8 @@ def _check_sieve(rec: Record):
     K = analyze_cubic(parse_cubic(rec.require("poly")))
     prime = int(rec.require("prime"))
     primes = {int(t) for t in rec.require("primes").split(",")}
+    if prime not in primes:
+        raise ValueError(f"prime = {prime} is not among primes = {sorted(primes)}")
     report = congruence_sieve(index_form(K), primes)
     conclusion = next(c for c in report.conclusions if f"of {prime} " in c)
     yield _eq_check(rec, f"sieve conclusion for prime {prime}",
@@ -217,6 +225,7 @@ def _check_eligibility(rec: Record):
 
 
 _HANDLERS = {
+    "external": _check_external,
     "field": _check_field,
     "curve": _check_curve,
     "curve_disc": _check_curve_disc,
@@ -237,17 +246,24 @@ _HANDLERS = {
 
 
 def verify_records(records) -> VerificationReport:
+    """The checks of every record, sorted by check id.  A record that cannot
+    be checked raises FixtureError at its file and line: a record of an
+    unknown kind, or one whose checks raise ValueError, KeyError or a
+    package Error while they are built; the FixtureError keeps the type and
+    message of that exception.  Any other exception is a bug and propagates
+    unchanged."""
     checks = []
     for rec in records:
-        if rec.kind == "external":
-            checks.append(Check(rec.check_id, rec.require("claim"), "", "", EXTERNAL))
-            continue
         handler = _HANDLERS.get(rec.kind)
         if handler is None:
-            checks.append(Check(rec.check_id, f"unknown record kind {rec.kind!r}",
-                                "", "", SKIPPED))
-            continue
-        checks.extend(handler(rec))
+            raise FixtureError(rec.path, rec.lineno, f"unknown record kind {rec.kind!r}")
+        try:
+            checks.extend(handler(rec))
+        except FixtureError:
+            raise
+        except (ValueError, KeyError, Error) as exc:
+            raise FixtureError(rec.path, rec.lineno,
+                               f"{type(exc).__name__}: {exc}") from exc
     checks.sort(key=lambda c: (c.check_id, c.description))
     return VerificationReport(tuple(checks))
 

@@ -13,10 +13,10 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import Factorization, factor, valuation
+from .arith import Error, Factorization, factor, valuation
 
 
-class SingularModel(Exception):
+class SingularModel(Error):
     pass
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from modpcurves import arith, cli, weierstrass
+from modpcurves import arith, cli, verify, weierstrass
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
@@ -43,14 +43,15 @@ def test_parse_helpers():
 
 def test_verify_empty_records():
     report = verify_records([])
-    assert report.counts == {PASS: 0, FAIL: 0, EXTERNAL: 0, "skipped": 0}
+    assert report.counts == {PASS: 0, FAIL: 0, EXTERNAL: 0}
     assert not report.failed
 
 
 def test_verify_unknown_kind_skipped():
-    recs = parse_fixture_text("mystery; a=1\n", "<string>")
-    report = verify_records(recs)
-    assert report.counts["skipped"] == 1
+    # an unknown kind is not skipped: it stops verify at its file and line
+    recs = parse_fixture_text("# one comment\nmystery; a=1\n", "<string>")
+    with pytest.raises(FixtureError, match=r"^<string>:2: unknown record kind 'mystery'$"):
+        verify_records(recs)
 
 
 def test_verify_all_counts_and_known_failures(full_report):
@@ -181,6 +182,39 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
                      for c in verify_all(path).checks),
                     key=lambda c: (c.check_id, c.description))
     assert VerificationReport(tuple(merged)) == full_report
+
+
+@pytest.mark.parametrize("record, message", [
+    ("curv; model=[0,0,1,-1,0]; conductor=37", "unknown record kind 'curv'"),
+    ("curve; model=[0,0,1,-1,0]", "missing field 'conductor'"),
+    ("irreducible; model=[1,1,0,-22,-812]; p=4; bound=100; expect=irreducible",
+     "ValueError: p = 4 is not prime"),
+    ("curve; model=[0,0,0,0,0]; conductor=1", "SingularModel: [0,0,0,0,0]"),
+    ("curve; model=[1,2,3]; conductor=1", "ValueError: not a curve literal: '[1,2,3]'"),
+    ("field; poly=(0,0,-8); disc=1; witness=(1,0); index=1; serre=1",
+     "ReduciblePolynomial: rational root 2"),
+    ("sieve; poly=(-1,-2,27); prime=5; primes=2,2063; conclusion=x",
+     "ValueError: prime = 5 is not among primes = [2, 2063]"),
+    ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=5; value=1",
+     "ValueError: ell = 5 is not a prime other than p = 5"),
+    ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=9; value=1",
+     "ValueError: ell = 9 is not a prime other than p = 5")])
+def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, message):
+    # one located error line, whatever the fault of the record; the type and
+    # message of the error its check raised are kept
+    path = tmp_path / "bad.txt"
+    path.write_text(record + "\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: FixtureError: {path}:1: {message}\n")
+
+
+def test_verify_lets_a_bug_in_a_check_through(monkeypatch):
+    def broken(d):
+        raise TypeError("planted bug")
+    monkeypatch.setattr(verify, "order_discriminant", broken)
+    recs = parse_fixture_text("order; d=10; order_disc=40\n", "<string>")
+    with pytest.raises(TypeError, match="planted bug"):
+        verify_records(recs)
 
 
 def test_cli_verify_a_path_with_no_fixtures(capsys, tmp_path):

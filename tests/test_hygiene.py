@@ -6,19 +6,22 @@ of the package.  Against the program sources (`src/`, `scripts/` and
 `perfbench/`, not the tests), every parameter default of a function in the
 package is overridden by some call and left unset by another, every
 function and class of the package is read by name (a listing in `__all__`
-does not count), and every method is read as an attribute.  `__init__.py`
-is not scanned itself, since its imports are re-exports.  Every option of
-a CLI subcommand is read by the subcommand's handler."""
+does not count), and every method is read as an attribute.  `__init__.py`,
+which holds only the package docstring, is not scanned.  Every option of a
+CLI subcommand is read by the subcommand's handler, and every exception
+class of the package derives from arith.Error."""
 
 import argparse
 import ast
+import importlib
 import inspect
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
-from modpcurves import cli
+from modpcurves import arith, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modpcurves"
@@ -208,6 +211,15 @@ def unread_options(parser: argparse.ArgumentParser, shared: set[str]) -> list[st
     return unread
 
 
+def foreign_exceptions(modules, base) -> list[str]:
+    """The exception classes defined in modules that do not derive from
+    base, as `module.Class`; a class a module imports is not its own."""
+    return [f"{module.__name__}.{name}" for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__ and not issubclass(obj, base)]
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -309,6 +321,17 @@ def test_scan_finds_planted_unread_options():
     assert unread_options(parser, {"json"}) == ["one: bound"]
 
 
+def test_scan_finds_a_planted_foreign_exception():
+    module = types.ModuleType("m")
+    exec("from json import JSONDecodeError\n"
+         "class Base(Exception): pass\n"
+         "class Limit(Base): pass\n"
+         "class Deeper(Limit, KeyError): pass\n"
+         "class Stray(ValueError): pass\n"
+         "class NotAnError: pass\n", vars(module))
+    assert foreign_exceptions([module], module.Base) == ["m.Stray"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -346,3 +369,8 @@ def test_every_definition_is_read_somewhere():
 def test_every_subcommand_reads_its_options():
     # _emit reads --json for every handler
     assert unread_options(cli.build_parser(), attribute_reads(cli._emit)) == []
+
+
+def test_every_exception_derives_from_the_package_error():
+    modules = [importlib.import_module(f"modpcurves.{path.stem}") for path in MODULES]
+    assert foreign_exceptions(modules, arith.Error) == []

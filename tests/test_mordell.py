@@ -276,9 +276,9 @@ def test_point_validation():
 
 
 def test_scan_twisted_shape():
-    rep = scan_twisted_mordell(353, 1, 1, set(), 500, 0)
-    assert rep.N == 353 and len(rep.cases) == 4  # two signs x a in {0,1}
-    ks = {k for k, _ in rep.cases}
+    cases = scan_twisted_mordell(353, 1, 1, set(), 500, 0)
+    assert len(cases) == 4  # two signs x a in {0,1}
+    ks = {k for k, _ in cases}
     assert ks == {353, -353, 3 * 353, -3 * 353}
-    for k, pts, in rep.cases:
+    for k, pts, in cases:
         assert all(P.on_curve(k) for P in pts)
