@@ -23,7 +23,7 @@ from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
-from .tate import MinimalCurve, conductor
+from .tate import conductor, minimal_curve
 from .verify import verify_all
 from .weierstrass import invariants, parse_curve
 
@@ -51,7 +51,7 @@ def _plain(obj):
 
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
-    C = MinimalCurve(E)
+    C = minimal_curve(E)
     inv = invariants(C.model)
     locals_ = [C.local(p) for p in C.disc.support]
     N = conductor(C)
@@ -94,7 +94,7 @@ def cmd_serre_conductor(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    E, F = MinimalCurve(parse_curve(args.curve)), MinimalCurve(parse_curve(args.other))
+    E, F = minimal_curve(parse_curve(args.curve)), minimal_curve(parse_curve(args.other))
     result = compare_reps(trace_vector(E, args.p, args.bound),
                           trace_vector(F, args.p, args.bound))
     if result == "match-up-to-bound":

@@ -180,7 +180,9 @@ def scan_twisted_mordell(N: int, a_bound: int, b_bound: int, S,
                          height_bound: int, exponent_bound: int) -> list:
     """Search Y^2 = X^3 + s * 3^a * N^b for S-integral points, for both
     signs s and 0 <= a <= a_bound, 1 <= b <= b_bound: the list of (k, points)
-    for each k searched."""
+    for each k searched.  Raises ValueError for N = 0."""
+    if N == 0:
+        raise ValueError("N must be nonzero")
     cases = []
     for a in range(a_bound + 1):
         for b in range(1, b_bound + 1):

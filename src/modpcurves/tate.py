@@ -13,6 +13,7 @@ arithmetic operations, so large bad primes cost no more than small ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import Factorization, legendre_symbol, multiple_root, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
@@ -24,6 +25,9 @@ NONSPLIT_MULT = "nonsplit multiplicative"
 ADDITIVE = "additive"
 
 _F_CAP = {2: 8, 3: 5}
+
+# records minimal_curve keeps, least recently used first out
+RECORD_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,15 @@ class MinimalCurve:
         return self._local[p]
 
 
+_record = lru_cache(maxsize=RECORD_CACHE_SIZE)(MinimalCurve)
+
+
 def minimal_curve(E: WeierstrassModel | MinimalCurve) -> MinimalCurve:
-    return E if isinstance(E, MinimalCurve) else MinimalCurve(E)
+    """The record of E.  A MinimalCurve is returned as it is; a model gets
+    the record last built for an equal model while it is among the
+    RECORD_CACHE_SIZE most recently used, so its minimal model, factored
+    discriminant and local data are shared."""
+    return E if isinstance(E, MinimalCurve) else _record(E)
 
 
 def conductor(E: WeierstrassModel | MinimalCurve) -> Factorization:

@@ -23,8 +23,8 @@ from .mordell import search_mordell
 from .quadorder import (QuadraticOrderElement, compute_obstruction,
                         curve_eligibility, order_discriminant,
                         reciprocity_cover)
-from .tate import MinimalCurve, conductor
-from .weierstrass import minimal_model, parse_curve
+from .tate import conductor, minimal_curve
+from .weierstrass import parse_curve
 
 PASS = "pass"
 FAIL = "fail"
@@ -96,7 +96,7 @@ def _check_curve(rec: Record):
 
 
 def _check_curve_disc(rec: Record):
-    _, _, disc = minimal_model(parse_curve(rec.require("model")))
+    disc = minimal_curve(parse_curve(rec.require("model"))).disc
     yield _eq_check(rec, f"minimal discriminant of {rec.require('model')}",
                     parse_factorization(rec.require("disc")), disc)
 
@@ -127,9 +127,16 @@ def _check_tracerow(rec: Record):
     yield _eq_check(rec, f"trace row of {rec.require('model')} mod {p}", want, got)
 
 
-def _check_modrow(rec: Record):
-    C = MinimalCurve(parse_curve(rec.require("model")))
+def _prime(rec: Record) -> int:
     p = int(rec.require("p"))
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return p
+
+
+def _check_modrow(rec: Record):
+    p = _prime(rec)
+    C = minimal_curve(parse_curve(rec.require("model")))
     want = parse_int_list(rec.require("row"))
     ells = primes_below(38)[: len(want)]
     got = [None if ell == p else ap(C, ell) % p for ell in ells]
@@ -141,8 +148,8 @@ def _check_modrow(rec: Record):
 
 
 def _check_a2row(rec: Record):
-    C = MinimalCurve(parse_curve(rec.require("model")))
-    p = int(rec.require("p"))
+    p = _prime(rec)
+    C = minimal_curve(parse_curve(rec.require("model")))
     yield _eq_check(rec, f"a_2 mod {p} of {rec.require('model')}",
                     int(rec.require("a2")), ap(C, 2) % p)
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",

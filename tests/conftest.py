@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from modpcurves import tate, weierstrass
 from modpcurves.arith import factor
 from modpcurves.verify import verify_all
 from modpcurves.weierstrass import WeierstrassModel, invariants, minimal_model, parse_curve
@@ -71,6 +72,23 @@ FIXTURE_CUBICS = [
 def full_report():
     """The packaged fixture report, computed once for the whole session."""
     return verify_all()
+
+
+@pytest.fixture
+def minimal_model_runs(monkeypatch):
+    """The discriminants minimal_model has factored so far, one per run
+    under whatever name the package binds it to, from an empty record
+    cache."""
+    tate._record.cache_clear()
+    runs = []
+    original = weierstrass.factor
+
+    def counted(n):
+        runs.append(n)
+        return original(n)
+
+    monkeypatch.setattr(weierstrass, "factor", counted)
+    return runs
 
 
 @pytest.fixture

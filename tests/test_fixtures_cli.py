@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from modpcurves import arith, cli, verify, weierstrass
+from modpcurves import arith, cli, tate, verify
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
@@ -12,6 +12,7 @@ from modpcurves.fixtures import default_fixture_dir, load_fixture_file
 from modpcurves.quadorder import QuadraticOrderElement, compute_obstruction
 from modpcurves.verify import (EXTERNAL, FAIL, PASS, VerificationReport,
                                verify_all, verify_records)
+from modpcurves.weierstrass import parse_curve
 
 
 def test_parse_fixture_text():
@@ -198,7 +199,11 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
     ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=5; value=1",
      "ValueError: ell = 5 is not a prime other than p = 5"),
     ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=9; value=1",
-     "ValueError: ell = 9 is not a prime other than p = 5")])
+     "ValueError: ell = 9 is not a prime other than p = 5"),
+    ("a2row; model=[1,0,1,-80,-275]; p=4; a2=1; level=469",
+     "ValueError: p = 4 is not prime"),
+    ("modrow; model=[1,0,1,-80,-275]; p=1; row=0,0,0; level=469",
+     "ValueError: p = 1 is not prime")])
 def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, message):
     # one located error line, whatever the fault of the record; the type and
     # message of the error its check raised are kept
@@ -260,37 +265,25 @@ def test_cli_reused_parser_matches_fresh_calls(capsys):
     assert build_parser() is parser
 
 
-@pytest.fixture
-def minimal_model_runs(monkeypatch):
-    """The discriminants minimal_model has factored so far, one per run
-    under whatever name the package binds it to."""
-    runs = []
-    original = weierstrass.factor
-
-    def counted(n):
-        runs.append(n)
-        return original(n)
-
-    monkeypatch.setattr(weierstrass, "factor", counted)
-    return runs
-
-
 def test_compare_minimalises_each_curve_once(capsys, minimal_model_runs):
     assert main(["compare", "[1,1,0,-22,-812]", "[1,1,1,-2,16]", "3"]) == 1
     assert len(minimal_model_runs) == 2
 
 
 def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
+    # one record per distinct model, however many records name it
     path = default_fixture_dir() / "p3_level353.txt"
-    computed = [r for r in load_fixture_file(path) if r.kind != "external"]
+    models = {parse_curve(r.require("model")) for r in load_fixture_file(path)
+              if r.kind != "external"}
     assert verify_all(path).counts[PASS] > 0
-    assert len(minimal_model_runs) == len(computed) == 15
+    assert len(minimal_model_runs) == len(models) == 11
 
 
 @pytest.fixture
 def factor_runs(monkeypatch):
     """The integers arith.factor has been asked for so far, under every
-    name a module of the package binds it to."""
+    name a module of the package binds it to, from an empty record cache."""
+    tate._record.cache_clear()
     runs = []
     original = arith.factor
 

@@ -152,6 +152,50 @@ def test_record_and_bare_model_agree(rng):
                     == is_reducible_semistable(C, p, 60)), (E, p)
 
 
+def test_bare_model_is_read_once_across_the_fingerprint(monkeypatch, minimal_model_runs):
+    # the three mod-p readings of one bare model share one record: one
+    # minimal model and factorization, one Tate run per bad prime but p
+    calls = []
+    original = tate.tate_local
+
+    def counted(E, p):
+        calls.append(p)
+        return original(E, p)
+
+    monkeypatch.setattr(tate, "tate_local", counted)
+    E = parse_curve("[1,1,0,-22,-812]")
+    trace_vector(E, 3, 500)
+    serre_conductor_semistable(E, 3)
+    is_reducible_semistable(E, 3, 100)
+    assert len(minimal_model_runs) == 1
+    assert sorted(calls) == [2, 353]
+
+
+def test_cold_and_warm_records_agree(rng):
+    # j = 0, j = 1728 and seeded models, additive primes among them: each
+    # reading from an empty record cache equals the same reading once every
+    # reading has filled the record in
+    models = [WeierstrassModel(0, 0, 0, 0, k) for k in (1, -2, 7, -26, 37)]
+    models += [WeierstrassModel(0, 0, 0, k, 0) for k in (-1, 2, -11, 5, 3)]
+    while len(models) < 30:
+        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
+        if discriminant(E) != 0:
+            models.append(E)
+    readings = [lambda E, p=p: trace_vector(E, p, 60) for p in (3, 5)]
+    readings += [lambda E, p=p: _outcome(serre_conductor_semistable, E, p) for p in (3, 5)]
+    readings += [lambda E, p=p: is_reducible_semistable(E, p, 60) for p in (3, 5)]
+    readings.append(conductor)
+    additive = 0
+    for E in models:
+        cold = []
+        for read in readings:
+            tate._record.cache_clear()
+            cold.append(read(E))
+        assert [read(E) for read in readings] == cold, E
+        additive += any(isinstance(r, tuple) and r[0] == "not semistable" for r in cold)
+    assert additive >= 10
+
+
 def test_trace_vector_past_the_counting_bound_fails_fast():
     # 1000003 is the first prime above DEFAULT_COUNT_BOUND, and good here
     E = parse_curve("[0,-1,1,-10,-20]")

@@ -210,7 +210,7 @@ def test_dense_box_against_the_scan():
     (["mordell", "--k", "1", "--S", "2", "--exponent-bound", "-1"], "exponent bound -1"),
     (["mordell", "--k", "1", "--S=-3"], "S entry -3"),
     (["mordell", "--k", "1", "--S", "2,4"], "S entry 4"),
-    (["scan-twisted", "--N", "0"], "k must be nonzero"),
+    (["scan-twisted", "--N", "0"], "N must be nonzero"),
     (["scan-twisted", "--N", "353", "--height", "-1"], "height bound -1"),
     (["scan-twisted", "--N", "353", "--exponent-bound", "-2"], "exponent bound -2"),
     (["scan-twisted", "--N", "353", "--S", "1,9"], "S entry 9")])

@@ -3,9 +3,9 @@ import pytest
 from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
 from modpcurves.arith import factor, multiple_root
 from modpcurves import tate
-from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
-                             LocalData, MinimalCurve, conductor, minimal_curve,
-                             tate_local)
+from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, RECORD_CACHE_SIZE,
+                             SPLIT_MULT, LocalData, MinimalCurve, conductor,
+                             minimal_curve, tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
                                     discriminant, minimal_model, parse_curve,
                                     transform)
@@ -228,3 +228,29 @@ def test_minimal_curve_record_is_lazy(monkeypatch):
     assert calls == [2063]
     assert minimal_curve(C) is C
     assert minimal_curve(E).model == C.model
+
+
+def test_equal_models_share_one_record():
+    tate._record.cache_clear()
+    C = minimal_curve(parse_curve("[1,1,0,-22,-812]"))
+    assert minimal_curve(WeierstrassModel(1, 1, 0, -22, -812)) is C
+    assert minimal_curve(C) is C
+    # a record built by hand passes through and does not enter the cache
+    D = MinimalCurve(parse_curve("[0,0,0,-43,-117]"))
+    assert minimal_curve(D) is D
+    assert tate._record.cache_info().currsize == 1
+
+
+def test_record_cache_is_bounded(minimal_model_runs):
+    # y^2 = x^3 + k, k = 1 .. N + 1: N + 1 distinct curves push out the first
+    models = [WeierstrassModel(0, 0, 0, 0, k) for k in range(1, RECORD_CACHE_SIZE + 2)]
+    first = minimal_curve(models[0])
+    for E in models[1:]:
+        minimal_curve(E)
+    assert len(minimal_model_runs) == RECORD_CACHE_SIZE + 1
+    assert tate._record.cache_info().currsize == RECORD_CACHE_SIZE
+    minimal_curve(models[-1])
+    assert len(minimal_model_runs) == RECORD_CACHE_SIZE + 1
+    again = minimal_curve(models[0])
+    assert again is not first and again.model == first.model
+    assert len(minimal_model_runs) == RECORD_CACHE_SIZE + 2

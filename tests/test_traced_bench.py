@@ -41,6 +41,7 @@ def test_tracer_install_records_and_uninstall_restores():
     modules = _package_modules()
     before = [dict(vars(m)) for m in modules]
     tracer = spans.Tracer()
+    modpcurves.tate._record.cache_clear()
     tracer.install(modpcurves)
     try:
         for module_name, fn_name in spans.TRACED:
