@@ -44,7 +44,8 @@ CASES = {
     "trace-table": [
         ["trace-table", C353, "3", "--bound", "37"],
         ["trace-table", C469, "5", "--json"],
-        ["trace-table", X0_11, "0"]],
+        ["trace-table", X0_11, "0"],
+        ["trace-table", C353, "3", "--bound", "-5"]],
     "serre-conductor": [
         ["serre-conductor", C353, "3"],
         ["serre-conductor", C469, "5", "--json"],
@@ -53,7 +54,8 @@ CASES = {
         ["compare", X0_11, C37, "3", "--bound", "6"],
         ["compare", C353, "[1,1,1,-2,16]", "3"],
         ["compare", X0_11, "[0,-1,1,0,0]", "5", "--json"],
-        ["compare", X0_11, C37, "1"]],
+        ["compare", X0_11, C37, "1"],
+        ["compare", C353, "[1,1,1,-2,16]", "3", "--bound", "-1"]],
     "cubic-info": [
         ["cubic-info", F2063],
         ["cubic-info", "x^3 - 2", "--json"],
@@ -71,7 +73,9 @@ CASES = {
         ["scan-twisted", "--N", "353", "--a-bound", "9", "--b-bound", "2",
          "--S", "2,3,353", "--height", "10000"],
         ["scan-twisted", "--N", "353", "--a-bound", "1", "--height", "500", "--json"],
-        ["scan-twisted", "--N", "0"]],
+        ["scan-twisted", "--N", "0"],
+        ["scan-twisted", "--N", "353", "--a-bound", "-1"],
+        ["scan-twisted", "--N", "353", "--b-bound", "0"]],
     "obstruct": [
         ["obstruct", "--disc", "5", "--a", "(-1,1)", "--ell", "2"],
         ["obstruct", "--disc", "5", "--a", "(1,0)", "--ell", "2", "--json"],

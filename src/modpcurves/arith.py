@@ -13,8 +13,8 @@ Everything works on arbitrary-precision ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 class Error(Exception):
@@ -128,14 +128,18 @@ def primes_below(limit: int) -> list[int]:
     return _small_primes(limit - 1)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed factored integer: sign * prod(p^e), primes strictly increasing."""
-
+# a NamedTuple body may not define __init__, so a subclass checks the fields
+class _FactorizationFields(NamedTuple):
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """Signed factored integer: sign * prod(p^e), primes strictly increasing."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         assert self.sign in (1, -1)
         last = 1
         for p, e in self.factors:

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 
 from .arith import Error, Factorization, factor
 from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
@@ -36,8 +35,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _plain(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(asdict(obj))
+    if hasattr(obj, "_asdict"):
+        return _plain(obj._asdict())
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

@@ -25,9 +25,9 @@ roots; the reducibility test finds integer roots of the cubic the same way.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .arith import (Error, Factorization, factor, is_prime, multiple_root,
                     set_bits, tile)
@@ -44,8 +44,7 @@ class DiscriminantNotMinusPrime(Error):
 Vec = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class CubicField:
+class CubicField(NamedTuple):
     defining_poly: tuple[int, int, int]  # (a, b, c) of x^3 + a x^2 + b x + c
     poly_discriminant: int
     field_discriminant: int
@@ -53,8 +52,7 @@ class CubicField:
     integral_basis: tuple[Vec, Vec, Vec]  # coords on 1, u, u^2
 
 
-@dataclass(frozen=True)
-class IndexForm:
+class IndexForm(NamedTuple):
     coefficients: tuple[int, int, int, int]  # A x^3 + B x^2 y + C x y^2 + D y^3
 
     def __call__(self, x: int, y: int) -> int:
@@ -250,8 +248,7 @@ def s3_serre_conductor(K: CubicField) -> Factorization:
     return Factorization(1, odd)
 
 
-@dataclass(frozen=True)
-class MordellReduction:
+class MordellReduction(NamedTuple):
     k: int
     N: int
     scaling: str
@@ -270,8 +267,7 @@ def mordell_reduction(K: CubicField) -> MordellReduction:
 
 # ------------------------------------------------------- index equation
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     residues: dict  # modulus 2 and 9 -> sorted tuple of attainable residues
     surviving_exponents: dict  # prime -> sorted tuple of exponents <= 11
     conclusions: tuple[str, ...]

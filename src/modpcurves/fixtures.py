@@ -9,9 +9,9 @@ integer lists, curve literals, cubic triples).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import Error, Factorization, factor
 
@@ -22,8 +22,7 @@ class FixtureError(Error):
         super().__init__(f"{path}:{lineno}: {message}")
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     kind: str
     fields: dict
     path: str

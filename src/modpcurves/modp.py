@@ -10,7 +10,7 @@ ramified multiplicative prime and every additive prime is skipped.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Error, Factorization, is_prime, primes_below
 from .frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, traces
@@ -35,8 +35,7 @@ class CharacteristicMismatch(Error):
     pass
 
 
-@dataclass(frozen=True)
-class TraceVector:
+class TraceVector(NamedTuple):
     p: int
     entries: tuple[tuple[int, int, str], ...]  # (ell, trace mod p, quality)
 
@@ -52,8 +51,7 @@ class TraceVector:
         return f"p={self.p}; {body}"
 
 
-@dataclass(frozen=True)
-class SerreData:
+class SerreData(NamedTuple):
     p: int
     serre_conductor: Factorization
     ramification_notes: tuple[tuple[int, str], ...]
@@ -62,9 +60,12 @@ class SerreData:
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
     """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
     ell are counted in one pass over the curve; PrimeTooLarge is raised
-    before any count if some ell to count is above DEFAULT_COUNT_BOUND."""
+    before any count if some ell to count is above DEFAULT_COUNT_BOUND, and
+    ValueError for a negative bound."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     ells = [ell for ell in primes_below(bound + 1) if ell != p]

@@ -22,9 +22,9 @@ an integer square by isqrt, and gcd(x_num, d) = 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .arith import is_prime, set_bits, tile
 
@@ -46,13 +46,16 @@ _CUBE_TABLES = {q: bytes(x * x * x % q for x in range(q)) for q in _SQUARE_TABLE
 _ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class SIntegerPoint:
+class _SIntegerPointFields(NamedTuple):
     x_num: int
     y_num: int
     denom: int
 
-    def __post_init__(self):
+
+class SIntegerPoint(_SIntegerPointFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         assert self.denom > 0 and gcd(self.x_num, self.denom) == 1
 
     @property
@@ -69,13 +72,9 @@ class SIntegerPoint:
 
 def _denominators(S, exponent_bound):
     primes = sorted(S)
-    out = []
-    for exps in itertools.product(range(exponent_bound + 1), repeat=len(primes)):
-        d = 1
-        for p, e in zip(primes, exps):
-            d *= p**e
-        out.append(d)
-    return sorted(set(out))
+    return sorted({prod(p**e for p, e in zip(primes, exps))
+                   for exps in itertools.product(range(exponent_bound + 1),
+                                                 repeat=len(primes))})
 
 
 def _cubic_residue_flags(q: int, Kq: int) -> bytes:
@@ -180,9 +179,13 @@ def scan_twisted_mordell(N: int, a_bound: int, b_bound: int, S,
                          height_bound: int, exponent_bound: int) -> list:
     """Search Y^2 = X^3 + s * 3^a * N^b for S-integral points, for both
     signs s and 0 <= a <= a_bound, 1 <= b <= b_bound: the list of (k, points)
-    for each k searched.  Raises ValueError for N = 0."""
+    for each k searched.  Raises ValueError for N = 0 or an empty range."""
     if N == 0:
         raise ValueError("N must be nonzero")
+    if a_bound < 0:
+        raise ValueError(f"a bound {a_bound} is negative")
+    if b_bound < 1:
+        raise ValueError(f"b bound {b_bound} is below 1")
     cases = []
     for a in range(a_bound + 1):
         for b in range(1, b_bound + 1):

@@ -24,14 +24,13 @@ those i; the report is then degenerate and names no prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import Factorization, factor, is_prime, legendre_symbol
 
 
-@dataclass(frozen=True)
-class QuadraticOrderElement:
+class QuadraticOrderElement(NamedTuple):
     d: int  # squarefree, > 1
     a: int
     b: int  # element a + b*omega
@@ -64,8 +63,7 @@ def order_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     norm: Factorization | None  # N(A(ell)); None when A(ell) = 0
     obstructed_primes: frozenset
     degenerate: bool

@@ -12,8 +12,8 @@ arithmetic operations, so large bad primes cost no more than small ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import Factorization, legendre_symbol, multiple_root, valuation
 from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
@@ -30,15 +30,18 @@ _F_CAP = {2: 8, 3: 5}
 RECORD_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class LocalData:
+class _LocalDataFields(NamedTuple):
     prime: int
     reduction: str
     conductor_exponent: int
     kodaira: str
     discriminant_valuation: int
 
-    def __post_init__(self):
+
+class LocalData(_LocalDataFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         cap = _F_CAP.get(self.prime, 2)
         assert self.conductor_exponent <= cap, self
         if self.reduction == GOOD:

@@ -8,8 +8,8 @@ exhaustive published tables that a bounded desk run cannot reproduce).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import Error, is_prime, primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
@@ -30,8 +30,7 @@ PASS = "pass"
 FAIL = "fail"
 EXTERNAL = "external-claim"
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     description: str
     expected: str
@@ -39,8 +38,7 @@ class Check:
     status: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

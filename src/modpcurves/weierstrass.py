@@ -10,8 +10,8 @@ rebuild the reduced model from (c4, c6).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Error, Factorization, factor, valuation
 
@@ -20,8 +20,7 @@ class SingularModel(Error):
     pass
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     a1: int
     a2: int
     a3: int
@@ -36,8 +35,7 @@ class WeierstrassModel:
         return "[%d,%d,%d,%d,%d]" % self.coeffs
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     b2: int
     b4: int
     b6: int

@@ -224,6 +224,14 @@ def test_factorization_str():
     assert str(factor(1)) == "1"
 
 
+def test_factorization_invariants_enforced():
+    with pytest.raises(AssertionError):
+        Factorization(2, ())
+    with pytest.raises(AssertionError):
+        Factorization(1, ((3, 1), (2, 1)))
+    assert Factorization(-1, ((2, 1), (3, 1))).value() == -6
+
+
 def _check_tile(pattern, period, nbits):
     mask = tile(pattern, period, nbits)
     # the first min(period, nbits) binary digits of the pattern, lowest

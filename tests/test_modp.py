@@ -99,6 +99,14 @@ def test_irreducibility_rejects_a_p_that_is_not_prime(p):
         is_reducible_semistable(parse_curve("[1,1,0,-22,-812]"), p, 100)
 
 
+def test_trace_vector_rejects_a_negative_bound():
+    E = parse_curve("[1,1,0,-22,-812]")
+    with pytest.raises(ValueError, match="bound -1 is negative"):
+        trace_vector(E, 3, -1)
+    # no prime is at most 0 or 1: an empty window, not an error
+    assert trace_vector(E, 3, 0).entries == trace_vector(E, 3, 1).entries == ()
+
+
 def test_sturm_bound():
     assert sturm_bound(factor(11)) == 2
     assert sturm_bound(factor(1)) == 1
@@ -192,7 +200,7 @@ def test_cold_and_warm_records_agree(rng):
             tate._record.cache_clear()
             cold.append(read(E))
         assert [read(E) for read in readings] == cold, E
-        additive += any(isinstance(r, tuple) and r[0] == "not semistable" for r in cold)
+        additive += any(type(r) is tuple and r[0] == "not semistable" for r in cold)
     assert additive >= 10
 
 

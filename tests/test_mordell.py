@@ -213,7 +213,9 @@ def test_dense_box_against_the_scan():
     (["scan-twisted", "--N", "0"], "N must be nonzero"),
     (["scan-twisted", "--N", "353", "--height", "-1"], "height bound -1"),
     (["scan-twisted", "--N", "353", "--exponent-bound", "-2"], "exponent bound -2"),
-    (["scan-twisted", "--N", "353", "--S", "1,9"], "S entry 9")])
+    (["scan-twisted", "--N", "353", "--S", "1,9"], "S entry 9"),
+    (["scan-twisted", "--N", "353", "--a-bound", "-1"], "a bound -1"),
+    (["scan-twisted", "--N", "353", "--b-bound", "0"], "b bound 0")])
 def test_cli_rejects_a_bad_box(capsys, argv, named):
     assert main(argv) == 2
     out, err = capsys.readouterr()
