@@ -55,7 +55,8 @@ CASES = {
         ["compare", C353, "[1,1,1,-2,16]", "3"],
         ["compare", X0_11, "[0,-1,1,0,0]", "5", "--json"],
         ["compare", X0_11, C37, "1"],
-        ["compare", C353, "[1,1,1,-2,16]", "3", "--bound", "-1"]],
+        ["compare", C353, "[1,1,1,-2,16]", "3", "--bound", "-1"],
+        ["compare", C353, C37, "3", "--bound", "1"]],
     "cubic-info": [
         ["cubic-info", F2063],
         ["cubic-info", "x^3 - 2", "--json"],
@@ -68,7 +69,10 @@ CASES = {
         ["mordell", "--k", "891216", "--S", "2,3,2063", "--height", "100000",
          "--exponent-bound", "4"],
         ["mordell", "--k", "353", "--height", "500", "--json"],
-        ["mordell", "--k", "0"]],
+        ["mordell", "--k", "0"],
+        # k = 353^6: the point (0, 353^3) is found on the y side
+        ["mordell", "--k", str(353**6), "--S", "353", "--exponent-bound", "1",
+         "--height", "300"]],
     "scan-twisted": [
         ["scan-twisted", "--N", "353", "--a-bound", "9", "--b-bound", "2",
          "--S", "2,3,353", "--height", "10000"],

@@ -4,10 +4,11 @@ Factorization (trial division by the primes below 10^3, then Brent-cycle
 Pollard rho on every composite cofactor; every reported prime passes
 is_prime: deterministic Miller-Rabin on the fewest bases that suffice below
 3.3 * 10^24, BPSW above), p-adic valuations, Legendre and Jacobi symbols (by
-reciprocity, with no modular exponentiation), the multiple root mod p of a
-polynomial of degree at most 3, and the bit sieve that the Mordell search
-and the index-form solver share: a periodic pattern tiled over the box by
-doubling shift-or steps, and the positions of the surviving bits.
+reciprocity, with no modular exponentiation), the floor cube root (integer
+Newton), the multiple root mod p of a polynomial of degree at most 3, and
+the bit sieve that the Mordell search and the index-form solver share: a
+periodic pattern tiled over the box by doubling shift-or steps, and the
+positions of the surviving bits.
 Everything works on arbitrary-precision ints.
 """
 
@@ -280,6 +281,22 @@ def legendre_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def icbrt(n: int) -> int:
+    """The x with x^3 <= n < (x + 1)^3, for any int n, with no floats: for
+    n > 1 integer Newton from 2^ceil(bit_length / 3) > n^(1/3) decreases to
+    it and stops at the first step that does not; n < 0 by symmetry."""
+    if n < 0:
+        return -1 - icbrt(-1 - n)
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def _multiplicity(cs: list[int], r: int, p: int) -> int:

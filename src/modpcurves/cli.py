@@ -94,8 +94,10 @@ def cmd_serre_conductor(args) -> int:
 
 def cmd_compare(args) -> int:
     E, F = minimal_curve(parse_curve(args.curve)), minimal_curve(parse_curve(args.other))
-    result = compare_reps(trace_vector(E, args.p, args.bound),
-                          trace_vector(F, args.p, args.bound))
+    A, B = trace_vector(E, args.p, args.bound), trace_vector(F, args.p, args.bound)
+    if not A.entries:
+        raise ValueError(f"bound {args.bound} holds no prime ell != {args.p}")
+    result = compare_reps(A, B)
     if result == "match-up-to-bound":
         sturm = sturm_bound(max(conductor(E), conductor(F), key=Factorization.value))
         _emit(args, {"result": result, "sturm_bound": sturm},

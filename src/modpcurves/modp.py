@@ -116,9 +116,11 @@ def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: i
     """Sufficient irreducibility test: some good ell <= bound with
     a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
     the first such ell, so PrimeTooLarge is raised only when no good ell
-    below DEFAULT_COUNT_BOUND is one."""
+    below DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]

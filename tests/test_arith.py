@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from modpcurves import arith
 from modpcurves.arith import (_MR_BASES, Factorization, IncompleteFactorization,
                               _strong_lucas_probable_prime,
-                              _strong_probable_prime, factor, is_prime,
+                              _strong_probable_prime, factor, icbrt, is_prime,
                               legendre_symbol, primes_below, set_bits, tile,
                               valuation)
 
@@ -216,6 +216,25 @@ def test_legendre_multiplicative(rng):
         a, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
         assert (legendre_symbol(a * b, p)
                 == legendre_symbol(a, p) * legendre_symbol(b, p))
+
+
+def _is_floor_cube_root(x, n):
+    return x**3 <= n < (x + 1) ** 3
+
+
+def test_icbrt_exhaustive_near_zero():
+    for n in range(-2 * 10**5, 2 * 10**5 + 1):
+        assert _is_floor_cube_root(icbrt(n), n), n
+
+
+def test_icbrt_next_to_large_cubes(rng):
+    cs = [2**k for k in range(1, 333)]
+    cs += [rng.randint(2, 10**rng.randint(2, 100)) for _ in range(2000)]
+    for c in cs:
+        for s in (c, -c):
+            for n in (s**3 - 1, s**3, s**3 + 1):
+                assert _is_floor_cube_root(icbrt(n), n), n
+            assert icbrt(s**3) == s
 
 
 def test_factorization_str():

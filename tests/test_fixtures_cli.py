@@ -108,6 +108,17 @@ def test_cli_rejects_a_non_prime_or_non_squarefree_argument(capsys, argv, messag
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_compare_rejects_a_window_with_no_ell(capsys):
+    # the two curves differ at ell = 2, so an empty window must not read as a match
+    pair = ["compare", "[1,1,0,-22,-812]", "[0,0,1,-1,0]"]
+    for p, bound in ((3, 0), (3, 1), (2, 2)):
+        assert main(pair + [str(p), "--bound", str(bound)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: bound {bound} holds no prime ell != {p}\n"
+    assert main(pair + ["3", "--bound", "2"]) == 1
+    assert capsys.readouterr().out == "mismatch at ell = 2\n"
+
+
 def test_cli_reports_package_errors_and_lets_bugs_through(capsys, monkeypatch):
     assert main(["curve-info", "[0,0,0,0,0]"]) == 2
     assert capsys.readouterr().err.startswith("error: SingularModel: ")

@@ -99,6 +99,14 @@ def test_irreducibility_rejects_a_p_that_is_not_prime(p):
         is_reducible_semistable(parse_curve("[1,1,0,-22,-812]"), p, 100)
 
 
+def test_irreducibility_rejects_a_negative_bound():
+    # an empty range would read as undetermined for a curve irreducible mod 3
+    E = parse_curve("[1,1,0,-22,-812]")
+    with pytest.raises(ValueError, match="bound -5 is negative"):
+        is_reducible_semistable(E, 3, -5)
+    assert is_reducible_semistable(E, 3, 0) == UNDETERMINED
+
+
 def test_trace_vector_rejects_a_negative_bound():
     E = parse_curve("[1,1,0,-22,-812]")
     with pytest.raises(ValueError, match="bound -1 is negative"):

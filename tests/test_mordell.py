@@ -7,6 +7,7 @@ from math import gcd, isqrt, prod
 import pytest
 
 from modpcurves import mordell
+from modpcurves.arith import icbrt
 from modpcurves.cli import main
 from modpcurves.mordell import (_SIEVE_GROUPS, _SQUARE_TABLES, SIntegerPoint,
                                 _cubic_residue_flags, _denominators, _sieve,
@@ -116,6 +117,102 @@ def test_search_matches_both_oracles(box):
     assert set(got) == scan_s_integral_points(*box)
 
 
+def _y_width(k, bound, d):
+    """The number of y in [ceil(sqrt(x_lo^3 + K)), isqrt(bound^3 + K)],
+    K = k d^6 and x_lo the least x of the box with x^3 + K >= 0, or None
+    when there is no such x."""
+    K = k * d**6
+    x_lo = max(-bound, -icbrt(K))
+    if x_lo > bound:
+        return None
+    t = x_lo**3 + K
+    return isqrt(bound**3 + K) - (isqrt(t - 1) + 1 if t else 0) + 1
+
+
+def _side(k, bound, d):
+    """How search_mordell searches the denominator d of its box."""
+    width = _y_width(k, bound, d)
+    if width is None:
+        return "empty"
+    return "y" if mordell._BITS_PER_Y * width <= 2 * bound + 1 else "sieve"
+
+
+def _side_boxes(n=30, seed=20261019):
+    """Seeded boxes for the three ways of searching a denominator, in turn:
+    a point (c^2 / d^2, (c^3 + m d^6) / d^3) planted on k = 2 c^3 m + m^2 d^6
+    at a d > 1, with |m| up to 10^4 so that its y-interval is short; k < 0
+    with |k| d^6 > bound^3 at large d, an empty x-range; and small k."""
+    rng = random.Random(seed)
+    boxes = []
+    while len(boxes) < n:
+        S = set(rng.sample((2, 3, 5, 7), rng.randint(1, 3)))
+        e, bound = rng.randint(1, 2), rng.randint(1, 1000)
+        if len(boxes) % 3 == 0:
+            d = prod(p**rng.randint(1, e) for p in S)
+            c = rng.randint(1, isqrt(bound))
+            if gcd(c, d) > 1:
+                continue
+            m = rng.choice((1, -1)) * rng.randint(1, 10**4)
+            k = 2 * c**3 * m + m * m * d**6
+        elif len(boxes) % 3 == 1:
+            k = -rng.randint(1, 10**5)
+        else:
+            k = rng.choice((1, -1)) * rng.randint(1, 3000)
+        boxes.append((k, S, bound, e))
+    return boxes
+
+
+SIDE_BOXES = _side_boxes()
+
+
+def test_side_boxes_reach_every_side(monkeypatch):
+    sieved = []
+    original = mordell._sieve
+
+    def recorded(K, bound, d, S, cache):
+        sieved.append((K, d))
+        return original(K, bound, d, S, cache)
+
+    monkeypatch.setattr(mordell, "_sieve", recorded)
+    sides = set()
+    for k, S, bound, e in SIDE_BOXES:
+        side = {d: _side(k, bound, d) for d in _denominators(S, e)}
+        sieved.clear()
+        pts = search_mordell(k, S, bound, e)
+        assert sieved == [(k * d**6, d) for d, way in side.items() if way == "sieve"]
+        sides |= {("empty", k < 0 and d > 1) for d, way in side.items() if way == "empty"}
+        sides |= {(side[P.denom], P.denom > 1) for P in pts}
+    assert {("empty", True), ("y", True), ("sieve", True)} <= sides
+
+
+@pytest.mark.parametrize("box", SIDE_BOXES, ids=lambda b: f"{b[0]}-{sorted(b[1])}-{b[2]}-{b[3]}")
+def test_search_matches_the_scan_on_every_side(box):
+    got = [(P.x_num, P.y_num, P.denom) for P in search_mordell(*box)]
+    assert got == sorted(got, key=lambda t: (t[2], t[0], t[1]))
+    assert set(got) == scan_s_integral_points(*box)
+
+
+@pytest.mark.parametrize("k, bound", [
+    # k = 2 c^3 m + m^2 for (c, m) = (2, 16) and (28, 160610101): the point
+    # (c^2, c^3 + m) ends the box and its y-interval, of 3 values in each
+    (512, 4), (25802655969104505, 784)])
+def test_y_interval_as_wide_as_the_threshold(monkeypatch, k, bound):
+    width, nbits = _y_width(k, bound, 1), 2 * bound + 1
+    assert width == 3 and nbits % width == 0
+    sieved = []
+    original = mordell._sieve
+    monkeypatch.setattr(mordell, "_sieve",
+                        lambda K, *args: sieved.append(K) or original(K, *args))
+    want = naive_s_integral_points(k, set(), bound, 0)
+    assert (bound, isqrt(bound**3 + k), 1) in want
+    # at nbits / width bits per y the y side is taken; one more, the sieve
+    for ratio, calls in ((nbits // width, []), (nbits // width + 1, [k])):
+        monkeypatch.setattr(mordell, "_BITS_PER_Y", ratio)
+        sieved.clear()
+        assert {(P.x_num, P.y_num, P.denom) for P in search_mordell(k, set(), bound, 0)} == want
+        assert sieved == calls
+
+
 def test_square_tables_are_the_squares_mod_q():
     for q, table in _SQUARE_TABLES.items():
         assert len(table) == q
@@ -137,8 +234,9 @@ def test_sieve_groups_pair_every_modulus_once():
 
 
 def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
-    # search_mordell(891216, {2, 3, 2063}, 10^5, 4) of verify: 125
-    # denominators; one full-width mask per modulus would be 13 * 125 = 1625
+    # search_mordell(891216, {2, 3, 2063}, 10^5, 4) of verify: of its 125
+    # denominators only those with a long y-interval are sieved, each with one
+    # full-width mask per group; one per modulus would be 13 per denominator
     bound = 10**5
     calls = []
     original = mordell.tile
@@ -149,17 +247,21 @@ def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
 
     monkeypatch.setattr(mordell, "tile", counted)
     assert search_mordell(891216, {2, 3, 2063}, bound, 4) == []
-    denominators = len(_denominators({2, 3, 2063}, 4))
+    denominators = _denominators({2, 3, 2063}, 4)
+    sieved = [d for d in denominators if _side(891216, bound, d) == "sieve"]
     products = {prod(group) for group in _SIEVE_GROUPS}
     full = [period for period, nbits in calls if nbits == 2 * bound + 1]
     blocks = sum(period in products for period in full)
-    assert denominators == 125 and blocks == len(_SIEVE_GROUPS) * denominators
+    assert len(denominators) == 125 and len(sieved) == 25
+    assert blocks == len(_SIEVE_GROUPS) * len(sieved)
     # the other full-width masks are the x prime to p, one per prime of S
-    assert sorted(p for p in full if p not in products) == [2, 3, 2063]
+    # that divides a sieved denominator
+    assert sorted(p for p in full if p not in products) \
+        == [p for p in (2, 3, 2063) if any(d % p == 0 for d in sieved)]
     # the rest are the group builds, each as wide as its group's product
     rest = [(period, nbits) for period, nbits in calls if nbits != 2 * bound + 1]
     assert all(nbits in products and nbits % period == 0 for period, nbits in rest)
-    assert len(rest) <= len(_SIEVE_GROUPS) * denominators
+    assert len(rest) <= len(_SIEVE_GROUPS) * len(sieved)
 
 
 @pytest.mark.parametrize("K, bound, d, S", [
@@ -243,6 +345,14 @@ def test_k_minus26():
     coords = {(P.x_num, P.y_num) for P in pts}
     assert (3, 1) in coords and (3, -1) in coords
     assert all(P.on_curve(-26) for P in pts)
+
+
+def test_box_that_ends_at_its_least_x():
+    # x^3 - 26 >= 0 first at x = 3, where x^3 - 26 = 1^2
+    assert [(P.x_num, P.y_num) for P in search_mordell(-26, set(), 3, 0)] == [(3, -1), (3, 1)]
+    assert search_mordell(-26, set(), 2, 0) == []
+    # at d = 2 the least x with x^3 - 26 * 2^6 >= 0 is 12, outside the box
+    assert search_mordell(-26, {2}, 3, 1) == search_mordell(-26, set(), 3, 0)
 
 
 def test_k_891216_empty():
