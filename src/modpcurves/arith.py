@@ -8,7 +8,7 @@ reciprocity, with no modular exponentiation), the floor cube root (integer
 Newton), the multiple root mod p of a polynomial of degree at most 3, and
 the bit sieve that the Mordell search and the index-form solver share: a
 periodic pattern tiled over the box by doubling shift-or steps, and the
-positions of the surviving bits.
+positions of the surviving bits, one lowest-set-bit step each.
 Everything works on arbitrary-precision ints.
 """
 
@@ -372,21 +372,16 @@ def tile(pattern: int, period: int, nbits: int) -> int:
     return mask
 
 
-# byte b -> 1 when b != 0, and the positions of the 1 bits of b
-_NONZERO = bytes([0]) + bytes([1]) * 255
-_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
-
-
 def set_bits(n: int) -> list[int]:
-    """Ascending positions of the 1 bits of n >= 0: one to_bytes, then
-    bytes.find over the nonzero bytes, so the cost is linear in the width
-    of n however many bits are set."""
-    packed = n.to_bytes((n.bit_length() + 7) // 8, "little")
-    flags = packed.translate(_NONZERO)
+    """Ascending positions of the 1 bits of n >= 0, by a lowest-set-bit
+    walk: n & -n isolates the lowest set bit, and clearing it leaves the
+    rest.  Each step costs O(width of n), so the whole costs O(set bits *
+    width).  Both callers pass sparse survivors of a sieve: a sieved Mordell
+    box keeps none in the median, and the index-form solver keeps fewer
+    lines than it has targets."""
     out = []
-    j = flags.find(1)
-    while j >= 0:
-        base = 8 * j
-        out.extend(base + k for k in _BYTE_BITS[packed[j]])
-        j = flags.find(1, j + 1)
+    while n:
+        low = n & -n
+        out.append(low.bit_length() - 1)
+        n ^= low
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -46,6 +47,18 @@ def _plain(obj):
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)
+
+
+def _int_set(text: str, option: str) -> set[int]:
+    """The ints of a comma-separated option value, none if it is empty; a bad
+    entry raises ValueError naming the option and the entry."""
+    out = set()
+    for entry in text.split(",") if text else ():
+        try:
+            out.add(int(entry))
+        except ValueError:
+            raise ValueError(f"{option} entry {entry!r} is not an integer") from None
+    return out
 
 
 def cmd_curve_info(args) -> int:
@@ -139,7 +152,7 @@ def cmd_cubic_info(args) -> int:
 
 def cmd_index_solve(args) -> int:
     K = analyze_cubic(parse_cubic(args.poly))
-    primes = {int(t) for t in args.primes.split(",")} if args.primes else set()
+    primes = _int_set(args.primes, "--primes")
     sols, report = solve_index_equation(K, primes, args.bound)
     lines = ["no solutions" if not sols else
              "; ".join(f"(x,y)=({x},{y}) index {v}" for x, y, v in sols)]
@@ -150,7 +163,7 @@ def cmd_index_solve(args) -> int:
 
 
 def cmd_mordell(args) -> int:
-    S = {int(t) for t in args.S.split(",")} if args.S else set()
+    S = _int_set(args.S, "--S")
     pts = search_mordell(args.k, S, args.height, args.exponent_bound)
     if not pts:
         _emit(args, {"points": []}, "no points in box")
@@ -161,7 +174,7 @@ def cmd_mordell(args) -> int:
 
 
 def cmd_scan_twisted(args) -> int:
-    S = {int(t) for t in args.S.split(",")} if args.S else set()
+    S = _int_set(args.S, "--S")
     cases = scan_twisted_mordell(args.N, args.a_bound, args.b_bound, S,
                                  args.height, args.exponent_bound)
     hits = [(k, pts) for k, pts in cases if pts]
@@ -287,9 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_options(lead) -> list[str]:
+    """The options before the subcommand, lead, that the top-level parser
+    does not know, which argparse would pass over, taking the value after one
+    for the subcommand.  Any other bad option is left for the full parser."""
+    front = argparse.ArgumentParser(parents=[_common_options(False)],
+                                    add_help=False, exit_on_error=False)
+    front.add_argument("-h", "--help", action="store_true")
+    try:
+        return front.parse_known_args(lead)[1]
+    except argparse.ArgumentError:
+        return []
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # most calls start with the subcommand and build no second parser
+    lead = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
     try:
+        unknown = _unknown_options(lead) if lead else []
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -13,13 +13,14 @@ f has a multiple root in P^1(F_q), and then only the element alpha at that
 root can enlarge it, to (alpha - k)/q when that is integral.  Each k is the
 triple root mod q of a characteristic polynomial.  Everything is exact
 integer arithmetic; the basis is returned as Fractions.  The index-equation
-solver keeps only the targets that the congruence sieve allows; for each
-target it sieves the lines y = const of the box with one integer, a bit per
-y, by the residues of the form mod small primes q: a q-bit pattern read off
-the classes of y^-3 mod q and tiled over the box by arith.tile, as the
-Mordell search sieves x.  It splits each surviving line into pieces where
-the form is monotone (critical points from isqrt), and bisects for integer
-roots; the reducibility test finds integer roots of the cubic the same way.
+solver keeps only the targets v that the congruence sieve allows; for each
+it sieves the lines y = const of the box with one integer, a bit per y, by
+the residues of the form mod small primes q: the OR of the classes
+w = y^-3 mod q with w v in the image of F(t, 1) mod q, tiled over the box by
+arith.tile as the Mordell search sieves x.  It walks the surviving lines bit
+by bit, splits each into pieces where the form is monotone (critical points
+from isqrt), and finds the integer roots with _bisect, which the
+reducibility test shares.
 """
 
 from __future__ import annotations
@@ -205,13 +206,9 @@ def analyze_cubic(poly) -> CubicField:
     # divides c; the least one is named
     if c == 0:
         raise ReduciblePolynomial("root at 0")
-
-    def g(x):
-        return ((x + a) * x + b) * x + c
-
     for lo, hi, step in _monotone_pieces(1, a, b, 1, -abs(c), abs(c)):
-        r = _bisect(g, lo, hi, step, 0)
-        if g(r) == 0:
+        r = _bisect(1, a, b, c, lo, hi, step, 0)
+        if r is not None:
             raise ReduciblePolynomial(f"rational root {r}")
     disc = cubic_discriminant(a, b, c)
     assert disc != 0
@@ -352,17 +349,24 @@ def _monotone_pieces(A, B, C, y, lo, hi):
     return [p for p in pieces if p[0] <= p[1]]
 
 
-def _bisect(g, lo: int, hi: int, step: int, v: int) -> int:
-    """Least x in [lo, hi] with step * g(x) >= step * v, or hi if there is
-    none, for g monotone on [lo, hi] (rising if step = 1, falling if -1);
-    v is a value of g there exactly when g of the result is v."""
+def _bisect(A, B, C, D, lo: int, hi: int, step: int, v: int) -> int | None:
+    """The x in [lo, hi] with g(x) = v, or None, for g(x) = A x^3 + B x^2 +
+    C x + D strictly monotone on [lo, hi] (rising if step = 1, falling if
+    -1): it bisects h = step * (g - v), which rises, when h(lo) <= 0 <= h(hi),
+    evaluating h by Horner inline, with no call per step."""
+    if step < 0:
+        A, B, C, D = -A, -B, -C, v - D
+    else:
+        D -= v
+    if ((A * lo + B) * lo + C) * lo + D > 0 or ((A * hi + B) * hi + C) * hi + D < 0:
+        return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if step * g(mid) < step * v:
+        if ((A * mid + B) * mid + C) * mid + D < 0:
             lo = mid + 1
         else:
             hi = mid
-    return lo
+    return lo if ((A * lo + B) * lo + C) * lo + D == 0 else None
 
 
 # primes of the y-sieve in solve_index_equation, chosen by timing: adding
@@ -371,29 +375,28 @@ _Y_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def _cube_classes(q: int):
-    """(q, bits, cubes) for a y-sieve prime q, independent of the form:
-    bits[w] is the int with bit y - 1 set for each unit y mod q, 0 < y < q,
-    with y^-3 = w (mod q), and cubes the sorted list of the unit cubes."""
+    """(q, classes, cubes) for a y-sieve prime q, independent of the form:
+    classes pairs each class w = y^-3 mod q of the units 0 < y < q with the
+    int that has bit y - 1 set for each y in it (q - 1 classes, (q - 1)/3
+    when q = 1 mod 3), and cubes is the set of the unit cubes."""
     bits = [0] * q
     for y in range(1, q):
         bits[pow(y, -3, q)] |= 1 << (y - 1)
-    return q, bits, sorted({y**3 % q for y in range(1, q)})
+    return q, tuple((w, b) for w, b in enumerate(bits) if b), {y**3 % q for y in range(1, q)}
 
 
 _Y_SIEVE_CLASSES = [_cube_classes(q) for q in _Y_SIEVE_PRIMES]
 
 
-def _y_pattern(q: int, vq: int, image, a_cubes, bits) -> int:
+def _y_pattern(q: int, vq: int, image, a_cubes, classes) -> int:
     """The q-bit pattern of the y-sieve for v = vq (mod q), given the image of
     F(t, 1) mod q and the set A x^3 mod q over the units x: bit y - 1 for each
-    y in [1, q] that the argument of solve_index_equation keeps (y^-3 = t/v)."""
-    if vq:
-        inv = pow(vq, -1, q)
-        pattern = 0
-        for t in image:
-            pattern |= bits[t * inv % q]
-    else:
-        pattern = (1 << (q - 1)) - 1 if 0 in image else 0
+    y in [1, q] that the argument of solve_index_equation keeps, one test per
+    class w = y^-3 of _cube_classes (w v in the image) and one for y = q."""
+    pattern = 0
+    for w, bits in classes:
+        if w * vq % q in image:
+            pattern |= bits
     return pattern | (vq in a_cubes) << (q - 1)
 
 
@@ -460,32 +463,28 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     # per y-sieve prime q: the image of F(t, 1) mod q, A x^3 mod q over the
     # units x, the classes of y^-3, and the masks by v mod q, built on first use
     Ft = [((A * t + B) * t + C) * t + D for t in range(_Y_SIEVE_PRIMES[-1])]
-    tables = [(q, {f % q for f in Ft[:q]}, {A * c % q for c in cubes}, bits, [None] * q)
-              for q, bits, cubes in _Y_SIEVE_CLASSES]
+    tables = [(q, {f % q for f in Ft[:q]}, {A * c % q for c in cubes}, classes, [None] * q)
+              for q, classes, cubes in _Y_SIEVE_CLASSES]
     box = (1 << Bnd) - 1
     for v in values:
         live = box
-        for q, image, a_cubes, bits, masks in tables:
+        for q, image, a_cubes, classes, masks in tables:
             if not live:
                 break
             vq = v % q
             mask = masks[vq]
             if mask is None:
-                mask = masks[vq] = tile(_y_pattern(q, vq, image, a_cubes, bits), q, Bnd)
+                mask = masks[vq] = tile(_y_pattern(q, vq, image, a_cubes, classes), q, Bnd)
             live &= mask
+        # a root x on line y has f(x, y) = v, |v| a target, and |x|, y <= Bnd
+        t = abs(v)
         for j in set_bits(live):
             y = j + 1
-            By, Cyy, Dyyy = B * y, C * y * y, D * y**3
-
-            def g(x):
-                return ((A * x + By) * x + Cyy) * x + Dyyy
-
             for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
-                if step * g(lo) <= step * v <= step * g(hi):
-                    a = _bisect(g, lo, hi, step, v)
-                    if g(a) == v:
-                        record(a, y)
-                        record(-a, -y)
+                x = _bisect(A, B * y, C * y * y, D * y**3, lo, hi, step, v)
+                if x is not None and gcd(x, y) == 1:
+                    sols.add((x, y, t))
+                    sols.add((-x, -y, t))
     # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y); every
     # smooth d <= Bnd <= maxval is a target
     scaled = set()

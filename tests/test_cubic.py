@@ -360,8 +360,8 @@ def per_y_solver(K: CubicField, primes, bound: int):
         for lo, hi, step in _monotone_pieces(A, B, C, y, -bound, bound):
             ends = sorted((g(lo), g(hi)))
             for v in values[bisect_left(values, ends[0]):bisect_right(values, ends[1])]:
-                a = _bisect(g, lo, hi, step, v)
-                if g(a) == v:
+                a = _bisect(A, B * y, C * y * y, D * y**3, lo, hi, step, v)
+                if a is not None:
                     record(a, y)
                     record(-a, -y)
     scaled = set()
@@ -435,6 +435,71 @@ def test_solve_matches_per_y_solver(box):
         assert any(v % q == 0 for _, _, v in sols for q in (5, 7, 11))
 
 
+def _search_boxes(n_two=16, n_many=12, seed=20262):
+    """Seeded boxes shaped like the index items of the search benchmark:
+    fields x^3 + a x^2 + b x + c with |a| <= 2, |b| <= 12 and |c| <= 40,
+    first with S = {2} at bounds 47 to 80, then with 3 or 4 primes up to
+    37 at bound 40."""
+    rng = random.Random(seed)
+    boxes = []
+    while len(boxes) < n_two + n_many:
+        poly = (rng.randint(-2, 2), rng.randint(-12, 12), rng.randint(-40, 40))
+        try:
+            analyze_cubic(poly)
+        except ReduciblePolynomial:
+            continue
+        if len(boxes) < n_two:
+            boxes.append((poly, (2,), rng.randint(47, 80)))
+        else:
+            primes = rng.sample((2, 3, 5, 7, 11, 13, 31, 37), rng.randint(3, 4))
+            boxes.append((poly, tuple(sorted(primes)), 40))
+    return boxes
+
+
+SEARCH_BOXES = _search_boxes()
+
+
+def test_search_boxes_cover_the_cases():
+    two = [bound for _, primes, bound in SEARCH_BOXES if primes == (2,)]
+    assert len(two) == 16 and min(two) >= 47 and max(two) <= 80
+    assert max(two) - min(two) >= 20
+    many = [primes for _, primes, bound in SEARCH_BOXES if primes != (2,)]
+    assert {len(primes) for primes in many} == {3, 4}
+    assert all(bound == 40 for _, primes, bound in SEARCH_BOXES if primes != (2,))
+    # most boxes have a coprime solution off the edges, which only the
+    # bisection of a surviving line finds
+    inner = 0
+    for poly, primes, bound in SEARCH_BOXES:
+        sols, _ = solve_index_equation(analyze_cubic(poly), set(primes), bound)
+        inner += any(abs(y) > 1 and x and gcd(x, y) == 1 for x, y, _ in sols)
+    assert inner >= len(SEARCH_BOXES) // 2
+
+
+@pytest.mark.parametrize("box", SEARCH_BOXES, ids=lambda b: f"{b[0]}-{b[1]}-{b[2]}")
+def test_search_shaped_boxes_match_both_references(box):
+    poly, primes, bound = box
+    K = analyze_cubic(poly)
+    sols, report = solve_index_equation(K, set(primes), bound)
+    assert (sols, report) == per_y_solver(K, set(primes), bound)
+    assert sols == brute_force_box(K, primes, bound)
+
+
+def test_bisect_finds_the_root_of_each_monotone_piece(rng):
+    # every value on the piece, values between them, and values beyond
+    # both ends, where it returns None without bisecting
+    for _ in range(300):
+        A, y = rng.randint(1, 5), rng.randint(1, 6)
+        B, C, D = (rng.randint(-30, 30) for _ in range(3))
+        coeffs = (A, B * y, C * y * y, D * y**3)
+        for lo, hi, step in _monotone_pieces(A, B, C, y, -40, 40):
+            at = {((A * x + coeffs[1]) * x + coeffs[2]) * x + coeffs[3]: x
+                  for x in range(lo, hi + 1)}
+            probes = set(at) | {min(at) - 1, max(at) + 1}
+            probes |= {rng.randint(min(at), max(at)) for _ in range(5)}
+            for v in probes:
+                assert _bisect(*coeffs, lo, hi, step, v) == at.get(v), (coeffs, lo, hi, v)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["index-solve", "x^3 - 2", "--primes", "2,0", "--bound", "5"], "primes entry 0"),
     (["index-solve", "x^3 - 2", "--primes=2,-2", "--bound", "5"], "primes entry -2"),
@@ -498,12 +563,12 @@ def test_y_sieve_masks_match_the_definition(rng):
     assert any(A % q == 0 for A, *_ in forms for q in (2, 3, 29, 31))
     assert [q for q, _, _ in _Y_SIEVE_CLASSES] == list(_Y_SIEVE_PRIMES)
     for A, B, C, D in forms:
-        for q, bits, _ in _Y_SIEVE_CLASSES:
+        for q, classes, _ in _Y_SIEVE_CLASSES:
             F = {(A * t**3 + B * t * t + C * t + D) % q for t in range(q)}
             units_A = {A * x**3 % q for x in range(1, q)}
             for bound in {0, 1, q - 1, q, q + 1, 2 * q + 3, rng.randint(1, 70)}:
                 for v in range(q):
-                    mask = tile(_y_pattern(q, v, F, units_A, bits), q, bound)
+                    mask = tile(_y_pattern(q, v, F, units_A, classes), q, bound)
                     want = [(v * pow(y, -3, q) % q in F) if y % q else (v in units_A)
                             for y in range(1, bound + 1)]
                     assert [bool(mask >> (y - 1) & 1) for y in range(1, bound + 1)] \

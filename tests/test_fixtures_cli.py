@@ -183,6 +183,16 @@ def test_cli_options_before_the_subcommand(capsys, tmp_path):
     assert "1 pass, 0 fail" in capsys.readouterr().out
     assert main(["--json", "verify", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 1
+    # so does an abbreviation, and an unknown option there is named, where
+    # argparse alone reads the value after it as the subcommand
+    assert main(["--js", "verify", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 1
+    for argv, named in ((["--bogus", "x", "verify"], "--bogus"),
+                        (["--json", "--bogus=3", "verify", str(tmp_path)], "--bogus=3")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: modpcurves ")
+        assert err.endswith(f"error: unrecognized arguments: {named}\n")
 
 
 def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
@@ -249,7 +259,23 @@ def test_cli_verify_a_path_with_no_fixtures(capsys, tmp_path):
                                   ["ap", "[0,-1,1,-10,-20]", "7", "--fixtures", "x"]])
 def test_cli_has_no_fixtures_option(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("usage: modpcurves ")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modpcurves ")
+    assert "error: unrecognized arguments: --fixtures" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["index-solve", "x^3 - 2", "--bound", "10", "--primes"], "--primes"),
+    (["mordell", "--k", "-2", "--height", "10", "--S"], "--S"),
+    (["scan-twisted", "--N", "67", "--height", "10", "--S"], "--S")])
+def test_cli_names_the_option_of_a_bad_list_entry(capsys, argv, option):
+    for value, entry in (("2,x", "'x'"), (",3", "''")):
+        assert main(argv + [value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {option} entry {entry} is not an integer\n"
+    # an empty value is the empty set
+    assert main(argv + [""]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_reused_parser_matches_fresh_calls(capsys):
