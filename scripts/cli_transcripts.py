@@ -40,7 +40,11 @@ CASES = {
     "ap": [
         ["ap", X0_11, "2"],
         ["ap", C469, "13", "--json"],
-        ["ap", X0_11, "9"]],
+        ["ap", X0_11, "9"],
+        # bad ell above the counting bound: read off Tate's algorithm, split
+        ["ap", "[1,0,0,0,1000003]", "1000003"],
+        # good ell above it: nothing counted, PrimeTooLarge
+        ["ap", X0_11, "1000003"]],
     "trace-table": [
         ["trace-table", C353, "3", "--bound", "37"],
         ["trace-table", C469, "5", "--json"],

@@ -14,6 +14,7 @@ Everything works on arbitrary-precision ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -125,7 +126,7 @@ _PRIMES_1K = _small_primes(1000)
 def primes_below(limit: int) -> list[int]:
     """Ascending list of primes < limit."""
     if limit <= 1001:
-        return [p for p in _PRIMES_1K if p < limit]
+        return _PRIMES_1K[:bisect_left(_PRIMES_1K, limit)]
     return _small_primes(limit - 1)
 
 
@@ -179,7 +180,6 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     while used < budget:
         x = y = 2
         d = 1
-        f = lambda v: (v * v + c) % n
         # Brent: batch gcds
         q = 1
         m = 128
@@ -187,13 +187,13 @@ def _pollard_rho(n: int, budget: int) -> int | None:
         while d == 1 and used < budget:
             x = y
             for _ in range(r):
-                y = f(y)
+                y = (y * y + c) % n
             k = 0
             while k < r and d == 1:
                 ys = y
                 for _ in range(min(m, r - k)):
-                    y = f(y)
-                    q = q * abs(x - y) % n
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
                 d = gcd(q, n)
                 k += m
             used += 2 * r
@@ -203,8 +203,8 @@ def _pollard_rho(n: int, budget: int) -> int | None:
             d = 1
             y = ys
             while d == 1:
-                y = f(y)
-                d = gcd(abs(x - y), n)
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
         if 1 < d < n:
             return d
         c += 1

@@ -125,11 +125,13 @@ def count_points(E: WeierstrassModel, ell: int) -> int:
 
 def ap(E: WeierstrassModel | MinimalCurve, ell: int) -> int:
     """Trace of Frobenius at ell (minimal model; bad-prime conventions).  A
-    prime dividing the minimal discriminant is bad."""
-    if ell > DEFAULT_COUNT_BOUND:
-        raise PrimeTooLarge(ell)
+    prime dividing the minimal discriminant is bad, and read off Tate's
+    algorithm at any size; a good ell above DEFAULT_COUNT_BOUND raises
+    PrimeTooLarge."""
     C = minimal_curve(E)
     if not C.disc.exponent(ell):
+        if ell > DEFAULT_COUNT_BOUND:
+            raise PrimeTooLarge(ell)
         a = ell + 1 - count_points(C.model, ell)
         assert a * a < 4 * ell, (C.model, ell, a)
         return a

@@ -60,8 +60,9 @@ class SerreData(NamedTuple):
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
     """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
     ell are counted in one pass over the curve; PrimeTooLarge is raised
-    before any count if some ell to count is above DEFAULT_COUNT_BOUND, and
-    ValueError for a negative bound."""
+    before any count if some good ell is above DEFAULT_COUNT_BOUND (a bad
+    ell is read off Tate's algorithm at any size), and ValueError for a
+    negative bound."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if bound < 0:
@@ -73,7 +74,7 @@ def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> Trac
     skip = {ell for ell, v in bad.items() if ell != p and ell <= bound
             and (C.local(ell).reduction == ADDITIVE or v % p)}
     for ell in ells[bisect_right(ells, DEFAULT_COUNT_BOUND):]:
-        if ell not in skip:
+        if ell not in bad:
             raise PrimeTooLarge(ell)
     a_ell = traces(C.model, [ell for ell in ells if ell not in bad])
     entries = []

@@ -1,13 +1,15 @@
 """Tate's algorithm: reduction types, Kodaira symbols, conductor exponents.
 
-The full case chain is implemented (including the p = 2, 3 subcases and the
-I_n* sub-loop), not the p >= 5 shortcuts.  Non-minimal local models are
-detected by the final case and rescaled in place, so the reported data always
-refers to a model minimal at p.  The algorithm only ever needs the multiple
-root of a polynomial of degree at most 3, which lies in F_p and comes from
-gcd(g, g') in closed form (arith.multiple_root), and whether the tangent
-quadratic at a node splits, which is a Legendre symbol; both take O(log p)
-arithmetic operations, so large bad primes cost no more than small ones.
+Each pass reads (c4, c6, Delta).  If p divides Delta but not c4, the model
+is minimal at p and the reduction is I_n, n = v_p(Delta), split iff -c4/c6
+is a square in Q_p (Silverman, GTM 151, V.5): iff -c6 is a square mod p for
+odd p (c4^3 = c6^2 mod p makes c4 one), iff -c4 c6 = 1 mod 8 at p = 2.
+Otherwise the full case chain runs (the p = 2, 3 subcases and the I_n*
+sub-loop included); a model not minimal at p is rescaled in place, so the
+data always refer to a model minimal at p.  The chain needs only the
+multiple root of a polynomial of degree at most 3, which lies in F_p and
+comes from gcd(g, g') in closed form (arith.multiple_root), so a bad prime
+costs O(log p) arithmetic operations, not O(p).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import Factorization, legendre_symbol, multiple_root, valuation
-from .weierstrass import (SingularModel, WeierstrassModel, discriminant,
+from .weierstrass import (SingularModel, WeierstrassModel, invariants,
                           minimal_model, transform)
 
 GOOD = "good"
@@ -82,28 +84,25 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
 
     Returns reduction type, Kodaira symbol and conductor exponent for a model
     minimal at p (the input is minimized locally first if necessary).
-    A singular model raises SingularModel, from discriminant.
+    A singular model raises SingularModel, from invariants.
     """
     while True:
-        n = valuation(discriminant(E), p)
+        inv = invariants(E)
+        n = valuation(inv.discriminant, p)
         if n == 0:
             return LocalData(p, GOOD, 0, "I0", 0)
+        if inv.c4 % p:
+            # multiplicative, split iff -c4/c6 is a square in Q_p
+            if p == 2:
+                split = -inv.c4 * inv.c6 % 8 == 1
+            else:
+                split = legendre_symbol(-inv.c6, p) == 1
+            return LocalData(p, SPLIT_MULT if split else NONSPLIT_MULT, 1, f"I{n}", n)
 
-        # move the singular point to the origin
+        # additive or not minimal: move the singular point to the origin
         x0, y0 = _singular_point(E, p)
         E = transform(E, 1, x0, 0, y0)
         a1, a2, a3, a4, a6 = E.coeffs
-        b2 = a1 * a1 + 4 * a2
-
-        if b2 % p != 0:
-            # multiplicative: the tangent directions T^2 + a1 T - a2 are rational
-            # iff their discriminant b2 is a square mod p
-            if p == 2:
-                split = any((t * t + a1 * t - a2) % 2 == 0 for t in (0, 1))
-            else:
-                split = legendre_symbol(b2, p) == 1
-            red = SPLIT_MULT if split else NONSPLIT_MULT
-            return LocalData(p, red, 1, f"I{n}", n)
 
         if _val(a6, p) < 2:
             return LocalData(p, ADDITIVE, n, "II", n)

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import ALL_CURVES, quadratic_twist
-from modpcurves.arith import legendre_symbol, primes_below
+from modpcurves.arith import factor, legendre_symbol, primes_below
 from modpcurves import frobenius
 from modpcurves.frobenius import TABLE_BELOW, PrimeTooLarge, ap, count_points
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE, RAMIFIED_SKIP,
@@ -218,6 +218,25 @@ def test_twist_equivariance(rng):
 def test_prime_too_large():
     with pytest.raises(PrimeTooLarge):
         ap(parse_curve("[0,0,1,-1,0]"), 10**7 + 19)
+
+
+def test_bad_prime_above_the_counting_bound():
+    # y^2 + xy = x^3 + q: c4 = 1 and Delta = -q (1 + 432 q), so mod q it is
+    # the node y^2 + xy = x^3, with rational tangents y = 0 and y = -x: split.
+    # Nothing is counted at a bad prime, so the bound does not apply; a good
+    # ell above it still raises
+    q = 1000003
+    assert q > frobenius.DEFAULT_COUNT_BOUND
+    E = WeierstrassModel(1, 0, 0, 0, q)
+    assert ap(E, q) == 1
+    # the small bad primes, of 1 + 432 q, against a count on the model
+    bad = [ell for ell in factor(discriminant(E)).support if ell < q]
+    assert bad == [7, 13, 17, 41, 139]
+    assert {ap(E, ell) for ell in bad} == {1, -1}
+    for ell in bad:
+        assert ap(E, ell) == ell + 1 - count_points(E, ell), ell
+    with pytest.raises(PrimeTooLarge, match="ell = 1000033 "):
+        ap(E, 1000033)
 
 
 def test_one_pass_matches_ap_one_ell_at_a_time(rng):

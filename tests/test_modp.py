@@ -2,9 +2,9 @@ import time
 
 import pytest
 
-from modpcurves import modp, tate
+from modpcurves import frobenius, modp, tate
 from modpcurves.arith import factor
-from modpcurves.frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap
+from modpcurves.frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, count_points
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              RAMIFIED_SKIP, UNDETERMINED,
                              CharacteristicMismatch, NotSemistableOutsideP,
@@ -241,3 +241,35 @@ def test_counting_bound_checked_before_counting_and_lazily(monkeypatch):
     monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 350)
     tv = trace_vector(parse_curve("[1,1,0,-22,-812]"), 3, 353)
     assert tv.trace_at(353) == (0, RAMIFIED_SKIP)
+
+
+def test_bad_ell_above_the_counting_bound_gets_its_trace(monkeypatch):
+    # y^2 + xy = x^3 + q^3 has c4 = 1, so every bad prime is multiplicative,
+    # and v_q(Delta) = 3: mod 3, q is unramified and its entry is a_q (1 + q)
+    # with a_q = 1 (the node y^2 + xy = x^3 has rational tangents). Nothing
+    # is counted at q, so q = 1000003, above DEFAULT_COUNT_BOUND, raises
+    # nothing; the good ell below it are not what this checks, so their
+    # counts are stubbed out
+    q = 1000003
+    E = WeierstrassModel(1, 0, 0, 0, q**3)
+    assert q > DEFAULT_COUNT_BOUND and tate.minimal_curve(E).disc.exponent(q) == 3
+    with monkeypatch.context() as m:
+        m.setattr(modp, "traces", lambda model, ells: iter([0] * len(ells)))
+        tv = trace_vector(E, 3, q)
+    assert tv.trace_at(q) == ((1 + q) % 3, BAD_CONVENTION)
+    # the same with every count real: the counting bound lowered to 1000, so
+    # nothing at or above 2^10 is counted; bad 1009 (v = 3) gets a_1009 from
+    # Tate's algorithm, checked against a count on the model, and good 1013
+    # still raises before any count
+    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 1000)
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 1000)
+    E = WeierstrassModel(1, 0, 0, 0, 1009**3)
+    a = 1009 + 1 - count_points(E, 1009)
+    assert a in (1, -1)
+    tv = trace_vector(E, 3, 1012)
+    assert tv.trace_at(1009) == (a * 1010 % 3, BAD_CONVENTION)
+    assert tv.trace_at(997)[1] == GOOD_Q
+    with monkeypatch.context() as m:
+        m.setattr(modp, "traces", lambda *args: pytest.fail("counted"))
+        with pytest.raises(PrimeTooLarge, match="ell = 1013 "):
+            trace_vector(E, 3, 1013)

@@ -254,3 +254,40 @@ def test_record_cache_is_bounded(minimal_model_runs):
     again = minimal_curve(models[0])
     assert again is not first and again.model == first.model
     assert len(minimal_model_runs) == RECORD_CACHE_SIZE + 2
+
+
+def _reduction_trace_by_count(E, p):
+    """p + 1 - #E(F_p) for the reduction of the long model E mod p, counted
+    over all p^2 affine pairs, the singular point included: a split node
+    leaves p - 1 smooth points, a nonsplit node p + 1 and a cusp p, so the
+    value is 1, -1 or 0."""
+    a1, a2, a3, a4, a6 = (a % p for a in E.coeffs)
+    count = 1
+    for x in range(p):
+        b = (a1 * x + a3) % p
+        rhs = (((x + a2) * x + a4) * x + a6) % p
+        count += [(y * y + b * y) % p for y in range(p)].count(rhs)
+    return p + 1 - count
+
+
+def test_reduction_type_against_point_count(rng):
+    # seeded minimal models, every bad p <= 500: the read-off of (c4, c6,
+    # Delta) and the chain against a count that knows no Tate's algorithm
+    models = [minimal_model(parse_curve(text))[0]
+              for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS]
+    while len(models) < 150:
+        E = WeierstrassModel(*(rng.randint(-40, 40) for _ in range(5)))
+        if discriminant(E) != 0:
+            models.append(minimal_model(E)[0])
+    expected = {SPLIT_MULT: 1, NONSPLIT_MULT: -1, ADDITIVE: 0}
+    seen = set()
+    for Emin in models:
+        for p in factor(discriminant(Emin)).support:
+            if p > 500:
+                continue
+            reduction = tate_local(Emin, p).reduction
+            assert _reduction_trace_by_count(Emin, p) == expected[reduction], (Emin, p)
+            seen.add((p, reduction))
+    for p in (2, 3):
+        assert {(p, SPLIT_MULT), (p, NONSPLIT_MULT), (p, ADDITIVE)} <= seen
+    assert any(p > 100 and red != ADDITIVE for p, red in seen)
