@@ -36,6 +36,8 @@ CASES = {
         ["curve-info", C353],
         ["curve-info", C353, "--json"],
         ["curve-info", "[0,0,0,29,-123]"],
+        # additive primes, --json before the subcommand
+        ["--json", "curve-info", "[0,0,0,29,-123]"],
         ["curve-info", "[0,0,0,0,0]"]],
     "ap": [
         ["ap", X0_11, "2"],

@@ -23,30 +23,16 @@ from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
-from .tate import conductor, minimal_curve
+from .tate import MinimalCurve, conductor, minimal_curve
 from .verify import verify_all
 from .weierstrass import invariants, parse_curve
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(_plain(payload), sort_keys=True))
-    else:
-        print(text)
-
-
-def _plain(obj):
-    if hasattr(obj, "_asdict"):
-        return _plain(obj._asdict())
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        obj = sorted(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+def _emit(args, payload: dict, render) -> None:
+    """Print payload as JSON with --json, else the text render() builds.
+    payload holds only dicts with str keys, lists, strs, ints, bools and
+    None; render is called only when its text is printed."""
+    print(json.dumps(payload, sort_keys=True) if args.json else render())
 
 
 def _int_set(text: str, option: str) -> set[int]:
@@ -63,45 +49,51 @@ def _int_set(text: str, option: str) -> set[int]:
 
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
-    C = minimal_curve(E)
+    C = MinimalCurve(E)
     inv = invariants(C.model)
     locals_ = [C.local(p) for p in C.disc.support]
     N = conductor(C)
-    text = [f"model:        {E}",
-            f"minimal:      {C.model}   (u,r,s,t) = {C.urst}",
-            f"c4, c6:       {inv.c4}, {inv.c6}",
-            f"disc:         {inv.discriminant} = {C.disc}",
-            f"conductor:    {N.value()} = {N}"]
-    for ld in locals_:
-        text.append(f"  at {ld.prime}: {ld.reduction}, {ld.kodaira}, "
-                    f"f = {ld.conductor_exponent}, v(disc) = {ld.discriminant_valuation}")
+
+    def render():
+        text = [f"model:        {E}",
+                f"minimal:      {C.model}   (u,r,s,t) = {C.urst}",
+                f"c4, c6:       {inv.c4}, {inv.c6}",
+                f"disc:         {inv.discriminant} = {C.disc}",
+                f"conductor:    {N.value()} = {N}"]
+        for ld in locals_:
+            text.append(f"  at {ld.prime}: {ld.reduction}, {ld.kodaira}, "
+                        f"f = {ld.conductor_exponent}, v(disc) = {ld.discriminant_valuation}")
+        return "\n".join(text)
     _emit(args, {"model": str(E), "minimal": str(C.model), "c4": inv.c4,
                  "c6": inv.c6, "disc": inv.discriminant, "conductor": str(N),
-                 "local": locals_}, "\n".join(text))
+                 "local": [ld._asdict() for ld in locals_]}, render)
     return 0
 
 
 def cmd_ap(args) -> int:
     E = parse_curve(args.curve)
     val = ap(E, args.ell)
-    _emit(args, {"ell": args.ell, "ap": val}, f"a_{args.ell} = {val}")
+    _emit(args, {"ell": args.ell, "ap": val}, lambda: f"a_{args.ell} = {val}")
     return 0
 
 
 def cmd_trace_table(args) -> int:
     E = parse_curve(args.curve)
     tv = trace_vector(E, args.p, args.bound)
-    _emit(args, {"p": args.p, "entries": list(tv.entries)}, tv.serialize())
+    _emit(args, {"p": args.p, "entries": [list(e) for e in tv.entries]},
+          tv.serialize)
     return 0
 
 
 def cmd_serre_conductor(args) -> int:
     E = parse_curve(args.curve)
     sd = serre_conductor_semistable(E, args.p)
-    notes = "; ".join(f"{ell}: {note}" for ell, note in sd.ramification_notes)
+
+    def render():
+        notes = "; ".join(f"{ell}: {note}" for ell, note in sd.ramification_notes)
+        return f"N(rhobar) = {sd.serre_conductor}  [{notes}]"
     _emit(args, {"p": args.p, "serre_conductor": str(sd.serre_conductor),
-                 "notes": list(sd.ramification_notes)},
-          f"N(rhobar) = {sd.serre_conductor}  [{notes}]")
+                 "notes": [list(n) for n in sd.ramification_notes]}, render)
     return 0
 
 
@@ -114,39 +106,42 @@ def cmd_compare(args) -> int:
     if result == "match-up-to-bound":
         sturm = sturm_bound(max(conductor(E), conductor(F), key=Factorization.value))
         _emit(args, {"result": result, "sturm_bound": sturm},
-              f"match up to bound {args.bound} (Sturm horizon {sturm})")
+              lambda: f"match up to bound {args.bound} (Sturm horizon {sturm})")
         return 0
     _, ell = result
     _emit(args, {"result": "mismatch", "ell": ell},
-          f"mismatch at ell = {ell}")
+          lambda: f"mismatch at ell = {ell}")
     return 1
 
 
 def cmd_cubic_info(args) -> int:
     K = analyze_cubic(parse_cubic(args.poly))
     form = index_form(K)
-    basis = ["1"]
-    for row in K.integral_basis[1:]:
-        terms = []
-        for coef, name in zip(row, ("1", "u", "u^2")):
-            if coef:
-                terms.append(f"{coef}*{name}" if coef != 1 else name)
-        basis.append(" + ".join(terms))
-    text = [f"poly disc:    {K.poly_discriminant}",
-            f"field disc:   {K.field_discriminant} = {factor(K.field_discriminant)}",
-            f"index of u:   {K.index_of_generator}",
-            f"basis:        {{{', '.join(basis)}}}",
-            f"index form:   {form.coefficients}",
-            f"odd Serre:    {s3_serre_conductor(K)}"]
-    try:
-        mr = mordell_reduction(K)
-        text.append(f"mordell k:    {mr.k} ({mr.scaling})")
-    except DiscriminantNotMinusPrime:
-        pass
+
+    def render():
+        basis = ["1"]
+        for row in K.integral_basis[1:]:
+            terms = []
+            for coef, name in zip(row, ("1", "u", "u^2")):
+                if coef:
+                    terms.append(f"{coef}*{name}" if coef != 1 else name)
+            basis.append(" + ".join(terms))
+        text = [f"poly disc:    {K.poly_discriminant}",
+                f"field disc:   {K.field_discriminant} = {factor(K.field_discriminant)}",
+                f"index of u:   {K.index_of_generator}",
+                f"basis:        {{{', '.join(basis)}}}",
+                f"index form:   {form.coefficients}",
+                f"odd Serre:    {s3_serre_conductor(K)}"]
+        try:
+            mr = mordell_reduction(K)
+            text.append(f"mordell k:    {mr.k} ({mr.scaling})")
+        except DiscriminantNotMinusPrime:
+            pass
+        return "\n".join(text)
     _emit(args, {"poly_disc": K.poly_discriminant,
                  "field_disc": K.field_discriminant,
                  "index": K.index_of_generator,
-                 "index_form": list(form.coefficients)}, "\n".join(text))
+                 "index_form": list(form.coefficients)}, render)
     return 0
 
 
@@ -154,22 +149,22 @@ def cmd_index_solve(args) -> int:
     K = analyze_cubic(parse_cubic(args.poly))
     primes = _int_set(args.primes, "--primes")
     sols, report = solve_index_equation(K, primes, args.bound)
-    lines = ["no solutions" if not sols else
-             "; ".join(f"(x,y)=({x},{y}) index {v}" for x, y, v in sols)]
-    lines.extend(f"sieve: {c}" for c in report.conclusions)
+
+    def render():
+        lines = ["no solutions" if not sols else
+                 "; ".join(f"(x,y)=({x},{y}) index {v}" for x, y, v in sols)]
+        lines.extend(f"sieve: {c}" for c in report.conclusions)
+        return "\n".join(lines)
     _emit(args, {"solutions": [list(s) for s in sols],
-                 "conclusions": list(report.conclusions)}, "\n".join(lines))
+                 "conclusions": list(report.conclusions)}, render)
     return 0
 
 
 def cmd_mordell(args) -> int:
     S = _int_set(args.S, "--S")
     pts = search_mordell(args.k, S, args.height, args.exponent_bound)
-    if not pts:
-        _emit(args, {"points": []}, "no points in box")
-    else:
-        _emit(args, {"points": [[P.x_num, P.y_num, P.denom] for P in pts]},
-              "\n".join(f"({P.x}, {P.y})" for P in pts))
+    _emit(args, {"points": [[P.x_num, P.y_num, P.denom] for P in pts]},
+          lambda: "\n".join(f"({P.x}, {P.y})" for P in pts) or "no points in box")
     return 0
 
 
@@ -178,14 +173,17 @@ def cmd_scan_twisted(args) -> int:
     cases = scan_twisted_mordell(args.N, args.a_bound, args.b_bound, S,
                                  args.height, args.exponent_bound)
     hits = [(k, pts) for k, pts in cases if pts]
-    lines = [f"scanned {len(cases)} curves Y^2 = X^3 +- 3^a*{args.N}^b"]
-    for k, pts in hits:
-        lines.append(f"k = {k}: " + ", ".join(f"({P.x}, {P.y})" for P in pts))
-    if not hits:
-        lines.append("no points found")
+
+    def render():
+        lines = [f"scanned {len(cases)} curves Y^2 = X^3 +- 3^a*{args.N}^b"]
+        for k, pts in hits:
+            lines.append(f"k = {k}: " + ", ".join(f"({P.x}, {P.y})" for P in pts))
+        if not hits:
+            lines.append("no points found")
+        return "\n".join(lines)
     _emit(args, {"cases": len(cases),
                  "hits": [[k, [[P.x_num, P.y_num, P.denom] for P in pts]]
-                          for k, pts in hits]}, "\n".join(lines))
+                          for k, pts in hits]}, render)
     return 0
 
 
@@ -194,19 +192,18 @@ def cmd_obstruct(args) -> int:
     rep = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
                               args.ell)
     norm = "0" if rep.degenerate else str(rep.norm)
-    text = (f"N(A({args.ell})) = {norm}; "
-            f"obstructed primes {sorted(rep.obstructed_primes)}"
-            + ("; degenerate (rational eigenvalue)" if rep.degenerate else ""))
-    _emit(args, {"norm": norm,
-                 "obstructed_primes": sorted(rep.obstructed_primes),
-                 "degenerate": rep.degenerate}, text)
+    primes = sorted(rep.obstructed_primes)
+    _emit(args, {"norm": norm, "obstructed_primes": primes,
+                 "degenerate": rep.degenerate},
+          lambda: f"N(A({args.ell})) = {norm}; obstructed primes {primes}"
+                  + ("; degenerate (rational eigenvalue)" if rep.degenerate else ""))
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify_all(args.path)
-    _emit(args, {"checks": list(report.checks), "counts": report.counts},
-          report.render())
+    _emit(args, {"checks": [c._asdict() for c in report.checks],
+                 "counts": report.counts}, report.render)
     return 1 if report.failed else 0
 
 
@@ -219,13 +216,15 @@ def _common_options(json_default) -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it."""
+    """The parser, built once per process: parse_args keeps no state in it.
+    Its subcommands attribute maps each subcommand to its own parser."""
     parser = argparse.ArgumentParser(
         prog="modpcurves",
         description="Elliptic curves, their mod-p fingerprints, and the "
                     "cubic-field / Mordell / level-raising toolkit around them.",
         parents=[_common_options(False)])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
     # a subcommand's copy of --json sets nothing unless given, so that a
     # --json given before the subcommand survives
     common = _common_options(argparse.SUPPRESS)
@@ -300,29 +299,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unknown_options(lead) -> list[str]:
-    """The options before the subcommand, lead, that the top-level parser
-    does not know, which argparse would pass over, taking the value after one
-    for the subcommand.  Any other bad option is left for the full parser."""
+@functools.cache
+def _front_parser() -> argparse.ArgumentParser:
+    """The options that may come before the subcommand: --json and help."""
     front = argparse.ArgumentParser(parents=[_common_options(False)],
                                     add_help=False, exit_on_error=False)
     front.add_argument("-h", "--help", action="store_true")
-    try:
-        return front.parse_known_args(lead)[1]
-    except argparse.ArgumentError:
-        return []
+    return front
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed by the subcommand's own parser
+    after the options before it.  An unknown option there is named, where
+    argparse alone would take the value after it for the subcommand.  Help
+    before the subcommand, a missing or unknown subcommand and a front
+    option the front parser rejects go to the full parser, which prints the
+    help or the usage error."""
+    parser = build_parser()
+    lead = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
+    command = argv[len(lead)] if len(argv) > len(lead) else None
+    sub = parser.subcommands.get(command)
+    front = argparse.Namespace(json=False, help=False)
+    if lead:
+        try:
+            front, unknown = _front_parser().parse_known_args(lead)
+        except argparse.ArgumentError:
+            sub = None
+        else:
+            if unknown:
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if sub is None or front.help:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[len(lead) + 1:],
+                                       argparse.Namespace(json=front.json, command=command))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    # most calls start with the subcommand and build no second parser
-    lead = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
     try:
-        unknown = _unknown_options(lead) if lead else []
-        if unknown:
-            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

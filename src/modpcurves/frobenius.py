@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 
 from .arith import Error, is_prime
 from .tate import ADDITIVE, SPLIT_MULT, MinimalCurve, minimal_curve
-from .weierstrass import WeierstrassModel
+from .weierstrass import WeierstrassModel, c4_c6
 
 
 class PrimeTooLarge(Error):
@@ -89,10 +89,8 @@ def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
     """ell + 1 - #E(F_ell) for each prime ell of ells, in order, counted on
     E as given (any reduction type): a_ell at a good prime of E."""
     a1, a2, a3, a4, a6 = E.coeffs
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    A = 27 * (24 * b4 - b2 * b2)  # -27 c4
-    B = 54 * (b2**3 - 36 * b2 * b4 + 216 * (a3 * a3 + 4 * a6))  # -54 c6
+    c4, c6 = c4_c6(E)
+    A, B = -27 * c4, -54 * c6
     for ell in ells:
         if 5 <= ell < TABLE_BELOW:
             roots, w, n1, nz = _TABLES.get(ell) or _table(ell)

@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import Factorization, legendre_symbol, multiple_root, valuation
-from .weierstrass import (SingularModel, WeierstrassModel, invariants,
-                          minimal_model, transform)
+from .weierstrass import (SingularModel, WeierstrassModel, b_invariants,
+                          c_invariants, minimal_model, transform)
 
 GOOD = "good"
 SPLIT_MULT = "split multiplicative"
@@ -68,9 +68,7 @@ def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
                 if f == fy == fx == 0:
                     return x, y
         raise SingularModel(f"no singular point mod 2 on {E}")
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
+    b2, b4, b6 = b_invariants(E)
     # singular x is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
     root = multiple_root([b6, 2 * b4, b2, 4], p)
     if root is None:
@@ -84,19 +82,19 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
 
     Returns reduction type, Kodaira symbol and conductor exponent for a model
     minimal at p (the input is minimized locally first if necessary).
-    A singular model raises SingularModel, from invariants.
+    A singular model raises SingularModel, from c_invariants.
     """
     while True:
-        inv = invariants(E)
-        n = valuation(inv.discriminant, p)
+        c4, c6, disc = c_invariants(E)
+        n = valuation(disc, p)
         if n == 0:
             return LocalData(p, GOOD, 0, "I0", 0)
-        if inv.c4 % p:
+        if c4 % p:
             # multiplicative, split iff -c4/c6 is a square in Q_p
             if p == 2:
-                split = -inv.c4 * inv.c6 % 8 == 1
+                split = -c4 * c6 % 8 == 1
             else:
-                split = legendre_symbol(-inv.c6, p) == 1
+                split = legendre_symbol(-c6, p) == 1
             return LocalData(p, SPLIT_MULT if split else NONSPLIT_MULT, 1, f"I{n}", n)
 
         # additive or not minimal: move the singular point to the origin
@@ -109,8 +107,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         if _val(b8, p) < 3:
             return LocalData(p, ADDITIVE, n - 1, "III", n)
-        b6 = a3 * a3 + 4 * a6
-        if _val(b6, p) < 3:
+        if _val(b_invariants(E)[2], p) < 3:
             return LocalData(p, ADDITIVE, n - 2, "IV", n)
 
         # normalize: p | a1, a2;  p^2 | a3, a4;  p^3 | a6

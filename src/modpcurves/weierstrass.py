@@ -56,19 +56,34 @@ def parse_curve(text: str) -> WeierstrassModel:
     return WeierstrassModel(*(int(g) for g in m.groups()))
 
 
-def invariants(E: WeierstrassModel) -> CurveInvariants:
-    a1, a2, a3, a4, a6 = E.coeffs
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (b2 * b6 - b4 * b4) // 4
-    assert 4 * b8 == b2 * b6 - b4 * b4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+def b_invariants(E: WeierstrassModel) -> tuple[int, int, int]:
+    """(b2, b4, b6) of E."""
+    a1, a2, a3, a4, a6 = E
+    return a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+
+
+def c4_c6(E: WeierstrassModel) -> tuple[int, int]:
+    """(c4, c6) of E, a singular model included."""
+    b2, b4, b6 = b_invariants(E)
+    return b2 * b2 - 24 * b4, -b2**3 + 36 * b2 * b4 - 216 * b6
+
+
+def c_invariants(E: WeierstrassModel) -> tuple[int, int, int]:
+    """(c4, c6, disc) of E, all that Tate's algorithm and minimization read;
+    a singular model raises SingularModel."""
+    c4, c6 = c4_c6(E)
     disc = (c4**3 - c6**2) // 1728
     assert 1728 * disc == c4**3 - c6**2
     if disc == 0:
         raise SingularModel(str(E))
+    return c4, c6, disc
+
+
+def invariants(E: WeierstrassModel) -> CurveInvariants:
+    c4, c6, disc = c_invariants(E)
+    b2, b4, b6 = b_invariants(E)
+    b8 = (b2 * b6 - b4 * b4) // 4
+    assert 4 * b8 == b2 * b6 - b4 * b4
     g = gcd(c4**3, disc)
     jn, jd = c4**3 // g, abs(disc) // g
     if disc < 0:
@@ -77,7 +92,7 @@ def invariants(E: WeierstrassModel) -> CurveInvariants:
 
 
 def discriminant(E: WeierstrassModel) -> int:
-    return invariants(E).discriminant
+    return c_invariants(E)[2]
 
 
 def transform(E: WeierstrassModel, u: int, r: int, s: int, t: int) -> WeierstrassModel:
@@ -123,8 +138,7 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
             continue
         a4 = (b4 - a1 * a3) // 2
         E = WeierstrassModel(a1, a2, a3, a4, a6)
-        iv = invariants(E)
-        if (iv.c4, iv.c6) == (c4, c6):
+        if c4_c6(E) == (c4, c6):
             return E
     raise SingularModel(f"no integral model with c4={c4}, c6={c6}")
 
@@ -138,8 +152,7 @@ def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int
     factored once and disc(Emin) is read off it, so a caller needs no second
     factor call for the bad primes of Emin or their valuations.
     """
-    inv = invariants(E)
-    c4, c6, disc = inv.c4, inv.c6, inv.discriminant
+    c4, c6, disc = c_invariants(E)
     factored = factor(disc)
     u = 1
     min_factors = []

@@ -55,6 +55,27 @@ def test_verify_unknown_kind_skipped():
         verify_records(recs)
 
 
+ROW_353_MOD_3 = "0,-,1,2,1,1,0,1,0,0,1,0"  # ell = 2, 3, ..., 37
+
+
+@pytest.mark.parametrize("last, status", [("0", PASS), ("1", FAIL)])
+def test_verify_tracerow_reads_the_whole_bound(last, status):
+    # a_41 = 6 = 0 mod 3: a bound above 37 adds its primes to the window
+    recs = parse_fixture_text("tracerow; model=[1,1,0,-22,-812]; p=3; bound=41; "
+                              f"row={ROW_353_MOD_3},{last}\n", "<string>")
+    report = verify_records(recs)
+    assert [(c.check_id, c.status) for c in report.checks] == [("<string>:1", status)]
+
+
+def test_verify_tracerow_rejects_a_row_shorter_than_its_window():
+    recs = parse_fixture_text("# bound 41 holds 13 primes\n"
+                              "tracerow; model=[1,1,0,-22,-812]; p=3; bound=41; "
+                              f"row={ROW_353_MOD_3}\n", "<string>")
+    with pytest.raises(FixtureError, match=r"^<string>:2: ValueError: row has 12 "
+                                           r"entries for the 13 primes up to bound 41$"):
+        verify_records(recs)
+
+
 def test_verify_all_counts_and_known_failures(full_report):
     report = full_report
     counts = report.counts

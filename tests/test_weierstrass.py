@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from conftest import NotSquarefree, curves, quadratic_twist
 from modpcurves.arith import factor, valuation
 from modpcurves.tate import GOOD, tate_local
-from modpcurves.weierstrass import (SingularModel, WeierstrassModel, discriminant,
-                                    invariants, minimal_model, parse_curve, transform)
+from modpcurves.weierstrass import (SingularModel, WeierstrassModel, c4_c6,
+                                    c_invariants, discriminant, invariants,
+                                    minimal_model, parse_curve, transform)
 
 coeff = st.integers(min_value=-50, max_value=50)
 models = st.builds(WeierstrassModel, coeff, coeff, coeff, coeff, coeff)
@@ -46,6 +47,12 @@ def test_invariants_identity_hypothesis(E):
 def test_singular_model_raises():
     with pytest.raises(SingularModel):
         invariants(parse_curve("[0,0,0,0,0]"))
+    # c4_c6 reads a singular model, the cusp and the node y^2 = x^3 + x^2;
+    # c_invariants does not
+    for E, c in (("[0,0,0,0,0]", (0, 0)), ("[0,1,0,0,0]", (16, -64))):
+        assert c4_c6(parse_curve(E)) == c
+        with pytest.raises(SingularModel):
+            c_invariants(parse_curve(E))
 
 
 @given(models, st.integers(min_value=1, max_value=3),
