@@ -25,7 +25,7 @@ from .mordell import scan_twisted_mordell, search_mordell
 from .quadorder import QuadraticOrderElement, compute_obstruction
 from .tate import MinimalCurve, conductor, minimal_curve
 from .verify import verify_all
-from .weierstrass import invariants, parse_curve
+from .weierstrass import c_invariants, parse_curve
 
 
 def _emit(args, payload: dict, render) -> None:
@@ -50,22 +50,22 @@ def _int_set(text: str, option: str) -> set[int]:
 def cmd_curve_info(args) -> int:
     E = parse_curve(args.curve)
     C = MinimalCurve(E)
-    inv = invariants(C.model)
+    c4, c6, disc = c_invariants(C.model)
     locals_ = [C.local(p) for p in C.disc.support]
     N = conductor(C)
 
     def render():
         text = [f"model:        {E}",
                 f"minimal:      {C.model}   (u,r,s,t) = {C.urst}",
-                f"c4, c6:       {inv.c4}, {inv.c6}",
-                f"disc:         {inv.discriminant} = {C.disc}",
+                f"c4, c6:       {c4}, {c6}",
+                f"disc:         {disc} = {C.disc}",
                 f"conductor:    {N.value()} = {N}"]
         for ld in locals_:
             text.append(f"  at {ld.prime}: {ld.reduction}, {ld.kodaira}, "
                         f"f = {ld.conductor_exponent}, v(disc) = {ld.discriminant_valuation}")
         return "\n".join(text)
-    _emit(args, {"model": str(E), "minimal": str(C.model), "c4": inv.c4,
-                 "c6": inv.c6, "disc": inv.discriminant, "conductor": str(N),
+    _emit(args, {"model": str(E), "minimal": str(C.model), "c4": c4,
+                 "c6": c6, "disc": disc, "conductor": str(N),
                  "local": [ld._asdict() for ld in locals_]}, render)
     return 0
 

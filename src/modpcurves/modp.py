@@ -39,12 +39,6 @@ class TraceVector(NamedTuple):
     p: int
     entries: tuple[tuple[int, int, str], ...]  # (ell, trace mod p, quality)
 
-    def trace_at(self, ell: int):
-        for l, tr, q in self.entries:
-            if l == ell:
-                return tr, q
-        return None
-
     def serialize(self) -> str:
         body = " ".join(f"{l}:{t}" if q != RAMIFIED_SKIP else f"{l}:*"
                         for l, t, q in self.entries)

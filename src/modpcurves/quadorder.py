@@ -39,9 +39,7 @@ class QuadraticOrderElement(NamedTuple):
     def checked(cls, d: int, a: int, b: int) -> "QuadraticOrderElement":
         """a + b*omega for a d from outside; raises ValueError unless d is a
         squarefree integer > 1."""
-        if d < 2 or any(e > 1 for _, e in factor(d).factors):
-            raise ValueError(f"d = {d} is not a squarefree integer > 1")
-        return cls(d, a, b)
+        return cls(checked_d(d), a, b)
 
     @property
     def half_basis(self) -> bool:
@@ -57,6 +55,14 @@ class QuadraticOrderElement(NamedTuple):
         if self.half_basis:
             return a * a + a * b - (self.d - 1) // 4 * b * b
         return a * a - self.d * b * b
+
+
+def checked_d(d: int) -> int:
+    """d, for a d from outside; raises ValueError unless d is a squarefree
+    integer > 1."""
+    if d < 2 or any(e > 1 for _, e in factor(d).factors):
+        raise ValueError(f"d = {d} is not a squarefree integer > 1")
+    return d
 
 
 def order_discriminant(d: int) -> int:

@@ -11,16 +11,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import Error, is_prime, primes_below
+from .arith import Error, primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
                     s3_serre_conductor, solve_index_equation)
 from .fixtures import (FixtureError, Record, default_fixture_dir,
                        load_fixture_file, parse_factorization, parse_int_list,
                        parse_pair)
-from .frobenius import ap
 from .modp import is_reducible_semistable, serre_conductor_semistable, trace_vector
 from .mordell import search_mordell
-from .quadorder import (QuadraticOrderElement, compute_obstruction,
+from .quadorder import (QuadraticOrderElement, checked_d, compute_obstruction,
                         curve_eligibility, order_discriminant,
                         reciprocity_cover)
 from .tate import conductor, minimal_curve
@@ -114,58 +113,63 @@ def _check_irreducible(rec: Record):
                     rec.require("expect"), got)
 
 
-def _check_tracerow(rec: Record):
-    E = parse_curve(rec.require("model"))
+def _trace_row(rec: Record, ells: list[int]):
+    """(C, p, row): the minimal curve of the record's model, its p and the
+    traces mod p of C at ells, in the trace-vector convention of modp and
+    None at ell = p or an ell that is not prime, read off one trace vector
+    up to the last ell."""
+    C = minimal_curve(parse_curve(rec.require("model")))
     p = int(rec.require("p"))
+    traces = {ell: tr for ell, tr, _ in trace_vector(C, p, max(ells[-1], 0)).entries}
+    return C, p, [traces.get(ell) for ell in ells]
+
+
+def _entry(trace, ell: int, p: int) -> int:
+    """A trace of a row that a check needs; None, at ell = p or at an ell that
+    is not prime, raises ValueError."""
+    if trace is None:
+        raise ValueError(f"ell = {ell} is not a prime other than p = {p}")
+    return trace
+
+
+def _check_tracerow(rec: Record):
     bound = int(rec.require("bound"))
     want = parse_int_list(rec.require("row"))
     ells = primes_below(bound + 1)
     if len(want) != len(ells):
         raise ValueError(f"row has {len(want)} entries for the {len(ells)} "
                          f"primes up to bound {bound}")
-    tv = trace_vector(E, p, bound)
-    got = [None if ell == p else tv.trace_at(ell)[0] for ell in ells]
+    _, p, got = _trace_row(rec, ells)
     yield _eq_check(rec, f"trace row of {rec.require('model')} mod {p}", want, got)
 
 
-def _prime(rec: Record) -> int:
-    p = int(rec.require("p"))
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return p
-
-
 def _check_modrow(rec: Record):
-    p = _prime(rec)
-    C = minimal_curve(parse_curve(rec.require("model")))
     want = parse_int_list(rec.require("row"))
-    ells = primes_below(38)[: len(want)]
-    got = [None if ell == p else ap(C, ell) % p for ell in ells]
+    ells = primes_below(38)
+    if len(want) > len(ells):
+        raise ValueError(f"row has {len(want)} entries for the {len(ells)} "
+                         f"primes up to 37")
+    C, p, got = _trace_row(rec, ells[:len(want)])
+    a2 = _entry(got[0], 2, p)
     yield _eq_check(rec, f"a_ell mod {p} row of {rec.require('model')}", want, got)
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
                     int(rec.require("level")), conductor(C).value())
-    yield _eq_check(rec, f"a_2 of {rec.require('model')} nonzero mod {p}",
-                    True, ap(C, 2) % p != 0)
+    yield _eq_check(rec, f"a_2 of {rec.require('model')} nonzero mod {p}", True, a2 != 0)
 
 
 def _check_a2row(rec: Record):
-    p = _prime(rec)
-    C = minimal_curve(parse_curve(rec.require("model")))
+    C, p, (a2,) = _trace_row(rec, [2])
     yield _eq_check(rec, f"a_2 mod {p} of {rec.require('model')}",
-                    int(rec.require("a2")), ap(C, 2) % p)
+                    int(rec.require("a2")), _entry(a2, 2, p))
     yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
                     int(rec.require("level")), conductor(C).value())
 
 
 def _check_tracecheck(rec: Record):
-    E = parse_curve(rec.require("model"))
-    p = int(rec.require("p"))
     ell = int(rec.require("ell"))
-    if ell == p or not is_prime(ell):
-        raise ValueError(f"ell = {ell} is not a prime other than p = {p}")
-    tv = trace_vector(E, p, ell)
+    _, p, (trace,) = _trace_row(rec, [ell])
     yield _eq_check(rec, f"trace of {rec.require('model')} mod {p} at {ell}",
-                    int(rec.require("value")), tv.trace_at(ell)[0])
+                    int(rec.require("value")), _entry(trace, ell, p))
 
 
 def _check_sieve(rec: Record):
@@ -209,7 +213,7 @@ def _check_obstruct(rec: Record):
 
 
 def _check_order(rec: Record):
-    d = int(rec.require("d"))
+    d = checked_d(int(rec.require("d")))
     yield _eq_check(rec, f"discriminant of Z[omega] for d = {d}",
                     int(rec.require("order_disc")), order_discriminant(d))
 
@@ -217,9 +221,10 @@ def _check_order(rec: Record):
 def _check_reciprocity(rec: Record):
     pmin, pmax = int(rec.require("pmin")), int(rec.require("pmax"))
     candidates = tuple(int(t) for t in rec.require("candidates").split(","))
-    missing = [p for p in primes_below(pmax + 1)
-               if p >= pmin and p not in (2, 5)
-               and reciprocity_cover(p, candidates) is None]
+    primes = [p for p in primes_below(pmax + 1) if p >= pmin and p not in (2, 5)]
+    if not primes:
+        raise ValueError(f"[{pmin}, {pmax}] holds no prime other than 2 and 5")
+    missing = [p for p in primes if reciprocity_cover(p, candidates) is None]
     yield _eq_check(rec, f"quadratic-residue cover {candidates} for primes in "
                     f"[{pmin}, {pmax}]", [], missing)
 

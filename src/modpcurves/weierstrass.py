@@ -10,7 +10,6 @@ rebuild the reduced model from (c4, c6).
 from __future__ import annotations
 
 import re
-from math import gcd
 from typing import NamedTuple
 
 from .arith import Error, Factorization, factor, valuation
@@ -35,18 +34,6 @@ class WeierstrassModel(NamedTuple):
         return "[%d,%d,%d,%d,%d]" % self.coeffs
 
 
-class CurveInvariants(NamedTuple):
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    discriminant: int
-    j_numerator: int
-    j_denominator: int
-
-
 def parse_curve(text: str) -> WeierstrassModel:
     """Parse the bracket literal "[a1,a2,a3,a4,a6]" (whitespace tolerated)."""
     m = re.fullmatch(r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,"
@@ -69,30 +56,14 @@ def c4_c6(E: WeierstrassModel) -> tuple[int, int]:
 
 
 def c_invariants(E: WeierstrassModel) -> tuple[int, int, int]:
-    """(c4, c6, disc) of E, all that Tate's algorithm and minimization read;
-    a singular model raises SingularModel."""
+    """(c4, c6, disc) of E, all that Tate's algorithm, minimization and
+    curve-info read; a singular model raises SingularModel."""
     c4, c6 = c4_c6(E)
     disc = (c4**3 - c6**2) // 1728
     assert 1728 * disc == c4**3 - c6**2
     if disc == 0:
         raise SingularModel(str(E))
     return c4, c6, disc
-
-
-def invariants(E: WeierstrassModel) -> CurveInvariants:
-    c4, c6, disc = c_invariants(E)
-    b2, b4, b6 = b_invariants(E)
-    b8 = (b2 * b6 - b4 * b4) // 4
-    assert 4 * b8 == b2 * b6 - b4 * b4
-    g = gcd(c4**3, disc)
-    jn, jd = c4**3 // g, abs(disc) // g
-    if disc < 0:
-        jn = -jn
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, jn, jd)
-
-
-def discriminant(E: WeierstrassModel) -> int:
-    return c_invariants(E)[2]
 
 
 def transform(E: WeierstrassModel, u: int, r: int, s: int, t: int) -> WeierstrassModel:

@@ -5,7 +5,7 @@ import pytest
 from modpcurves import tate, weierstrass
 from modpcurves.arith import factor
 from modpcurves.verify import verify_all
-from modpcurves.weierstrass import WeierstrassModel, invariants, minimal_model, parse_curve
+from modpcurves.weierstrass import WeierstrassModel, c_invariants, minimal_model, parse_curve
 
 # curves of known conductor (classical small-conductor models)
 SMALL_CONDUCTOR = [
@@ -112,6 +112,6 @@ def quadratic_twist(E, d):
     for p, e in factor(d).factors:
         if e >= 2:
             raise NotSquarefree(f"{d} is divisible by {p}^2")
-    inv = invariants(E)
-    twisted = WeierstrassModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
+    c4, c6, _ = c_invariants(E)
+    twisted = WeierstrassModel(0, 0, 0, -27 * d * d * c4, -54 * d**3 * c6)
     return minimal_model(twisted)[0]

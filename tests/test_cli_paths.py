@@ -16,7 +16,7 @@ import pytest
 from modpcurves import cli
 from modpcurves.cli import build_parser, main
 from modpcurves.tate import MinimalCurve, conductor
-from modpcurves.weierstrass import discriminant, invariants, parse_curve
+from modpcurves.weierstrass import c_invariants, parse_curve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,9 +102,9 @@ def _curve_info_by_plain(text: str) -> str:
     records and went through _plain."""
     E = parse_curve(text)
     C = MinimalCurve(E)
-    inv = invariants(C.model)
-    payload = {"model": str(E), "minimal": str(C.model), "c4": inv.c4,
-               "c6": inv.c6, "disc": inv.discriminant, "conductor": str(conductor(C)),
+    c4, c6, disc = c_invariants(C.model)
+    payload = {"model": str(E), "minimal": str(C.model), "c4": c4,
+               "c6": c6, "disc": disc, "conductor": str(conductor(C)),
                "local": [C.local(p) for p in C.disc.support]}
     return json.dumps(_plain(payload), sort_keys=True) + "\n"
 
@@ -121,7 +121,7 @@ def _seeded_curves(count: int, seed: int) -> list[str]:
             u = rng.choice((2, 3))
             a = [c * u**k for c, k in zip(a, (1, 2, 3, 4, 6))]
         text = "[%d,%d,%d,%d,%d]" % tuple(a)
-        if discriminant(parse_curve(text)):
+        if c_invariants(parse_curve(text))[2]:
             curves.append(text)
     return curves
 

@@ -9,6 +9,8 @@ from modpcurves.fixtures import (FixtureError, parse_factorization,
                                  parse_fixture_text, parse_int_list,
                                  parse_pair)
 from modpcurves.fixtures import default_fixture_dir, load_fixture_file
+from modpcurves.frobenius import ap
+from modpcurves.modp import trace_vector
 from modpcurves.quadorder import QuadraticOrderElement, compute_obstruction
 from modpcurves.verify import (EXTERNAL, FAIL, PASS, VerificationReport,
                                verify_all, verify_records)
@@ -74,6 +76,23 @@ def test_verify_tracerow_rejects_a_row_shorter_than_its_window():
     with pytest.raises(FixtureError, match=r"^<string>:2: ValueError: row has 12 "
                                            r"entries for the 13 primes up to bound 41$"):
         verify_records(recs)
+
+
+def test_row_records_read_the_same_row_as_a_ell_mod_p():
+    # verify reads the modrow and a2row rows in the trace-vector convention;
+    # on the packaged records no bad ell other than p lies in the window, so
+    # that row is [a_ell mod p]
+    recs = [rec for path in sorted(default_fixture_dir().glob("*.txt"))
+            for rec in load_fixture_file(path) if rec.kind in ("modrow", "a2row")]
+    assert len(recs) == 16
+    for rec in recs:
+        p = int(rec.require("p"))
+        C = tate.minimal_curve(parse_curve(rec.require("model")))
+        width = len(parse_int_list(rec.require("row"))) if rec.kind == "modrow" else 1
+        ells = [ell for ell in arith.primes_below(38)[:width] if ell != p]
+        assert not set(ells) & set(C.disc.support), rec.check_id
+        row = [t for _, t, _ in trace_vector(C, p, ells[-1]).entries]
+        assert row == [ap(C, ell) % p for ell in ells], rec.check_id
 
 
 def test_verify_all_counts_and_known_failures(full_report):
@@ -242,10 +261,22 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
      "ValueError: ell = 5 is not a prime other than p = 5"),
     ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=9; value=1",
      "ValueError: ell = 9 is not a prime other than p = 5"),
+    ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=-3; value=1",
+     "ValueError: ell = -3 is not a prime other than p = 5"),
     ("a2row; model=[1,0,1,-80,-275]; p=4; a2=1; level=469",
      "ValueError: p = 4 is not prime"),
     ("modrow; model=[1,0,1,-80,-275]; p=1; row=0,0,0; level=469",
-     "ValueError: p = 1 is not prime")])
+     "ValueError: p = 1 is not prime"),
+    ("modrow; level=353; model=[1,1,1,-2,16]; p=3; row=2,-,2,1,1,2,2,0,0,0,0,0,0",
+     "ValueError: row has 13 entries for the 12 primes up to 37"),
+    ("modrow; level=353; model=[1,1,1,-2,16]; p=2; row=-,2,2",
+     "ValueError: ell = 2 is not a prime other than p = 2"),
+    ("a2row; level=67; model=[0,1,1,-12,-21]; p=2; a2=0",
+     "ValueError: ell = 2 is not a prime other than p = 2"),
+    ("reciprocity; pmin=13; pmax=5; candidates=2,5,10",
+     "ValueError: [13, 5] holds no prime other than 2 and 5"),
+    ("order; d=4; order_disc=16", "ValueError: d = 4 is not a squarefree integer > 1"),
+    ("order; d=1; order_disc=1", "ValueError: d = 1 is not a squarefree integer > 1")])
 def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, message):
     # one located error line, whatever the fault of the record; the type and
     # message of the error its check raised are kept

@@ -154,35 +154,90 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     return found
 
 
+def _dotted(node) -> str | None:
+    """"a.b.c" for a Name or a chain of attribute reads on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def qualified_reads(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) for each name that the parsed source reads off a module,
+    the module named by its last dotted component: a name imported from it
+    by `from ... module import name [as alias]` whose bound name the source
+    reads, and `mod.name` where mod is bound to the module by `import
+    ...module [as mod]` or `from ... import module [as mod]`."""
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = alias.name
+                if local in loads:
+                    found.add((module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            module = bound.get(_dotted(node.value))
+            if module:
+                found.add((module, node.attr))
+    return found
+
+
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Functions, classes and methods defined, at any depth, in the sources
-    of modules (keyed by file name) whose name no source in readers reads.
-    A module-level or nested function or class is read by a variable or an
-    attribute access of its name; a method (anything defined directly in a
-    class body) only by an attribute access `.name`, so a local variable of
-    the same name does not keep it alive.  A name listed in `__all__` is not
-    read by that listing: an export that no program source uses is dead.
-    Dunder names are skipped, since Python calls them.  Names match alone,
-    as in unset_defaults, so a name collision counts as a read."""
-    variables, attributes = set(), set()
+    of modules (keyed by file name) that no source in readers reads.  A
+    module-level function or class is read only where its own module reads
+    its name, or where a source imports it from that module or reads it as
+    `mod.name` off that module (see qualified_reads), so a same-named
+    method or variable elsewhere does not keep it alive.  A nested function
+    or class is read by a variable or an attribute access of its name, and a
+    method (anything defined directly in a class body) only by an attribute
+    access `.name`, so a local variable of the same name does not keep it
+    alive; these names match alone, as in unset_defaults, so a collision
+    counts as a read.  A name listed in `__all__` is not read by that
+    listing: an export that no program source uses is dead.  Dunder names
+    are skipped, since Python calls them."""
+    variables, attributes, qualified = set(), set(), set()
     for text in readers:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        qualified |= qualified_reads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 variables.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
     unread = []
     for module, source in modules.items():
+        stem = module.removesuffix(".py")
         tree = ast.parse(source)
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        top = {id(node) for node in tree.body}
         methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for node in cls.body}
+
+        def read(node):
+            if id(node) in top:
+                return node.name in own or (stem, node.name) in qualified
+            if id(node) in methods:
+                return node.name in attributes
+            return node.name in variables or node.name in attributes
+
         defs = [node for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         unread.extend(f"{module}: {node.name} (line {node.lineno})"
                       for node in sorted(defs, key=lambda node: node.lineno)
                       if not (node.name.startswith("__") and node.name.endswith("__"))
-                      and node.name not in attributes
-                      and (id(node) in methods or node.name not in variables))
+                      and not read(node))
     return unread
 
 
@@ -298,9 +353,31 @@ def test_scan_does_not_count_all_as_a_read():
               "def exported_only():\n    return 2\n"
               "def unlisted():\n    return 3\n")
     init = "from .m import exported_only, used\n__all__ = ['exported_only', 'used']\n"
-    readers = [source, init, "import pkg\nprint(pkg.used())\n"]
+    readers = [source, init, "from pkg import m\nprint(m.used())\n"]
     assert unread_definitions({"m.py": source}, readers) == [
         "m.py: exported_only (line 3)", "m.py: unlisted (line 5)"]
+
+
+def test_scan_reads_a_module_level_name_only_off_its_module():
+    # d.get reads a dict method, not m.get; the import of spare is never
+    # read; the shadowed that is called comes from another module
+    source = ("def get():\n    return 1\n"
+              "def fetch():\n    return 2\n"
+              "def run():\n    return 3\n"
+              "def load():\n    return 4\n"
+              "def spare():\n    return 5\n"
+              "def helper():\n    return 6\n"
+              "def main():\n    return helper()\n"
+              "def shadowed():\n    return 7\n")
+    readers = [source,
+               "d = {}\nprint(d.get('k'))\n",
+               "from pkg import m\nprint(m.fetch())\n",
+               "import pkg.m\nprint(pkg.m.run())\n",
+               "from .m import load, spare as s\nprint(load())\n",
+               "import m as mod\nmod.main()\n",
+               "from other import shadowed\nshadowed()\n"]
+    assert unread_definitions({"m.py": source}, readers) == [
+        "m.py: get (line 1)", "m.py: spare (line 9)", "m.py: shadowed (line 15)"]
 
 
 def test_scan_finds_planted_unread_options():

@@ -19,7 +19,7 @@ from modpcurves.mordell import search_mordell
 from modpcurves.quadorder import QuadraticOrderElement, compute_obstruction
 from modpcurves.tate import minimal_curve
 from modpcurves.verify import verify_all
-from modpcurves.weierstrass import invariants, parse_curve
+from modpcurves.weierstrass import parse_curve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = (arith, cubic, fixtures, modp, mordell, quadorder, tate, verify, weierstrass)
@@ -36,8 +36,6 @@ def _samples():
     return [
         (arith.factor(-360), ("sign", "factors")),
         (E, ("a1", "a2", "a3", "a4", "a6")),
-        (invariants(E), ("b2", "b4", "b6", "b8", "c4", "c6", "discriminant",
-                         "j_numerator", "j_denominator")),
         (parse_fixture_text("curve; model=[0,0,1,-1,0]", "t.txt")[0],
          ("kind", "fields", "path", "lineno")),
         (minimal_curve(E).local(353), ("prime", "reduction", "conductor_exponent",

@@ -7,7 +7,7 @@ from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, RECORD_CACHE_SIZE,
                              SPLIT_MULT, LocalData, MinimalCurve, conductor,
                              minimal_curve, tate_local)
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel,
-                                    discriminant, minimal_model, parse_curve,
+                                    c_invariants, minimal_model, parse_curve,
                                     transform)
 
 
@@ -40,7 +40,7 @@ def test_good_prime():
 def test_additive_cases():
     # j = 0 curve: additive at 2 and 3
     E = parse_curve("[0,0,0,0,1]")
-    assert discriminant(E) == -432
+    assert c_invariants(E)[2] == -432
     assert conductor(E).factors == ((2, 2), (3, 2))
     for p in (2, 3):
         assert tate_local(E, p).reduction == ADDITIVE
@@ -50,7 +50,7 @@ def test_kodaira_symbols_cover_star_types():
     seen = set()
     for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS:
         Emin, _, _ = minimal_model(parse_curve(text))
-        for p, _ in factor(discriminant(Emin)).factors:
+        for p, _ in factor(c_invariants(Emin)[2]).factors:
             seen.add(tate_local(Emin, p).kodaira)
     # the battery exercises multiplicative, small additive and star types
     assert any(k.startswith("I") and k.endswith("*") for k in seen)
@@ -61,7 +61,7 @@ def test_kodaira_symbols_cover_star_types():
 def test_conductor_exponent_caps():
     for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS:
         Emin, _, _ = minimal_model(parse_curve(text))
-        for p, _ in factor(discriminant(Emin)).factors:
+        for p, _ in factor(c_invariants(Emin)[2]).factors:
             ld = tate_local(Emin, p)
             cap = {2: 8, 3: 5}.get(p, 2)
             assert 0 < ld.conductor_exponent <= cap or ld.reduction == GOOD
@@ -71,7 +71,7 @@ def test_conductor_exponent_caps():
 def test_nonminimal_model_rescaled():
     E = parse_curve("[0,-1,1,-10,-20]")
     blown = WeierstrassModel(0, -4, 8, -160, -1280)  # u = 2 blow-up
-    assert discriminant(blown) == 2**12 * discriminant(E)
+    assert c_invariants(blown)[2] == 2**12 * c_invariants(E)[2]
     for p in (2, 11):
         assert tate_local(blown, p) == tate_local(E, p)
     assert conductor(blown) == conductor(E)
@@ -91,11 +91,11 @@ def test_nonminimal_models_match_minimal(rng):
     models.append(parse_curve("[0,0,0,125,0]"))
     while len(models) < 100:
         E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
-        if discriminant(E) != 0:
+        if c_invariants(E)[2] != 0:
             models.append(minimal_model(E)[0])
     kodairas = set()
     for Emin in models:
-        for p in factor(discriminant(Emin)).support:
+        for p in factor(c_invariants(Emin)[2]).support:
             expected = tate_local(Emin, p)
             kodairas.add(expected.kodaira)
             scaled = WeierstrassModel(*(a * p**i for a, i
@@ -115,7 +115,7 @@ def test_split_vs_nonsplit():
     # [0,0,0,0,-26]: split/nonsplit determined by tangent quadratic at each I_n
     E, _, _ = minimal_model(parse_curve("[0,0,0,0,-26]"))
     types = {p: tate_local(E, p).reduction
-             for p, _ in factor(discriminant(E)).factors}
+             for p, _ in factor(c_invariants(E)[2]).factors}
     assert set(types.values()) <= {SPLIT_MULT, NONSPLIT_MULT, ADDITIVE}
 
 
@@ -277,12 +277,12 @@ def test_reduction_type_against_point_count(rng):
               for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS]
     while len(models) < 150:
         E = WeierstrassModel(*(rng.randint(-40, 40) for _ in range(5)))
-        if discriminant(E) != 0:
+        if c_invariants(E)[2] != 0:
             models.append(minimal_model(E)[0])
     expected = {SPLIT_MULT: 1, NONSPLIT_MULT: -1, ADDITIVE: 0}
     seen = set()
     for Emin in models:
-        for p in factor(discriminant(Emin)).support:
+        for p in factor(c_invariants(Emin)[2]).support:
             if p > 500:
                 continue
             reduction = tate_local(Emin, p).reduction
