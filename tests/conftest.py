@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from modpcurves import tate, weierstrass
 from modpcurves.arith import factor
+from modpcurves.cubic import CubicField, _det3, _mul_mod
 from modpcurves.verify import verify_all
-from modpcurves.weierstrass import WeierstrassModel, c_invariants, minimal_model, parse_curve
+from modpcurves.weierstrass import (SingularModel, WeierstrassModel, c_invariants,
+                                    minimal_model, parse_curve)
 
 # curves of known conductor (classical small-conductor models)
 SMALL_CONDUCTOR = [
@@ -74,26 +77,91 @@ def full_report():
     return verify_all()
 
 
+def spy(monkeypatch, module, name):
+    """Wrap module.name for the test; the returned list gets the tuple of
+    positional arguments of each call, in call order."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 @pytest.fixture
 def minimal_model_runs(monkeypatch):
-    """The discriminants minimal_model has factored so far, one per run
-    under whatever name the package binds it to, from an empty record
-    cache."""
+    """The factor calls of minimal_model so far, one per run, from an empty
+    record cache."""
     tate._record.cache_clear()
-    runs = []
-    original = weierstrass.factor
-
-    def counted(n):
-        runs.append(n)
-        return original(n)
-
-    monkeypatch.setattr(weierstrass, "factor", counted)
-    return runs
+    return spy(monkeypatch, weierstrass, "factor")
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+def seeded_models(rng, count, box):
+    """The first count nonsingular models that rng draws with coefficients
+    uniform in [-box, box]; a singular draw is skipped."""
+    models = []
+    while len(models) < count:
+        E = WeierstrassModel(*(rng.randint(-box, box) for _ in range(5)))
+        try:
+            c_invariants(E)
+        except SingularModel:
+            continue
+        models.append(E)
+    return models
+
+
+def brute_force_count(E, ell):
+    """#E(F_ell) of the reduction of the long model E, counted over all
+    ell^2 affine pairs plus the point at infinity; a singular point of the
+    reduction counts once.  Independent of the residue tables."""
+    a1, a2, a3, a4, a6 = (a % ell for a in E.coeffs)
+    count = 1
+    for x in range(ell):
+        b = (a1 * x + a3) % ell
+        rhs = (((x + a2) * x + a4) * x + a6) % ell
+        count += [(y * y + b * y) % ell for y in range(ell)].count(rhs)
+    return count
+
+
+def mat_inv(B):
+    """Inverse of a 3x3 Fraction matrix via adjugate."""
+    a, b, c = B[0]
+    d, e, f = B[1]
+    g, h, i = B[2]
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert det != 0
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    return [[Fraction(x) / det for x in row] for row in adj]
+
+
+def vec_mat(v, M):
+    return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
+
+
+def element_index(K: CubicField, x: int, y: int) -> int:
+    """Independent oracle: |O_K : Z[theta]| for theta = x*e2 + y*e3 via the
+    determinant of (1, theta, theta^2) expressed on the integral basis."""
+    e1, e2, e3 = K.integral_basis
+    theta = tuple(x * e2[j] + y * e3[j] for j in range(3))
+    theta2 = _mul_mod(theta, theta, K.defining_poly)
+    inv = mat_inv([list(v) for v in K.integral_basis])
+    rows = [vec_mat(v, inv) for v in ((Fraction(1), Fraction(0), Fraction(0)),
+                                      theta, theta2)]
+    d = _det3(rows)
+    assert d.denominator == 1
+    return abs(int(d))
 
 
 def curves():

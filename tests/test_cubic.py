@@ -10,16 +10,15 @@ from sympy import Poly
 from sympy.abc import x as X
 from sympy.polys.numberfields.basis import round_two
 
-from conftest import FIXTURE_CUBICS
+from conftest import FIXTURE_CUBICS, element_index, mat_inv, vec_mat
 from modpcurves.cli import main
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               ReduciblePolynomial, analyze_cubic,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
-                              _Y_SIEVE_PRIMES, _bisect, _det3,
-                              _Y_SIEVE_CLASSES, _monotone_pieces, _mul_mod,
-                              _y_pattern)
+                              _Y_SIEVE_PRIMES, _bisect, _Y_SIEVE_CLASSES,
+                              _monotone_pieces, _y_pattern)
 from modpcurves.arith import tile
 
 
@@ -111,9 +110,9 @@ def test_maximal_order_against_sympy_round_two(rng):
         M = ZK.matrix.to_Matrix()
         rows = [[Fraction(int(M[i, j]), ZK.denom) for i in range(3)]
                 for j in range(3)]
-        inv = _mat_inv(rows)
+        inv = mat_inv(rows)
         for e in K.integral_basis:
-            assert all(t.denominator == 1 for t in _vec_mat(e, inv)), (K, e)
+            assert all(t.denominator == 1 for t in vec_mat(e, inv)), (K, e)
         # reduced Hermite form 1, (s + u)/m, (t + v u + u^2)/n
         e1, e2, e3 = K.integral_basis
         m, n = e2[1].denominator, e3[2].denominator
@@ -131,39 +130,6 @@ def test_index_form_discriminant():
     for poly, dK in FIXTURE_CUBICS:
         form = index_form(analyze_cubic(poly))
         assert form.discriminant() == dK
-
-
-def _mat_inv(B):
-    """Inverse of a 3x3 Fraction matrix via adjugate."""
-    a, b, c = B[0]
-    d, e, f = B[1]
-    g, h, i = B[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    assert det != 0
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[Fraction(x) / det for x in row] for row in adj]
-
-
-def _vec_mat(v, M):
-    return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
-
-
-def element_index(K: CubicField, x: int, y: int) -> int:
-    """Independent oracle: |O_K : Z[theta]| for theta = x*e2 + y*e3 via the
-    determinant of (1, theta, theta^2) expressed on the integral basis."""
-    e1, e2, e3 = K.integral_basis
-    theta = tuple(x * e2[j] + y * e3[j] for j in range(3))
-    theta2 = _mul_mod(theta, theta, K.defining_poly)
-    inv = _mat_inv([list(v) for v in K.integral_basis])
-    rows = [_vec_mat(v, inv) for v in ((Fraction(1), Fraction(0), Fraction(0)),
-                                       theta, theta2)]
-    d = _det3(rows)
-    assert d.denominator == 1
-    return abs(int(d))
 
 
 def test_index_form_against_determinant_oracle(rng):

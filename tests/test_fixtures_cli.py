@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import spy
 from modpcurves import arith, cli, tate, verify
 from modpcurves.cli import build_parser, main
 from modpcurves.fixtures import (FixtureError, parse_factorization,
@@ -373,16 +374,11 @@ def factor_runs(monkeypatch):
     """The integers arith.factor has been asked for so far, under every
     name a module of the package binds it to, from an empty record cache."""
     tate._record.cache_clear()
-    runs = []
     original = arith.factor
-
-    def counted(n, *args, **kwargs):
-        runs.append(n)
-        return original(n, *args, **kwargs)
-
+    runs = spy(monkeypatch, arith, "factor")
     for name, module in list(sys.modules.items()):
         if name.startswith("modpcurves") and getattr(module, "factor", None) is original:
-            monkeypatch.setattr(module, "factor", counted)
+            monkeypatch.setattr(module, "factor", arith.factor)
     return runs
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import ALL_CURVES, quadratic_twist
+from conftest import ALL_CURVES, brute_force_count, quadratic_twist, seeded_models
 from modpcurves.arith import factor, legendre_symbol, primes_below
 from modpcurves import frobenius
 from modpcurves.frobenius import TABLE_BELOW, PrimeTooLarge, ap, count_points
@@ -10,18 +10,6 @@ from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
                              MinimalCurve, tate_local)
 from modpcurves.weierstrass import (WeierstrassModel, c_invariants,
                                     minimal_model, parse_curve)
-
-
-def brute_force_count(E, ell):
-    """O(ell^2) affine scan, independent of the residue-table fast path."""
-    a1, a2, a3, a4, a6 = E.coeffs
-    n = 1
-    for x in range(ell):
-        for y in range(ell):
-            if (y * y + a1 * x * y + a3 * y
-                    - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0:
-                n += 1
-    return n
 
 
 def count_by_legendre(E, ell):
@@ -251,10 +239,7 @@ def test_one_pass_matches_ap_one_ell_at_a_time(rng):
     assert ells[:2] == [2, 3] and ells[-1] > TABLE_BELOW
     curves = [parse_curve("[0,0,1,0,-7]"), parse_curve("[0,-1,1,-10,-20]"),
               WeierstrassModel(0, 0, 0, -27 * 496, -54 * 20008)]
-    while len(curves) < 40:
-        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
-        if c_invariants(E)[2] != 0:
-            curves.append(E)
+    curves += seeded_models(rng, 37, 30)
     additive = j_zero = 0
     for E in curves:
         Emin, _, disc = minimal_model(E)

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from conftest import seeded_models, spy
 from modpcurves import frobenius, modp, tate
 from modpcurves.arith import factor
 from modpcurves.frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, count_points
@@ -12,7 +13,7 @@ from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              serre_conductor_semistable, sturm_bound,
                              trace_vector)
 from modpcurves.tate import MinimalCurve, conductor
-from modpcurves.weierstrass import WeierstrassModel, c_invariants, parse_curve
+from modpcurves.weierstrass import WeierstrassModel, parse_curve
 
 
 def _trace_at(tv, ell):
@@ -129,20 +130,13 @@ def test_sturm_bound():
 def test_one_record_runs_tate_once_per_bad_prime(monkeypatch):
     # the conductor-2118 curve has bad primes 2, 3, 353; at p = 5 every
     # function below asks for the local data at each of them
-    calls = []
-    original = tate.tate_local
-
-    def counted(E, p):
-        calls.append(p)
-        return original(E, p)
-
-    monkeypatch.setattr(tate, "tate_local", counted)
+    calls = spy(monkeypatch, tate, "tate_local")
     C = MinimalCurve(parse_curve("[1,1,0,-22,-812]"))
     assert calls == []
     trace_vector(C, 5, 400)
     serre_conductor_semistable(C, 5)
     conductor(C)
-    assert sorted(calls) == [2, 3, 353]
+    assert sorted(p for _, p in calls) == [2, 3, 353]
 
 
 def _outcome(f, *args):
@@ -155,12 +149,7 @@ def _outcome(f, *args):
 def test_record_and_bare_model_agree(rng):
     # seeded models, additive ones among them, through every entry point
     # that takes either a WeierstrassModel or its MinimalCurve
-    count = 0
-    while count < 40:
-        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
-        if c_invariants(E)[2] == 0:
-            continue
-        count += 1
+    for E in seeded_models(rng, 40, 30):
         C = MinimalCurve(E)
         for ell in (2, 3, 5, 7, 11, 13):
             assert ap(E, ell) == ap(C, ell), (E, ell)
@@ -176,20 +165,13 @@ def test_record_and_bare_model_agree(rng):
 def test_bare_model_is_read_once_across_the_fingerprint(monkeypatch, minimal_model_runs):
     # the three mod-p readings of one bare model share one record: one
     # minimal model and factorization, one Tate run per bad prime but p
-    calls = []
-    original = tate.tate_local
-
-    def counted(E, p):
-        calls.append(p)
-        return original(E, p)
-
-    monkeypatch.setattr(tate, "tate_local", counted)
+    calls = spy(monkeypatch, tate, "tate_local")
     E = parse_curve("[1,1,0,-22,-812]")
     trace_vector(E, 3, 500)
     serre_conductor_semistable(E, 3)
     is_reducible_semistable(E, 3, 100)
     assert len(minimal_model_runs) == 1
-    assert sorted(calls) == [2, 353]
+    assert sorted(p for _, p in calls) == [2, 353]
 
 
 def test_cold_and_warm_records_agree(rng):
@@ -198,10 +180,7 @@ def test_cold_and_warm_records_agree(rng):
     # reading has filled the record in
     models = [WeierstrassModel(0, 0, 0, 0, k) for k in (1, -2, 7, -26, 37)]
     models += [WeierstrassModel(0, 0, 0, k, 0) for k in (-1, 2, -11, 5, 3)]
-    while len(models) < 30:
-        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
-        if c_invariants(E)[2] != 0:
-            models.append(E)
+    models += seeded_models(rng, 20, 30)
     readings = [lambda E, p=p: trace_vector(E, p, 60) for p in (3, 5)]
     readings += [lambda E, p=p: _outcome(serre_conductor_semistable, E, p) for p in (3, 5)]
     readings += [lambda E, p=p: is_reducible_semistable(E, p, 60) for p in (3, 5)]

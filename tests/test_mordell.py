@@ -6,6 +6,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 
+from conftest import spy
 from modpcurves import mordell
 from modpcurves.arith import icbrt
 from modpcurves.cli import main
@@ -166,20 +167,14 @@ SIDE_BOXES = _side_boxes()
 
 
 def test_side_boxes_reach_every_side(monkeypatch):
-    sieved = []
-    original = mordell._sieve
-
-    def recorded(K, bound, d, S, cache):
-        sieved.append((K, d))
-        return original(K, bound, d, S, cache)
-
-    monkeypatch.setattr(mordell, "_sieve", recorded)
+    sieved = spy(monkeypatch, mordell, "_sieve")
     sides = set()
     for k, S, bound, e in SIDE_BOXES:
         side = {d: _side(k, bound, d) for d in _denominators(S, e)}
         sieved.clear()
         pts = search_mordell(k, S, bound, e)
-        assert sieved == [(k * d**6, d) for d, way in side.items() if way == "sieve"]
+        assert [(K, d) for K, _, d, _, _ in sieved] \
+            == [(k * d**6, d) for d, way in side.items() if way == "sieve"]
         sides |= {("empty", k < 0 and d > 1) for d, way in side.items() if way == "empty"}
         sides |= {(side[P.denom], P.denom > 1) for P in pts}
     assert {("empty", True), ("y", True), ("sieve", True)} <= sides
@@ -199,10 +194,7 @@ def test_search_matches_the_scan_on_every_side(box):
 def test_y_interval_as_wide_as_the_threshold(monkeypatch, k, bound):
     width, nbits = _y_width(k, bound, 1), 2 * bound + 1
     assert width == 3 and nbits % width == 0
-    sieved = []
-    original = mordell._sieve
-    monkeypatch.setattr(mordell, "_sieve",
-                        lambda K, *args: sieved.append(K) or original(K, *args))
+    sieved = spy(monkeypatch, mordell, "_sieve")
     want = naive_s_integral_points(k, set(), bound, 0)
     assert (bound, isqrt(bound**3 + k), 1) in want
     # at nbits / width bits per y the y side is taken; one more, the sieve
@@ -210,7 +202,7 @@ def test_y_interval_as_wide_as_the_threshold(monkeypatch, k, bound):
         monkeypatch.setattr(mordell, "_BITS_PER_Y", ratio)
         sieved.clear()
         assert {(P.x_num, P.y_num, P.denom) for P in search_mordell(k, set(), bound, 0)} == want
-        assert sieved == calls
+        assert [K for K, *_ in sieved] == calls
 
 
 def test_square_tables_are_the_squares_mod_q():
@@ -238,19 +230,12 @@ def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
     # denominators only those with a long y-interval are sieved, each with one
     # full-width mask per group; one per modulus would be 13 per denominator
     bound = 10**5
-    calls = []
-    original = mordell.tile
-
-    def counted(pattern, period, nbits):
-        calls.append((period, nbits))
-        return original(pattern, period, nbits)
-
-    monkeypatch.setattr(mordell, "tile", counted)
+    calls = spy(monkeypatch, mordell, "tile")
     assert search_mordell(891216, {2, 3, 2063}, bound, 4) == []
     denominators = _denominators({2, 3, 2063}, 4)
     sieved = [d for d in denominators if _side(891216, bound, d) == "sieve"]
     products = {prod(group) for group in _SIEVE_GROUPS}
-    full = [period for period, nbits in calls if nbits == 2 * bound + 1]
+    full = [period for _, period, nbits in calls if nbits == 2 * bound + 1]
     blocks = sum(period in products for period in full)
     assert len(denominators) == 125 and len(sieved) == 25
     assert blocks == len(_SIEVE_GROUPS) * len(sieved)
@@ -259,7 +244,7 @@ def test_fixture_box_pays_one_full_width_mask_per_group(monkeypatch):
     assert sorted(p for p in full if p not in products) \
         == [p for p in (2, 3, 2063) if any(d % p == 0 for d in sieved)]
     # the rest are the group builds, each as wide as its group's product
-    rest = [(period, nbits) for period, nbits in calls if nbits != 2 * bound + 1]
+    rest = [(period, nbits) for _, period, nbits in calls if nbits != 2 * bound + 1]
     assert all(nbits in products and nbits % period == 0 for period, nbits in rest)
     assert len(rest) <= len(_SIEVE_GROUPS) * len(sieved)
 

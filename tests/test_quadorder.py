@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy
 from modpcurves import quadorder
-from modpcurves.arith import factor, legendre_symbol, primes_below
+from modpcurves.arith import legendre_symbol, primes_below
 from modpcurves.quadorder import (GOOD_POSSIBLE, IMPOSSIBLE, MULT_POSSIBLE,
                                   QuadraticOrderElement, compute_obstruction,
                                   curve_eligibility, hasse_interval,
@@ -96,21 +97,16 @@ def test_obstruction_level23():
 
 def test_obstruction_factors_d_at_most_once(monkeypatch):
     # checked factors d; the obstruction factors each m(i) and never d again
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return factor(n)
-
-    monkeypatch.setattr(quadorder, "factor", counted)
+    calls = spy(monkeypatch, quadorder, "factor")
     a = QuadraticOrderElement.checked(5, -1, 1)
-    assert calls == [5]
+    assert calls == [(5,)]
     calls.clear()
     rep = compute_obstruction(a, 1009)
     # one factor call per m(i) = i^2 + i - 1 and none on d; m(2) = m(-3) = 5
     values = [i * i + i - 1 for i in (1010, -1010, *hasse_interval(1009))]
-    assert sorted(calls) == sorted(values)
-    assert calls.count(5) == values.count(5) == 2
+    factored = [n for n, in calls]
+    assert sorted(factored) == sorted(values)
+    assert factored.count(5) == values.count(5) == 2
     assert not rep.degenerate and 5 in rep.obstructed_primes
 
 

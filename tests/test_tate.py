@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import FIXTURE_CONDUCTORS, SMALL_CONDUCTOR
+from conftest import (FIXTURE_CONDUCTORS, SMALL_CONDUCTOR, brute_force_count,
+                      seeded_models, spy)
 from modpcurves.arith import factor, multiple_root
 from modpcurves import tate
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, RECORD_CACHE_SIZE,
@@ -89,10 +90,7 @@ def test_nonminimal_models_match_minimal(rng):
     models = [minimal_model(parse_curve(text))[0]
               for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS]
     models.append(parse_curve("[0,0,0,125,0]"))
-    while len(models) < 100:
-        E = WeierstrassModel(*(rng.randint(-30, 30) for _ in range(5)))
-        if c_invariants(E)[2] != 0:
-            models.append(minimal_model(E)[0])
+    models += [minimal_model(E)[0] for E in seeded_models(rng, 100 - len(models), 30)]
     kodairas = set()
     for Emin in models:
         for p in factor(c_invariants(Emin)[2]).support:
@@ -211,21 +209,14 @@ def test_conductor_with_large_bad_prime(model, factors):
 
 
 def test_minimal_curve_record_is_lazy(monkeypatch):
-    calls = []
-    original = tate.tate_local
-
-    def counted(E, p):
-        calls.append(p)
-        return original(E, p)
-
-    monkeypatch.setattr(tate, "tate_local", counted)
+    calls = spy(monkeypatch, tate, "tate_local")
     E = parse_curve("[0,0,0,-43,-117]")
     C = MinimalCurve(E)
     assert (C.model, C.urst, C.disc) == minimal_model(E)
     assert calls == []
     assert C.local(2063) == tate_local(C.model, 2063)
     assert C.local(2063) is C.local(2063)
-    assert calls == [2063]
+    assert [p for _, p in calls] == [2063]
     assert minimal_curve(C) is C
     assert minimal_curve(E).model == C.model
 
@@ -256,29 +247,12 @@ def test_record_cache_is_bounded(minimal_model_runs):
     assert len(minimal_model_runs) == RECORD_CACHE_SIZE + 2
 
 
-def _reduction_trace_by_count(E, p):
-    """p + 1 - #E(F_p) for the reduction of the long model E mod p, counted
-    over all p^2 affine pairs, the singular point included: a split node
-    leaves p - 1 smooth points, a nonsplit node p + 1 and a cusp p, so the
-    value is 1, -1 or 0."""
-    a1, a2, a3, a4, a6 = (a % p for a in E.coeffs)
-    count = 1
-    for x in range(p):
-        b = (a1 * x + a3) % p
-        rhs = (((x + a2) * x + a4) * x + a6) % p
-        count += [(y * y + b * y) % p for y in range(p)].count(rhs)
-    return p + 1 - count
-
-
 def test_reduction_type_against_point_count(rng):
     # seeded minimal models, every bad p <= 500: the read-off of (c4, c6,
     # Delta) and the chain against a count that knows no Tate's algorithm
     models = [minimal_model(parse_curve(text))[0]
               for text, _ in SMALL_CONDUCTOR + FIXTURE_CONDUCTORS]
-    while len(models) < 150:
-        E = WeierstrassModel(*(rng.randint(-40, 40) for _ in range(5)))
-        if c_invariants(E)[2] != 0:
-            models.append(minimal_model(E)[0])
+    models += [minimal_model(E)[0] for E in seeded_models(rng, 150 - len(models), 40)]
     expected = {SPLIT_MULT: 1, NONSPLIT_MULT: -1, ADDITIVE: 0}
     seen = set()
     for Emin in models:
@@ -286,7 +260,7 @@ def test_reduction_type_against_point_count(rng):
             if p > 500:
                 continue
             reduction = tate_local(Emin, p).reduction
-            assert _reduction_trace_by_count(Emin, p) == expected[reduction], (Emin, p)
+            assert p + 1 - brute_force_count(Emin, p) == expected[reduction], (Emin, p)
             seen.add((p, reduction))
     for p in (2, 3):
         assert {(p, SPLIT_MULT), (p, NONSPLIT_MULT), (p, ADDITIVE)} <= seen

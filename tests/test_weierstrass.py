@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NotSquarefree, curves, quadratic_twist
+from conftest import NotSquarefree, curves, quadratic_twist, seeded_models
 from modpcurves.arith import factor, valuation
 from modpcurves.tate import GOOD, tate_local
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel, c4_c6,
@@ -22,15 +22,9 @@ def test_parse_curve():
 
 def test_invariants_identity_bulk(rng):
     # 10^4 random integral models: 1728 * Delta = c4^3 - c6^2
-    checked = 0
-    while checked < 10**4:
-        E = WeierstrassModel(*(rng.randint(-200, 200) for _ in range(5)))
-        try:
-            c4, c6, disc = c_invariants(E)
-        except SingularModel:
-            continue
+    for E in seeded_models(rng, 10**4, 200):
+        c4, c6, disc = c_invariants(E)
         assert 1728 * disc == c4**3 - c6**2
-        checked += 1
 
 
 @given(models)
