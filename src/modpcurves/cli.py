@@ -17,7 +17,7 @@ from .arith import Error, Factorization, factor
 from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
                     mordell_reduction, parse_cubic, s3_serre_conductor,
                     solve_index_equation)
-from .fixtures import parse_pair
+from .fixtures import parse_int_set, parse_pair
 from .frobenius import ap
 from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
@@ -33,18 +33,6 @@ def _emit(args, payload: dict, render) -> None:
     payload holds only dicts with str keys, lists, strs, ints, bools and
     None; render is called only when its text is printed."""
     print(json.dumps(payload, sort_keys=True) if args.json else render())
-
-
-def _int_set(text: str, option: str) -> set[int]:
-    """The ints of a comma-separated option value, none if it is empty; a bad
-    entry raises ValueError naming the option and the entry."""
-    out = set()
-    for entry in text.split(",") if text else ():
-        try:
-            out.add(int(entry))
-        except ValueError:
-            raise ValueError(f"{option} entry {entry!r} is not an integer") from None
-    return out
 
 
 def cmd_curve_info(args) -> int:
@@ -147,7 +135,7 @@ def cmd_cubic_info(args) -> int:
 
 def cmd_index_solve(args) -> int:
     K = analyze_cubic(parse_cubic(args.poly))
-    primes = _int_set(args.primes, "--primes")
+    primes = parse_int_set(args.primes, "--primes")
     sols, report = solve_index_equation(K, primes, args.bound)
 
     def render():
@@ -161,7 +149,7 @@ def cmd_index_solve(args) -> int:
 
 
 def cmd_mordell(args) -> int:
-    S = _int_set(args.S, "--S")
+    S = parse_int_set(args.S, "--S")
     pts = search_mordell(args.k, S, args.height, args.exponent_bound)
     _emit(args, {"points": [[P.x_num, P.y_num, P.denom] for P in pts]},
           lambda: "\n".join(f"({P.x}, {P.y})" for P in pts) or "no points in box")
@@ -169,7 +157,7 @@ def cmd_mordell(args) -> int:
 
 
 def cmd_scan_twisted(args) -> int:
-    S = _int_set(args.S, "--S")
+    S = parse_int_set(args.S, "--S")
     cases = scan_twisted_mordell(args.N, args.a_bound, args.b_bound, S,
                                  args.height, args.exponent_bound)
     hits = [(k, pts) for k, pts in cases if pts]

@@ -304,8 +304,13 @@ def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
 
     The tests see t = prod p^e only through t mod L, L = 18, so each prime
     contributes its classes p^e mod L, and e survives exactly when p^e * r
-    passes for some product r of the other primes' classes."""
-    primes = sorted(allowed_primes)
+    passes for some product r of the other primes' classes.  Raises
+    ValueError for an entry of allowed_primes that is neither 1 nor a
+    prime; an entry 1 is ignored."""
+    for p in allowed_primes:
+        if p != 1 and not is_prime(p):
+            raise ValueError(f"primes entry {p} is neither 1 nor a prime")
+    primes = sorted(set(allowed_primes) - {1})
     moduli = (2, 9)
     residues = {m: _attainable_residues(form, m) for m in moduli}
     L = lcm(*moduli)
@@ -408,8 +413,8 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     non-primitive solutions are exactly the allowed-prime-smooth multiples
     of coprime ones and are appended by scaling.  Returns (solutions,
     report): solutions are (x, y, |f(x,y)|) triples.  Raises ValueError for
-    a negative bound or an entry of allowed_primes that is neither 1 nor a
-    prime; an entry 1 is ignored.
+    a negative bound, and congruence_sieve for an entry of allowed_primes
+    that is neither 1 nor a prime; an entry 1 is ignored.
 
     Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
     f(x, y) = v for a signed target v = +-prod p^e that passes the residue
@@ -423,13 +428,10 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     does drop are not coprime, and those come from the scaling step."""
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
-    for p in allowed_primes:
-        if p != 1 and not is_prime(p):
-            raise ValueError(f"primes entry {p} is neither 1 nor a prime")
-    primes = sorted({p for p in allowed_primes if p != 1})
     form = index_form(K)
     A, B, C, D = form.coefficients
-    report = congruence_sieve(form, primes)
+    report = congruence_sieve(form, allowed_primes)
+    primes = list(report.surviving_exponents)
     Bnd = search_bound
     maxval = (abs(A) + abs(B) + abs(C) + abs(D)) * Bnd**3
     # enumerate targets supported on the allowed primes, up to maxval, which

@@ -96,6 +96,18 @@ def parse_int_list(text: str) -> list:
     return out
 
 
+def parse_int_set(text: str, name: str) -> set[int]:
+    """The ints of a comma list, none if it is empty; a bad entry raises
+    ValueError naming the option or field name and the entry."""
+    out = set()
+    for entry in text.split(",") if text else ():
+        try:
+            out.add(int(entry))
+        except ValueError:
+            raise ValueError(f"{name} entry {entry!r} is not an integer") from None
+    return out
+
+
 def parse_pair(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", text.strip())
     if not m:

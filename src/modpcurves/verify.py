@@ -11,13 +11,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import Error, primes_below
+from .arith import Error, is_prime, primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
                     s3_serre_conductor, solve_index_equation)
 from .fixtures import (FixtureError, Record, default_fixture_dir,
                        load_fixture_file, parse_factorization, parse_int_list,
-                       parse_pair)
-from .modp import is_reducible_semistable, serre_conductor_semistable, trace_vector
+                       parse_int_set, parse_pair)
+from .modp import (RAMIFIED_SKIP, is_reducible_semistable, serre_conductor_semistable,
+                   trace_vector)
 from .mordell import search_mordell
 from .quadorder import (QuadraticOrderElement, checked_d, compute_obstruction,
                         curve_eligibility, order_discriminant,
@@ -116,17 +117,20 @@ def _check_irreducible(rec: Record):
 def _trace_row(rec: Record, ells: list[int]):
     """(C, p, row): the minimal curve of the record's model, its p and the
     traces mod p of C at ells, in the trace-vector convention of modp and
-    None at ell = p or an ell that is not prime, read off one trace vector
-    up to the last ell."""
+    None at ell = p, at an ell that is not prime and at a ramified or
+    additive ell, read off one trace vector up to the last ell."""
     C = minimal_curve(parse_curve(rec.require("model")))
     p = int(rec.require("p"))
-    traces = {ell: tr for ell, tr, _ in trace_vector(C, p, max(ells[-1], 0)).entries}
+    traces = {ell: tr for ell, tr, quality in trace_vector(C, p, max(ells[-1], 0)).entries
+              if quality != RAMIFIED_SKIP}
     return C, p, [traces.get(ell) for ell in ells]
 
 
 def _entry(trace, ell: int, p: int) -> int:
-    """A trace of a row that a check needs; None, at ell = p or at an ell that
-    is not prime, raises ValueError."""
+    """A trace of a row that a check needs; None, at ell = p, at an ell that
+    is not prime or at a ramified or additive ell, raises ValueError."""
+    if trace is None and is_prime(ell) and ell != p:
+        raise ValueError(f"ell = {ell} is ramified or additive mod p = {p}")
     if trace is None:
         raise ValueError(f"ell = {ell} is not a prime other than p = {p}")
     return trace
@@ -175,18 +179,17 @@ def _check_tracecheck(rec: Record):
 def _check_sieve(rec: Record):
     K = analyze_cubic(parse_cubic(rec.require("poly")))
     prime = int(rec.require("prime"))
-    primes = {int(t) for t in rec.require("primes").split(",")}
-    if prime not in primes:
-        raise ValueError(f"prime = {prime} is not among primes = {sorted(primes)}")
-    report = congruence_sieve(index_form(K), primes)
-    conclusion = next(c for c in report.conclusions if f"of {prime} " in c)
+    report = congruence_sieve(index_form(K), parse_int_set(rec.require("primes"), "primes"))
+    sieved = list(report.surviving_exponents)
+    if prime not in sieved:
+        raise ValueError(f"prime = {prime} is not among primes = {sieved}")
     yield _eq_check(rec, f"sieve conclusion for prime {prime}",
-                    rec.require("conclusion"), conclusion)
+                    rec.require("conclusion"), report.conclusions[sieved.index(prime)])
 
 
 def _check_indexsolve(rec: Record):
     K = analyze_cubic(parse_cubic(rec.require("poly")))
-    primes = {int(t) for t in rec.require("primes").split(",")}
+    primes = parse_int_set(rec.require("primes"), "primes")
     sols, _ = solve_index_equation(K, primes, int(rec.require("bound")))
     yield _eq_check(rec, f"index equation solutions for field {K.field_discriminant}",
                     rec.require("expect"),
@@ -195,7 +198,7 @@ def _check_indexsolve(rec: Record):
 
 def _check_mordell(rec: Record):
     k = int(rec.require("k"))
-    S = {int(t) for t in rec.require("S").split(",")}
+    S = parse_int_set(rec.require("S"), "S")
     pts = search_mordell(k, S, int(rec.require("height")), int(rec.require("expbound")))
     yield _eq_check(rec, f"S-integral points on Y^2 = X^3 + {k} in box",
                     rec.require("expect"),
@@ -207,7 +210,7 @@ def _check_obstruct(rec: Record):
     a, b = parse_pair(rec.require("a"))
     ell = int(rec.require("ell"))
     report = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
-    subset = {int(t) for t in rec.require("subset").split(",")}
+    subset = parse_int_set(rec.require("subset"), "subset")
     yield _eq_check(rec, f"obstructed primes at level {rec.require('level')} within {sorted(subset)}",
                     True, report.obstructed_primes <= subset and not report.degenerate)
 

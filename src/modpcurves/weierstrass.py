@@ -93,25 +93,19 @@ def _kraus_ok(c4: int, c6: int) -> bool:
 
 
 def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
-    """Connell's reconstruction of the reduced model with given invariants."""
-    for b2 in range(-5, 7):
-        if (b2 * b2 - c4) % 24:
-            continue
-        b4 = (b2 * b2 - c4) // 24
-        if (-(b2**3) + 36 * b2 * b4 - c6) % 216:
-            continue
-        b6 = (-(b2**3) + 36 * b2 * b4 - c6) // 216
-        a1 = b2 % 2
-        a2 = (b2 - a1) // 4
-        a3 = b6 % 2
-        a6 = (b6 - a3) // 4
-        if (b4 - a1 * a3) % 2:
-            continue
-        a4 = (b4 - a1 * a3) // 2
-        E = WeierstrassModel(a1, a2, a3, a4, a6)
-        if c4_c6(E) == (c4, c6):
-            return E
-    raise SingularModel(f"no integral model with c4={c4}, c6={c6}")
+    """Connell's reconstruction of the reduced model (a1, a3 in {0, 1},
+    a2 in {-1, 0, 1}) with given invariants.  Every integral model has
+    c6 = -b2 (mod 12), since b2 = a1^2 (mod 4), and the reduced one has the
+    b2 of that class in [-5, 6]; (c4, c6) of no integral model raise
+    SingularModel."""
+    b2 = (5 - c6) % 12 - 5
+    b4 = (b2 * b2 - c4) // 24
+    b6 = (36 * b2 * b4 - b2**3 - c6) // 216
+    a1, a3 = b2 % 2, b6 % 2
+    E = WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
+    if c4_c6(E) != (c4, c6):
+        raise SingularModel(f"no integral model with c4={c4}, c6={c6}")
+    return E
 
 
 def minimal_model(E: WeierstrassModel) -> tuple[WeierstrassModel, tuple[int, int, int, int],

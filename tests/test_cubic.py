@@ -172,6 +172,18 @@ def test_sieve_2063():
     assert by_prime[2063] == "exponent of 2063 = 2 (mod 3)"
 
 
+def test_sieve_checks_its_primes_and_drops_1():
+    K = analyze_cubic((-1, -2, 27))
+    form = index_form(K)
+    assert congruence_sieve(form, {1, 2, 2063}) == congruence_sieve(form, {2, 2063})
+    for bad in (4, 0, -3):
+        with pytest.raises(ValueError, match=f"^primes entry {bad} is neither 1 nor a prime$"):
+            congruence_sieve(form, {2, bad})
+    # the index solver checks its primes through the sieve
+    with pytest.raises(ValueError, match="^primes entry 4 is neither 1 nor a prime$"):
+        solve_index_equation(K, {2, 4}, 10)
+
+
 def sieve_by_enumeration(form, primes, moduli=(2, 9), cap=11):
     """Independent oracle: the surviving exponents of each prime, from all
     (cap + 1)^|primes| exponent vectors and the residue test on each."""

@@ -96,6 +96,19 @@ def test_row_records_read_the_same_row_as_a_ell_mod_p():
         assert row == [ap(C, ell) % p for ell in ells], rec.check_id
 
 
+@pytest.mark.parametrize("row, status", [("1,-,1,1,0", FAIL), ("1,-,1,1,-", PASS)])
+def test_modrow_reads_a_ramified_ell_as_a_skip(row, status):
+    # 11a1 mod 3: ell = 3 is p and 11 is ramified (v_11(Delta) = 5), so both
+    # read as '-'; a 0 recorded at 11 is a wrong entry
+    recs = parse_fixture_text(f"modrow; level=11; model=[0,-1,1,-10,-20]; p=3; row={row}\n",
+                              "<string>")
+    model = "[0,-1,1,-10,-20]"
+    assert {c.description: c.status for c in verify_records(recs).checks} == {
+        f"a_ell mod 3 row of {model}": status,
+        f"conductor of {model} is level 11": PASS,
+        f"a_2 of {model} nonzero mod 3": PASS}
+
+
 def test_verify_all_counts_and_known_failures(full_report):
     report = full_report
     counts = report.counts
@@ -258,6 +271,16 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
      "ReduciblePolynomial: rational root 2"),
     ("sieve; poly=(-1,-2,27); prime=5; primes=2,2063; conclusion=x",
      "ValueError: prime = 5 is not among primes = [2, 2063]"),
+    ("sieve; poly=(-1,-2,27); prime=4; primes=2,4; conclusion=x",
+     "ValueError: primes entry 4 is neither 1 nor a prime"),
+    ("sieve; poly=(-1,-2,27); prime=2; primes=2,x; conclusion=x",
+     "ValueError: primes entry 'x' is not an integer"),
+    ("mordell; k=-2; S=2, 3,; height=10; expbound=1; expect=empty",
+     "ValueError: S entry '' is not an integer"),
+    ("obstruct; d=5; a=(-1,1); ell=2; level=275; subset=5,11a",
+     "ValueError: subset entry '11a' is not an integer"),
+    ("a2row; level=20; model=[0,1,0,4,4]; p=3; a2=0",
+     "ValueError: ell = 2 is ramified or additive mod p = 3"),
     ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=5; value=1",
      "ValueError: ell = 5 is not a prime other than p = 5"),
     ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=9; value=1",

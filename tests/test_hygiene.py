@@ -9,7 +9,8 @@ function and class of the package is read by name (a listing in `__all__`
 does not count), and every method is read as an attribute.  `__init__.py`,
 which holds only the package docstring, is not scanned.  Every option of a
 CLI subcommand is read by the subcommand's handler, and every exception
-class of the package derives from arith.Error."""
+class of the package derives from arith.Error.  No test module imports
+another test module."""
 
 import argparse
 import ast
@@ -30,6 +31,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # read one of its names; a default or a helper that only tests reach is dead
 PROGRAM = sorted(p for d in ("src", "scripts", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,20 +99,37 @@ def private_imports(source: str) -> list[str]:
             for alias in node.names if alias.name.startswith("_")]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that the source imports by an
+    absolute import statement."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     """Parameter defaults of the functions defined, at any depth, in the
     sources of modules (keyed by file name) that no call in callers
     overrides by position or by keyword, and those that every call in
     callers (at least one) overrides, so the default is never used;
-    self is skipped for methods.  Calls match by the called name alone, so
-    a name collision counts as a use, and a call with *args or **kwargs
-    may set everything but surely sets nothing."""
+    self is skipped for methods.  A call of a module-level function counts
+    only in its own module or in a caller that reads the function off that
+    module (see qualified_reads), so a same-named function of another
+    module is not a use; a nested function or a method is matched by the
+    called name alone, so a collision there counts as a use.  A call with
+    *args or **kwargs may set everything but surely sets nothing."""
     calls = {}
     for text in callers:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        reads = qualified_reads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(name, []).append((node, text, reads))
 
     def options(tree, in_class=False):
         """(function, parameter, index among the call's positional
@@ -144,8 +163,12 @@ def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
 
     found = []
     for module, source in modules.items():
-        for func, name, index in options(ast.parse(source)):
-            uses = calls.get(func.name, [])
+        stem = module.removesuffix(".py")
+        tree = ast.parse(source)
+        top = {id(node) for node in tree.body}
+        for func, name, index in options(tree):
+            uses = [call for call, text, reads in calls.get(func.name, [])
+                    if id(func) not in top or text == source or (stem, func.name) in reads]
             if not any(may_set(c, name, index) for c in uses):
                 found.append(f"{module}: {func.name}({name}) (line {func.lineno})")
             elif all(sets(c, name, index) for c in uses):
@@ -313,6 +336,14 @@ def test_scan_finds_planted_private_imports():
                                        "_tables from . (line 3)"]
 
 
+def test_scan_finds_planted_imported_modules():
+    source = ("import os.path, json as j\n"
+              "from test_cubic import element_index\n"
+              "from . import sibling\n"
+              "def f():\n    import test_tate\n")
+    assert imported_modules(source) == {"os", "json", "test_cubic", "test_tate"}
+
+
 def test_scan_finds_planted_unset_defaults():
     source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
               "def g(x=0):\n    def h(y=1):\n        return y\n    return h()\n"
@@ -321,6 +352,7 @@ def test_scan_finds_planted_unset_defaults():
               "def unused(a=1):\n    return a\n"
               "def always(a, b=1, c=2):\n    return a\n")
     callers = [source,
+               "from m import always, f, g, spread\n"
                "f(0, 1)\nf(0, d=5)\ng(2)\ng()\nobj.m(7)\nobj.m()\n"
                "spread(*args)\nspread(**kw)\n"
                "always(0, 2, c=3)\nalways(1, b=3, **kw)\nalways(2, 4, *rest)\n"]
@@ -328,6 +360,17 @@ def test_scan_finds_planted_unset_defaults():
         "m.py: f(c) (line 1)", "m.py: f(e) (line 1)", "m.py: h(y) (line 4)",
         "m.py: m(j) (line 8)", "m.py: unused(a) (line 12)",
         "m.py: always(b) (line 14) set by every call"]
+
+
+def test_scan_reads_a_default_of_a_module_level_function_off_its_module():
+    # f of another module shares the name of m.f but sets none of its
+    # defaults; m.g is set by one call, read through `import m`, and left
+    # unset by another in m itself
+    source = ("def f(a=1):\n    return a\n"
+              "def g(b=2):\n    return b\n"
+              "def main():\n    return g()\n")
+    callers = [source, "from other import f\nf(2)\nf(a=3)\n", "import m\nm.g(4)\n"]
+    assert unset_defaults({"m.py": source}, callers) == ["m.py: f(a) (line 1)"]
 
 
 def test_scan_finds_planted_unread_definitions():
@@ -431,6 +474,13 @@ def test_no_imports_inside_functions(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_no_test_module_imports_another():
+    # shared oracles and helpers live in conftest.py
+    tests = {path.stem for path in TESTS if path.stem.startswith("test_")}
+    assert [f"{path.name}: {name}" for path in TESTS
+            for name in sorted(imported_modules(path.read_text()) & tests)] == []
 
 
 def test_every_option_is_set_somewhere():

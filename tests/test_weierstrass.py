@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from conftest import NotSquarefree, curves, quadratic_twist, seeded_models
 from modpcurves.arith import factor, valuation
 from modpcurves.tate import GOOD, tate_local
-from modpcurves.weierstrass import (SingularModel, WeierstrassModel, c4_c6,
-                                    c_invariants, minimal_model, parse_curve,
+from modpcurves.weierstrass import (SingularModel, WeierstrassModel, _model_from_c4c6,
+                                    c4_c6, c_invariants, minimal_model, parse_curve,
                                     transform)
 
 coeff = st.integers(min_value=-50, max_value=50)
@@ -25,6 +25,21 @@ def test_invariants_identity_bulk(rng):
     for E in seeded_models(rng, 10**4, 200):
         c4, c6, disc = c_invariants(E)
         assert 1728 * disc == c4**3 - c6**2
+
+
+def test_model_from_c4c6_is_reduced_or_raises(rng):
+    # the minimal model of a seeded curve is the reduced model of its (c4, c6):
+    # a1, a3 in {0, 1} and a2 in {-1, 0, 1}
+    for E in seeded_models(rng, 500, 200):
+        Emin = minimal_model(E)[0]
+        assert Emin.a1 in (0, 1) and Emin.a3 in (0, 1) and Emin.a2 in (-1, 0, 1), E
+        assert _model_from_c4c6(*c4_c6(Emin)) == Emin
+    # (c4, c6) of no integral model: those of X0(11) off by one, or by one
+    # step of the congruences c4 = b2^2 (mod 24) and c6 = -b2 (mod 12)
+    c4, c6 = c4_c6(parse_curve("[0,-1,1,-10,-20]"))
+    for bad in ((c4, c6 + 1), (c4 + 1, c6), (c4 + 24, c6), (c4, c6 + 12)):
+        with pytest.raises(SingularModel, match="^no integral model with"):
+            _model_from_c4c6(*bad)
 
 
 @given(models)
