@@ -413,8 +413,8 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     non-primitive solutions are exactly the allowed-prime-smooth multiples
     of coprime ones and are appended by scaling.  Returns (solutions,
     report): solutions are (x, y, |f(x,y)|) triples.  Raises ValueError for
-    a negative bound, and congruence_sieve for an entry of allowed_primes
-    that is neither 1 nor a prime; an entry 1 is ignored.
+    a negative bound; congruence_sieve raises it for an entry of
+    allowed_primes that is neither 1 nor a prime, and ignores an entry 1.
 
     Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
     f(x, y) = v for a signed target v = +-prod p^e that passes the residue

@@ -121,7 +121,9 @@ def seeded_models(rng, count, box):
 def brute_force_count(E, ell):
     """#E(F_ell) of the reduction of the long model E, counted over all
     ell^2 affine pairs plus the point at infinity; a singular point of the
-    reduction counts once.  Independent of the residue tables."""
+    reduction counts once, so at a bad ell, ell + 1 minus the count is 1, -1
+    or 0 for a split node, a nonsplit node or a cusp.  Independent of the
+    residue tables."""
     a1, a2, a3, a4, a6 = (a % ell for a in E.coeffs)
     count = 1
     for x in range(ell):

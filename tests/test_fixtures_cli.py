@@ -100,9 +100,8 @@ def test_row_records_read_the_same_row_as_a_ell_mod_p():
 def test_modrow_reads_a_ramified_ell_as_a_skip(row, status):
     # 11a1 mod 3: ell = 3 is p and 11 is ramified (v_11(Delta) = 5), so both
     # read as '-'; a 0 recorded at 11 is a wrong entry
-    recs = parse_fixture_text(f"modrow; level=11; model=[0,-1,1,-10,-20]; p=3; row={row}\n",
-                              "<string>")
     model = "[0,-1,1,-10,-20]"
+    recs = parse_fixture_text(f"modrow; level=11; model={model}; p=3; row={row}\n", "<string>")
     assert {c.description: c.status for c in verify_records(recs).checks} == {
         f"a_ell mod 3 row of {model}": status,
         f"conductor of {model} is level 11": PASS,
@@ -394,8 +393,8 @@ def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
 
 @pytest.fixture
 def factor_runs(monkeypatch):
-    """The integers arith.factor has been asked for so far, under every
-    name a module of the package binds it to, from an empty record cache."""
+    """The calls of arith.factor so far, under every name a module of the
+    package binds it to, from an empty record cache."""
     tate._record.cache_clear()
     original = arith.factor
     runs = spy(monkeypatch, arith, "factor")
