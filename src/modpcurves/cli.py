@@ -195,6 +195,49 @@ def cmd_verify(args) -> int:
     return 1 if report.failed else 0
 
 
+# Each subcommand once: its help line, its handler, and the name and
+# add_argument keywords of each argument.  build_parser builds argparse's
+# parser from it and _read reads a plain call straight off it.
+SUBCOMMANDS = {
+    "curve-info": ("invariants, conductor, local data", cmd_curve_info,
+                   [("curve", {})]),
+    "ap": ("trace of Frobenius", cmd_ap,
+           [("curve", {}), ("ell", {"type": int})]),
+    "trace-table": ("mod-p trace vector", cmd_trace_table,
+                    [("curve", {}), ("p", {"type": int}),
+                     ("--bound", {"type": int, "default": 37})]),
+    "serre-conductor": ("semistable Serre conductor", cmd_serre_conductor,
+                        [("curve", {}), ("p", {"type": int})]),
+    "compare": ("compare two mod-p trace vectors", cmd_compare,
+                [("curve", {}), ("other", {}), ("p", {"type": int}),
+                 ("--bound", {"type": int, "default": 100})]),
+    "cubic-info": ("cubic field data", cmd_cubic_info, [("poly", {})]),
+    "index-solve": ("index form equation search", cmd_index_solve,
+                    [("poly", {}), ("--primes", {"default": ""}),
+                     ("--bound", {"type": int, "default": 1000})]),
+    "mordell": ("S-integral points on Y^2 = X^3 + k", cmd_mordell,
+                [("--k", {"type": int, "required": True}),
+                 ("--S", {"default": ""}),
+                 ("--height", {"type": int, "default": 10**4}),
+                 ("--exponent-bound", {"type": int, "default": 0})]),
+    "scan-twisted": ("scan Y^2 = X^3 +- 3^a N^b", cmd_scan_twisted,
+                     [("--N", {"type": int, "required": True}),
+                      ("--a-bound", {"type": int, "default": 5}),
+                      ("--b-bound", {"type": int, "default": 1}),
+                      ("--S", {"default": ""}),
+                      ("--height", {"type": int, "default": 10**4}),
+                      ("--exponent-bound", {"type": int, "default": 0})]),
+    "obstruct": ("level-raising obstruction A(ell)", cmd_obstruct,
+                 [("--disc", {"type": int, "required": True,
+                              "help": "squarefree d of the real quadratic order Z[omega]"}),
+                  ("--a", {"required": True, "help": "a_ell as (a, b) in omega coords"}),
+                  ("--ell", {"type": int, "required": True})]),
+    "verify": ("run fixture verification", cmd_verify,
+               [("path", {"nargs": "?", "default": None,
+                          "help": "fixture file or directory (default: the packaged fixtures)"})]),
+}
+
+
 def _common_options(json_default) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=json_default,
@@ -204,86 +247,22 @@ def _common_options(json_default) -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it.
-    Its subcommands attribute maps each subcommand to its own parser."""
+    """The parser of SUBCOMMANDS, built once per process: parse_args keeps
+    no state in it."""
     parser = argparse.ArgumentParser(
         prog="modpcurves",
         description="Elliptic curves, their mod-p fingerprints, and the "
                     "cubic-field / Mordell / level-raising toolkit around them.",
         parents=[_common_options(False)])
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices
     # a subcommand's copy of --json sets nothing unless given, so that a
     # --json given before the subcommand survives
     common = _common_options(argparse.SUPPRESS)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("curve-info", help="invariants, conductor, local data")
-    p.add_argument("curve")
-    p.set_defaults(func=cmd_curve_info)
-
-    p = add_parser("ap", help="trace of Frobenius")
-    p.add_argument("curve")
-    p.add_argument("ell", type=int)
-    p.set_defaults(func=cmd_ap)
-
-    p = add_parser("trace-table", help="mod-p trace vector")
-    p.add_argument("curve")
-    p.add_argument("p", type=int)
-    p.add_argument("--bound", type=int, default=37)
-    p.set_defaults(func=cmd_trace_table)
-
-    p = add_parser("serre-conductor", help="semistable Serre conductor")
-    p.add_argument("curve")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_serre_conductor)
-
-    p = add_parser("compare", help="compare two mod-p trace vectors")
-    p.add_argument("curve")
-    p.add_argument("other")
-    p.add_argument("p", type=int)
-    p.add_argument("--bound", type=int, default=100)
-    p.set_defaults(func=cmd_compare)
-
-    p = add_parser("cubic-info", help="cubic field data")
-    p.add_argument("poly")
-    p.set_defaults(func=cmd_cubic_info)
-
-    p = add_parser("index-solve", help="index form equation search")
-    p.add_argument("poly")
-    p.add_argument("--primes", default="")
-    p.add_argument("--bound", type=int, default=1000)
-    p.set_defaults(func=cmd_index_solve)
-
-    p = add_parser("mordell", help="S-integral points on Y^2 = X^3 + k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--S", default="")
-    p.add_argument("--height", type=int, default=10**4)
-    p.add_argument("--exponent-bound", type=int, default=0)
-    p.set_defaults(func=cmd_mordell)
-
-    p = add_parser("scan-twisted", help="scan Y^2 = X^3 +- 3^a N^b")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a-bound", type=int, default=5)
-    p.add_argument("--b-bound", type=int, default=1)
-    p.add_argument("--S", default="")
-    p.add_argument("--height", type=int, default=10**4)
-    p.add_argument("--exponent-bound", type=int, default=0)
-    p.set_defaults(func=cmd_scan_twisted)
-
-    p = add_parser("obstruct", help="level-raising obstruction A(ell)")
-    p.add_argument("--disc", type=int, required=True,
-                   help="squarefree d of the real quadratic order Z[omega]")
-    p.add_argument("--a", required=True, help="a_ell as (a, b) in omega coords")
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(func=cmd_obstruct)
-
-    p = add_parser("verify", help="run fixture verification")
-    p.add_argument("path", nargs="?", default=None,
-                   help="fixture file or directory (default: the packaged fixtures)")
-    p.set_defaults(func=cmd_verify)
+    for command, (help_, func, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -297,37 +276,74 @@ def _front_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsed by the subcommand's own parser
-    after the options before it.  An unknown option there is named, where
-    argparse alone would take the value after it for the subcommand.  Help
-    before the subcommand, a missing or unknown subcommand and a front
-    option the front parser rejects go to the full parser, which prints the
-    help or the usage error."""
+    """build_parser().parse_args(argv), except that an unknown option before
+    the subcommand is named, where argparse alone would report the value
+    after it as a bad subcommand."""
     parser = build_parser()
     lead = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
-    command = argv[len(lead)] if len(argv) > len(lead) else None
-    sub = parser.subcommands.get(command)
-    front = argparse.Namespace(json=False, help=False)
     if lead:
         try:
-            front, unknown = _front_parser().parse_known_args(lead)
+            _, unknown = _front_parser().parse_known_args(lead)
         except argparse.ArgumentError:
-            sub = None
+            unknown = None
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return parser.parse_args(argv)
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) read straight off SUBCOMMANDS, or
+    None unless argv is plain: exact --json tokens, a subcommand, then its
+    positionals in order, its exact option names with a value (`--bound 5`
+    or `--bound=5`) and --json anywhere.  Each value is converted by its
+    type at every occurrence, as argparse does.  Help, an abbreviation,
+    `--`, a value or positional that starts with '-', a bad value, and a
+    missing or extra argument are left to argparse, which prints the help
+    or the usage error."""
+    lead = 0
+    while argv[lead:lead + 1] == ["--json"]:
+        lead += 1
+    if lead == len(argv) or argv[lead] not in SUBCOMMANDS:
+        return None
+    command = argv[lead]
+    _, func, arguments = SUBCOMMANDS[command]
+    dest = {name: name.lstrip("-").replace("-", "_") for name, _ in arguments}
+    values = {dest[name]: keywords.get("default") for name, keywords in arguments}
+    values.update(json=lead > 0, command=command, func=func)
+    positionals = [(name, kw) for name, kw in arguments if not name.startswith("-")]
+    options = {name: kw for name, kw in arguments if name.startswith("-")}
+    required = {name for name, kw in arguments if kw.get("required")
+                or (not name.startswith("-") and kw.get("nargs") != "?")}
+    tokens = iter(argv[lead + 1:])
+    for token in tokens:
+        if token == "--json":
+            values["json"] = True
+            continue
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+            if name not in options:
+                return None
+            keywords = options[name]
+            if not eq:
+                value = next(tokens, "-")  # a missing value is not plain
+        elif positionals:
+            (name, keywords), value = positionals.pop(0), token
         else:
-            if unknown:
-                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    if sub is None or front.help:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[len(lead) + 1:],
-                                       argparse.Namespace(json=front.json, command=command))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+            return None
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest[name]] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        required.discard(name)
+    return None if required else argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _read(argv) or _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -71,19 +71,26 @@ def cubic_discriminant(a: int, b: int, c: int) -> int:
 
 
 def parse_cubic(text: str) -> tuple[int, int, int]:
-    """Accept "(a, b, c)" or a polynomial like "x^3 - x^2 - 2*x + 27"."""
+    """Accept "(a, b, c)", with both parentheses or none, or a monic
+    polynomial like "x^3 - x^2 - 2*x + 27": signed terms c*x^k (c and the
+    '*' optional, k <= 3), only x taking an exponent.  Anything else raises
+    ValueError naming the text."""
     t = text.strip()
-    m = re.fullmatch(r"\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)?", t)
+    inner = t[1:-1] if t[:1] == "(" and t[-1:] == ")" else t
+    m = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
     if m:
         return tuple(int(g) for g in m.groups())  # type: ignore[return-value]
-    s = t.replace(" ", "").replace("**", "^").replace("*", "")
-    coeffs = {3: 0, 2: 0, 1: 0, 0: 0}
-    for sgn, num, var, exp in re.findall(r"([+-]?)(\d*)(x?)(?:\^(\d+))?", s):
-        if not num and not var:
-            continue
-        k = int(exp) if exp else (1 if var else 0)
-        n = int(num) if num else 1
-        coeffs[k] += -n if sgn == "-" else n
+    s = t.replace(" ", "").replace("**", "^")
+    if s[:1] not in ("+", "-"):
+        s = "+" + s
+    coeffs = [0, 0, 0, 0]
+    # one term per sign; the piece before the first sign is empty
+    for term in re.split(r"(?=[+-])", s)[1:]:
+        m = re.fullmatch(r"([+-])(\d*)(?:(?<=\d)\*(?=x))?(x(?:\^(\d+))?)?", term)
+        if not m or not (m[2] or m[3]) or int(m[4] or 0) > 3:
+            raise ValueError(f"not a cubic (a, b, c) or polynomial in x: {text!r}")
+        k = int(m[4]) if m[4] else (1 if m[3] else 0)
+        coeffs[k] += int(m[2] or 1) * (-1 if m[1] == "-" else 1)
     if coeffs[3] != 1:
         raise ValueError(f"not a monic cubic: {text!r}")
     return coeffs[2], coeffs[1], coeffs[0]

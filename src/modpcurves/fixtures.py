@@ -84,7 +84,8 @@ def parse_factorization(text: str) -> Factorization:
         # bases need not be prime in fixture text (e.g. "1967" = 7 * 281)
         for p, e in factor(base).factors:
             counts[p] = counts.get(p, 0) + e * exp
-    return Factorization(sign, tuple(sorted(counts.items())))
+    # p^0 is 1
+    return Factorization(sign, tuple(sorted((p, e) for p, e in counts.items() if e)))
 
 
 def parse_int_list(text: str) -> list:

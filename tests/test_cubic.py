@@ -31,6 +31,20 @@ def test_parse_cubic_formats():
         parse_cubic("2*x^3 + 1")
 
 
+@pytest.mark.parametrize("text", [
+    "x^3+y-2",      # read as x^3 - 2
+    "x^3+2^2",      # read as x^3 + 2x^2
+    "x^3+x^2*x",    # read as x^3 + x^2 + x
+    "x^3+x^4+1",    # a bare KeyError
+    "x^3 + x + ",   # read as x^3 + x
+    "(1,2,3",       # read as (1, 2, 3)
+    "1,2,3)"])
+def test_parse_cubic_rejects_what_it_does_not_read(text):
+    with pytest.raises(ValueError) as info:
+        parse_cubic(text)
+    assert repr(text) in str(info.value)
+
+
 def test_analyze_known_fields():
     for (a, b, c), dK in FIXTURE_CUBICS:
         K = analyze_cubic((a, b, c))

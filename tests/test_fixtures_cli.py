@@ -45,6 +45,15 @@ def test_parse_helpers():
         parse_factorization("2^x")
 
 
+def test_parse_factorization_reads_a_zero_exponent_as_one():
+    assert parse_factorization("11*2^0") == parse_factorization("11")
+    assert parse_factorization("2^0") == parse_factorization("1")
+    assert parse_factorization("-3^0*5^2").factors == ((5, 2),)
+    recs = parse_fixture_text("curve; model=[0,-1,1,-10,-20]; conductor=11*2^0\n",
+                              "<string>")
+    assert [c.status for c in verify_records(recs).checks] == [PASS]
+
+
 def test_verify_empty_records():
     report = verify_records([])
     assert report.counts == {PASS: 0, FAIL: 0, EXTERNAL: 0}

@@ -24,7 +24,7 @@ def _load_script():
 
 
 def test_every_subcommand_has_a_transcript():
-    assert [path.stem for path in GOLDEN] == sorted(cli.build_parser().subcommands)
+    assert [path.stem for path in GOLDEN] == sorted(cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
