@@ -69,7 +69,8 @@ CASES = {
         ["cubic-info", "x^3 - 8"],
         # text the polynomial grammar does not read
         ["cubic-info", "x^3+y-2"],
-        ["cubic-info", "x^3+x^4+1"]],
+        ["cubic-info", "x^3+x^4+1"],
+        ["cubic-info", "x^3 + 1 2"]],
     "index-solve": [
         ["index-solve", F2063, "--primes", "2,2063", "--bound", "10000"],
         ["index-solve", "x^3 - 2", "--primes", "2,3,5,7", "--bound", "10", "--json"],

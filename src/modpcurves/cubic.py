@@ -15,12 +15,12 @@ triple root mod q of a characteristic polynomial.  Everything is exact
 integer arithmetic; the basis is returned as Fractions.  The index-equation
 solver keeps only the targets v that the congruence sieve allows; for each
 it sieves the lines y = const of the box with one integer, a bit per y, by
-the residues of the form mod small primes q: the OR of the classes
-w = y^-3 mod q with w v in the image of F(t, 1) mod q, tiled over the box by
-arith.tile as the Mordell search sieves x.  It walks the surviving lines bit
-by bit, splits each into pieces where the form is monotone (critical points
-from isqrt), and finds the integer roots with _bisect, which the
-reducibility test shares.
+the residues of the form mod small primes q: the pattern of v mod q is one
+bytes.translate of a fixed row of the classes v y^-3 mod q by a flag table
+of the image of F(t, 1) mod q, tiled over the box by arith.tile as the
+Mordell search sieves x.  Each line with surviving targets is split once
+into pieces where the form is monotone (critical points from isqrt), and
+_bisect, which the reducibility test shares, finds each target's roots.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ def cubic_discriminant(a: int, b: int, c: int) -> int:
 def parse_cubic(text: str) -> tuple[int, int, int]:
     """Accept "(a, b, c)", with both parentheses or none, or a monic
     polynomial like "x^3 - x^2 - 2*x + 27": signed terms c*x^k (c and the
-    '*' optional, k <= 3), only x taking an exponent.  Anything else raises
-    ValueError naming the text."""
+    '*' optional, k <= 3), only x taking an exponent, spaces never between
+    two digits.  Anything else raises ValueError naming the text."""
     t = text.strip()
     inner = t[1:-1] if t[:1] == "(" and t[-1:] == ")" else t
     m = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
     if m:
         return tuple(int(g) for g in m.groups())  # type: ignore[return-value]
-    s = t.replace(" ", "").replace("**", "^")
+    # a space between digits becomes "?", which no term reads
+    s = re.sub(r"(?<=\d) +(?=\d)", "?", t).replace(" ", "").replace("**", "^")
     if s[:1] not in ("+", "-"):
         s = "+" + s
     coeffs = [0, 0, 0, 0]
@@ -381,35 +382,30 @@ def _bisect(A, B, C, D, lo: int, hi: int, step: int, v: int) -> int | None:
     return lo if ((A * lo + B) * lo + C) * lo + D == 0 else None
 
 
-# primes of the y-sieve in solve_index_equation, chosen by timing: adding
-# 37..47 slowed the small boxes, dropping 29 and 31 the -2063 box at 10^4
-_Y_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# y-sieve primes of solve_index_equation, chosen by timing: adding 37..47
+# sped up the small boxes and the -2063 box at 10^4, dropping 29, 31 slowed both
+_Y_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# per y-sieve prime q, row vq: the class vq y^-3 mod q of each unit y < q,
+# then q + vq for y = q; the inverse cubes translated by w -> vq w mod q, read
+# at 0, vq, 2 vq, .. of q copies of 0..q-1 (nothing, so all 0, for vq = 0)
+_Y_SIEVE_ROWS = [(q, [inv.translate(mul[:q * vq:vq or 1].ljust(256, b"\0")) + bytes([q + vq])
+                      for vq in range(q)])
+                 for q, inv, mul in ((q, bytes([pow(y, -3, q) for y in range(1, q)]),
+                                      bytes(range(q)) * q) for q in _Y_SIEVE_PRIMES)]
 
 
-def _cube_classes(q: int):
-    """(q, classes, cubes) for a y-sieve prime q, independent of the form:
-    classes pairs each class w = y^-3 mod q of the units 0 < y < q with the
-    int that has bit y - 1 set for each y in it (q - 1 classes, (q - 1)/3
-    when q = 1 mod 3), and cubes is the set of the unit cubes."""
-    bits = [0] * q
-    for y in range(1, q):
-        bits[pow(y, -3, q)] |= 1 << (y - 1)
-    return q, tuple((w, b) for w, b in enumerate(bits) if b), {y**3 % q for y in range(1, q)}
-
-
-_Y_SIEVE_CLASSES = [_cube_classes(q) for q in _Y_SIEVE_PRIMES]
-
-
-def _y_pattern(q: int, vq: int, image, a_cubes, classes) -> int:
-    """The q-bit pattern of the y-sieve for v = vq (mod q), given the image of
-    F(t, 1) mod q and the set A x^3 mod q over the units x: bit y - 1 for each
-    y in [1, q] that the argument of solve_index_equation keeps, one test per
-    class w = y^-3 of _cube_classes (w v in the image) and one for y = q."""
-    pattern = 0
-    for w, bits in classes:
-        if w * vq % q in image:
-            pattern |= bits
-    return pattern | (vq in a_cubes) << (q - 1)
+def _y_flags(q: int, rows, A: int, Ft) -> bytearray:
+    """Translate table of the y-sieve mod q for a form with F(t, 1) = Ft[t]:
+    ASCII 1 at the image of F(t, 1) mod q and at q + A c mod q for each unit
+    cube c (row A mod q but its last byte).  Row vq translated, reversed and
+    read in base 2 has bit y - 1 for each y in [1, q] kept for v = vq."""
+    flags = bytearray(b"0" * 256)
+    for f in Ft[:q]:
+        flags[f % q] = 49
+    for w in rows[A % q][:-1]:
+        flags[q + w] = 49
+    return flags
 
 
 def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
@@ -426,13 +422,15 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
     f(x, y) = v for a signed target v = +-prod p^e that passes the residue
     tests mod 2 and mod 9.  For each such v, the y in [1, bound] are sieved
-    as one integer, bit j for y = j + 1, by each prime q <= 31; the mask of
-    each (q, v mod q) is built once per call, and only the surviving lines
-    y = const are bisected.  The sieve drops no coprime solution (x, y) of
-    f(x, y) = v: if q does not divide y, then f(x, y) = y^3 f(x/y, 1), so
-    v y^-3 mod q lies in the image of f(t, 1) mod q; if q divides y, then q
-    does not divide x, and v = A x^3 (mod q) for a unit x.  The pairs it
-    does drop are not coprime, and those come from the scaling step."""
+    as one integer, bit j for y = j + 1, by each prime q <= 47; the mask of
+    each (q, v mod q) is built once per call, by one translate (_y_flags).
+    Each surviving line y = const is split into monotone pieces once, and
+    bisected for each target that survives on it.  The sieve drops no
+    coprime solution (x, y) of f(x, y) = v: if q does not divide y, then
+    f(x, y) = y^3 f(x/y, 1), so v y^-3 mod q lies in the image of f(t, 1)
+    mod q; if q divides y, then q does not divide x, and v = A x^3 (mod q)
+    for a unit x.  The pairs it does drop are not coprime, and those come
+    from the scaling step."""
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
     form = index_form(K)
@@ -469,31 +467,33 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     # y = 0 and x = 0 edges
     for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         record(x, y)
-    # per y-sieve prime q: the image of F(t, 1) mod q, A x^3 mod q over the
-    # units x, the classes of y^-3, and the masks by v mod q, built on first use
+    # per y-sieve prime q its rows, flags and masks by v mod q; targets by line
     Ft = [((A * t + B) * t + C) * t + D for t in range(_Y_SIEVE_PRIMES[-1])]
-    tables = [(q, {f % q for f in Ft[:q]}, {A * c % q for c in cubes}, classes, [None] * q)
-              for q, classes, cubes in _Y_SIEVE_CLASSES]
+    tables = [(q, rows, _y_flags(q, rows, A, Ft), [None] * q) for q, rows in _Y_SIEVE_ROWS]
     box = (1 << Bnd) - 1
+    lines: dict[int, list[int]] = {}
     for v in values:
         live = box
-        for q, image, a_cubes, classes, masks in tables:
+        for q, rows, flags, masks in tables:
             if not live:
                 break
             vq = v % q
             mask = masks[vq]
             if mask is None:
-                mask = masks[vq] = tile(_y_pattern(q, vq, image, a_cubes, classes), q, Bnd)
+                mask = masks[vq] = tile(int(rows[vq].translate(flags)[::-1], 2), q, Bnd)
             live &= mask
-        # a root x on line y has f(x, y) = v, |v| a target, and |x|, y <= Bnd
-        t = abs(v)
         for j in set_bits(live):
-            y = j + 1
-            for lo, hi, step in _monotone_pieces(A, B, C, y, -Bnd, Bnd):
-                x = _bisect(A, B * y, C * y * y, D * y**3, lo, hi, step, v)
+            lines.setdefault(j + 1, []).append(v)
+    # a root x on line y has f(x, y) = v, |v| a target, and |x|, y <= Bnd
+    for y, vs in lines.items():
+        pieces = _monotone_pieces(A, B, C, y, -Bnd, Bnd)
+        By, Cy, Dy = B * y, C * y * y, D * y**3
+        for v in vs:
+            for lo, hi, step in pieces:
+                x = _bisect(A, By, Cy, Dy, lo, hi, step, v)
                 if x is not None and gcd(x, y) == 1:
-                    sols.add((x, y, t))
-                    sols.add((-x, -y, t))
+                    sols.add((x, y, abs(v)))
+                    sols.add((-x, -y, abs(v)))
     # smooth multiples of coprime solutions: f(dx, dy) = d^3 f(x, y); every
     # smooth d <= Bnd <= maxval is a target
     scaled = set()

@@ -10,15 +10,16 @@ from sympy import Poly
 from sympy.abc import x as X
 from sympy.polys.numberfields.basis import round_two
 
-from conftest import FIXTURE_CUBICS, element_index, mat_inv, vec_mat
+from conftest import FIXTURE_CUBICS, element_index, mat_inv, spy, vec_mat
+from modpcurves import cubic
 from modpcurves.cli import main
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
                               ReduciblePolynomial, analyze_cubic,
                               congruence_sieve, cubic_discriminant,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
-                              _Y_SIEVE_PRIMES, _bisect, _Y_SIEVE_CLASSES,
-                              _monotone_pieces, _y_pattern)
+                              _Y_SIEVE_PRIMES, _Y_SIEVE_ROWS, _bisect,
+                              _monotone_pieces, _y_flags)
 from modpcurves.arith import tile
 
 
@@ -27,6 +28,8 @@ def test_parse_cubic_formats():
     assert parse_cubic("-1,-6,27") == (-1, -6, 27)
     assert parse_cubic("x^3 - x^2 - 6*x + 27") == (-1, -6, 27)
     assert parse_cubic("x**3 + 2") == (0, 0, 2)
+    # spaces may separate terms and signs
+    assert parse_cubic("x ^ 3 - 2 * x + 27") == (0, -2, 27)
     with pytest.raises(ValueError):
         parse_cubic("2*x^3 + 1")
 
@@ -38,7 +41,9 @@ def test_parse_cubic_formats():
     "x^3+x^4+1",    # a bare KeyError
     "x^3 + x + ",   # read as x^3 + x
     "(1,2,3",       # read as (1, 2, 3)
-    "1,2,3)"])
+    "1,2,3)",
+    "x^3 + 1 2",          # read as x^3 + 12
+    "x^3 - 2*x + 2 7"])   # read as x^3 - 2x + 27
 def test_parse_cubic_rejects_what_it_does_not_read(text):
     with pytest.raises(ValueError) as info:
         parse_cubic(text)
@@ -549,18 +554,27 @@ def test_y_sieve_masks_match_the_definition(rng):
     # seeded forms, with the leading coefficient A scaled by sieve primes
     # so that A = 0 mod q for some q; every q, every v mod q, and bounds
     # below, at and above q, where the tiling stops mid-pattern
-    forms = [(1, 0, 0, -2), (7, 3, -1, 2), (2 * 3 * 5 * 29, 1, 1, 1), (31, 0, 4, 9)]
+    forms = [(1, 0, 0, -2), (7, 3, -1, 2), (2 * 3 * 5 * 29, 1, 1, 1), (31, 0, 4, 9),
+             (47, 2, -3, 5)]
     forms += [(rng.choice((1, 2, 3, 29, 31, 6)) * rng.randint(1, 9),
                *(rng.randint(-20, 20) for _ in range(3))) for _ in range(8)]
-    assert any(A % q == 0 for A, *_ in forms for q in (2, 3, 29, 31))
-    assert [q for q, _, _ in _Y_SIEVE_CLASSES] == list(_Y_SIEVE_PRIMES)
+    assert any(A % q == 0 for A, *_ in forms for q in (2, 3, 29, 31, 47))
+    assert [q for q, _ in _Y_SIEVE_ROWS] == list(_Y_SIEVE_PRIMES)
+    for q, rows in _Y_SIEVE_ROWS:
+        # row v: v y^-3 mod q for each unit y < q, then q + v for y = q
+        assert len(rows) == q
+        for v, row in enumerate(rows):
+            assert len(row) == q and row[-1] == q + v
+            assert all(row[y - 1] == v * pow(y, -3, q) % q for y in range(1, q))
     for A, B, C, D in forms:
-        for q, classes, _ in _Y_SIEVE_CLASSES:
-            F = {(A * t**3 + B * t * t + C * t + D) % q for t in range(q)}
+        for q, rows in _Y_SIEVE_ROWS:
+            Ft = [A * t**3 + B * t * t + C * t + D for t in range(q)]
+            flags = _y_flags(q, rows, A, Ft)
+            F = {f % q for f in Ft}
             units_A = {A * x**3 % q for x in range(1, q)}
             for bound in {0, 1, q - 1, q, q + 1, 2 * q + 3, rng.randint(1, 70)}:
                 for v in range(q):
-                    mask = tile(_y_pattern(q, v, F, units_A, classes), q, bound)
+                    mask = tile(int(rows[v].translate(flags)[::-1], 2), q, bound)
                     want = [(v * pow(y, -3, q) % q in F) if y % q else (v in units_A)
                             for y in range(1, bound + 1)]
                     assert [bool(mask >> (y - 1) & 1) for y in range(1, bound + 1)] \
@@ -568,7 +582,41 @@ def test_y_sieve_masks_match_the_definition(rng):
                     assert mask >> (bound + q - 1) == 0
 
 
-@pytest.mark.parametrize("q", (2, 3, 29, 31))
+def test_solver_builds_each_mask_once_and_splits_each_line_once(monkeypatch):
+    # rows of a bytes subclass, so that a spy on translate sees which
+    # (q, v mod q) each mask is built for
+    class Row(bytes):
+        pass
+
+    rows = [(q, [Row(row) for row in qrows]) for q, qrows in _Y_SIEVE_ROWS]
+    row_of = {id(row): (q, v) for q, qrows in rows for v, row in enumerate(qrows)}
+    monkeypatch.setattr(cubic, "_Y_SIEVE_ROWS", rows)
+    translated = spy(monkeypatch, Row, "translate")
+    split = spy(monkeypatch, cubic, "_monotone_pieces")
+    bisected = spy(monkeypatch, cubic, "_bisect")
+    most_targets = 0
+    for poly, primes, bound in SEARCH_BOXES:
+        K = analyze_cubic(poly)  # its reducibility test splits too
+        A, B, C, D = index_form(K).coefficients
+        for calls in (translated, split, bisected):
+            calls.clear()
+        solve_index_equation(K, set(primes), bound)
+        built = [row_of[id(row)] for row, _ in translated]
+        assert built and len(built) == len(set(built)), (poly, primes, bound)
+        lines = [args[3] for args in split]
+        assert len(lines) == len(set(lines)), (poly, primes, bound)
+        # each bisection is on a line that was split, with that line's
+        # coefficients B y, C y^2, D y^3
+        coeffs = {(B * y, C * y * y, D * y**3): y for y in lines}
+        targets = {}
+        for _, By, Cy, Dy, _, _, _, v in bisected:
+            targets.setdefault(coeffs[By, Cy, Dy], set()).add(v)
+        assert set(targets) == set(lines)
+        most_targets = max([most_targets, *map(len, targets.values())])
+    assert most_targets >= 2
+
+
+@pytest.mark.parametrize("q", (2, 3, 29, 31, 47))
 def test_solve_matches_brute_force_at_bounds_near_a_sieve_prime(q):
     # x^3 - 2 (A = 1) and the form (10, 16, 8, 1), A = 0 mod 2 and mod 5
     for poly in ((0, 0, -2), (-2, -4, -20)):
