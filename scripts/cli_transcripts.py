@@ -29,6 +29,7 @@ GOLDEN = ROOT / "tests" / "golden"
 
 X0_11, C37, C353 = "[0,-1,1,-10,-20]", "[0,0,1,-1,0]", "[1,1,0,-22,-812]"
 C469 = "[1,0,1,-80,-275]"
+J0_27 = "[0,0,1,0,0]"  # y^2 + y = x^3
 F2063 = "x^3 - x^2 - 2*x + 27"
 
 CASES = {
@@ -46,12 +47,18 @@ CASES = {
         # bad ell above the counting bound: read off Tate's algorithm, split
         ["ap", "[1,0,0,0,1000003]", "1000003"],
         # good ell above it: nothing counted, PrimeTooLarge
-        ["ap", X0_11, "1000003"]],
+        ["ap", X0_11, "1000003"],
+        # j = 0 above the table cap: 1031 = 2 mod 3 has a_ell = 0 with
+        # nothing counted, 1033 = 1 mod 3 is counted
+        ["ap", J0_27, "1031"],
+        ["ap", J0_27, "1033"]],
     "trace-table": [
         ["trace-table", C353, "3", "--bound", "37"],
         ["trace-table", C469, "5", "--json"],
         ["trace-table", X0_11, "0"],
-        ["trace-table", C353, "3", "--bound", "-5"]],
+        ["trace-table", C353, "3", "--bound", "-5"],
+        # j = 0, conductor 27: ell = 1 and 2 mod 3 both read the table
+        ["trace-table", J0_27, "5", "--bound", "100"]],
     "serre-conductor": [
         ["serre-conductor", C353, "3"],
         ["serre-conductor", C469, "5", "--json"],

@@ -3,26 +3,32 @@
 Good primes: a_ell = ell + 1 - #E(F_ell). For ell >= 5, E is isomorphic over
 F_ell to y^2 = x^3 + a x + b, a = -27 c4 and b = -54 c6 mod ell (x -> 36x +
 3b2, y -> 108(2y + a1 x + a3)), singular reductions included. traces(E,
-ells) computes -27 c4 and -54 c6 once per curve and then reads one count
-per ell. A prime 5 <= ell < TABLE_BELOW has one table, built on first use:
-roots[v], the number of square roots of v; w[a], a signed 16-bit slot;
-and n_r[B] = #{y^2 = x^3 + r x + B} for r = 1 and r = z, z the least
-nonresidue, in 16-bit slots: 7 ell bytes in all. For a != 0 write a = r d^2
-with r = 1 if a is a square and r = z if not; w[a] is d^-3, negated when d
-is a nonsquare. (a, b) is the twist by d of (r, b d^-3), so #E = n_r[b
-|w[a]|], or 2 ell + 2 minus it when w[a] < 0 (Silverman, AEC X.5): one read
-per count. w is built from x^-3 for x < ell / 2, by the recurrence 1/x =
--floor(ell / x) / (ell mod x). n_r is the correlation of the histogram of
-x^3 + r x (odd, so taken from x < ell / 2) with roots, one big-int product.
-a = 0 (j = 0) and ell >= TABLE_BELOW sum roots[x^3 + a x + b] over x; ell =
-2, 3 try the ell^2 points; a non-prime ell raises ValueError. Bad primes:
-+1 split, -1 nonsplit, 0 additive (MinimalCurve).
+ells) computes -27 c4 and -54 c6 once per curve and then reads one count per
+ell into a list. A prime 5 <= ell < TABLE_BELOW has one table (U, off, mul),
+built on first use, read as #E = U[off[a] + b mul[a] mod ell] for every
+(a, b), j = 0 and singular models included: one read, no branch. U holds
+five segments of ell 16-bit counts: n_1, n_z, 2 ell + 2 - n_1, 2 ell + 2 -
+n_z and n_0, where n_r[B] = #{y^2 = x^3 + r x + B} and z is the least
+nonresidue. For a != 0 write a = r d^2 with r = 1 if a is a square and r = z
+if not: (a, b) is the twist by d of (r, b d^-3), so #E is n_r[b d^-3], or
+2 ell + 2 minus it when d is a nonsquare (Silverman, AEC X.5). off[a] is the
+start of that segment and mul[a] = d^-3 (16-bit slots); off[0] = 4 ell and
+mul[0] = 1 read n_0. That is 14 ell bytes per ell. x^-3 comes from the
+recurrence 1/x = -floor(ell / x) / (ell mod x) for x < ell / 2, with d = x
+at a = x^2 and z x^2. n_r is the correlation of the histogram of x^3 + r x
+(odd, so taken from x < ell / 2) with the root counts, one big-int product
+each. For ell = 2 mod 3, x -> x^3 permutes F_ell, so n_0 is ell + 1 for
+every B; at ell >= TABLE_BELOW that gives a_ell = 0 for a = 0 without a
+count, and every other (a, b) there, j = 0 at ell = 1 mod 3 included, sums
+the root counts of x^3 + a x + b over x. ell = 2, 3 try the ell^2 points; a
+non-prime ell raises ValueError. Bad primes: +1 split, -1 nonsplit,
+0 additive (MinimalCurve).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .arith import Error, is_prime
 from .tate import ADDITIVE, SPLIT_MULT, MinimalCurve, minimal_curve
@@ -37,9 +43,9 @@ class PrimeTooLarge(Error):
 DEFAULT_COUNT_BOUND = 10**6
 # ell below this reads a table: every count, at most 2 ell + 1, fits 16 bits
 TABLE_BELOW = 2**10
-# n_r[B] is packed in 16-bit slot B, read in native order
+# the counts of U are packed in 16-bit slots, read in native order
 _SLOT_ORDER = 1 if sys.byteorder == "little" else -1
-# ell -> (roots, w, n_1, n_z)
+# ell -> (U, off, mul)
 _TABLES: dict[int, tuple] = {}
 
 
@@ -59,66 +65,89 @@ def _table(ell: int) -> tuple:
         z += 1
     roots = bytearray(ell)
     roots[0], roots[1] = 1, 2
-    # roots first, since the sign of w[x^2] needs roots[x]; cube[x] = x^-3
+    # roots first, since the segment of x^2 needs roots[x]; cube[x] = x^-3
     # from 1/x = -(ell // x) / (ell % x)
     cube = [1] * half
     for x in range(2, half):
         roots[x * x % ell] = 2
         cube[x] = -(ell // x) ** 3 * cube[ell % x] % ell
-    w = memoryview(bytearray(2 * ell)).cast("h")
-    h1, hz = bytearray(ell), bytearray(ell)  # h[v] = #{x < ell / 2 : x^3 + r x = v}
+    off, mul = (memoryview(bytearray(2 * ell)).cast("H") for _ in range(2))
+    off[0], mul[0] = 4 * ell, 1
+    # h[v] = #{x < ell / 2 : x^3 + r x = v} for r = 1 and z
+    h1, hz = bytearray(ell), bytearray(ell)
     for x in range(1, half):
         s = x * x % ell
         h1[(s + 1) * x % ell] += 1
         hz[(s + z) * x % ell] += 1
-        # d = x for a = s and a = z s
-        w[s] = w[s * z % ell] = cube[x] if roots[x] else -cube[x]
+        # d = x for a = s (segment 0) and a = z s (segment 1); the twist by
+        # a nonsquare d reads the complement, segment 2 or 3
+        sz = s * z % ell
+        if roots[x]:
+            off[sz] = ell
+        else:
+            off[s], off[sz] = 2 * ell, 3 * ell
+        mul[s] = mul[sz] = cube[x]
     packed, ones, low = _pack(roots), _pack(b"\1" * ell), 16 * (ell - 1)
+    hs = [h1, hz]
+    if ell % 3 == 1:
+        # r = 0: the histogram of x^-3 = cube[x] in place of that of x^3,
+        # the same once the mirror x -> -x is added
+        h0 = bytearray(ell)
+        for c in cube[1:]:
+            h0[c] += 1
+        hs.append(h0)
     counts = []
-    for h in (h1, hz):
+    for h in hs:
         # slot ell - 1 - v: #{x : x^3 + r x = v}, from h[v], h[-v] (x -> -x)
         # and x = 0; times roots, slots ell - 1 + B and B - 1 give n_r[B] - 1
         product = (_pack(h[::-1]) + _pack(h[1:] + h[:1]) + (1 << low)) * packed
-        n = (product >> low) + ((product & ((1 << low) - 1)) << 16) + ones
-        counts.append(memoryview(n.to_bytes(2 * ell, sys.byteorder)).cast("H")[::_SLOT_ORDER])
-    tables = _TABLES[ell] = (bytes(roots), w, *counts)
+        counts.append((product >> low) + ((product & ((1 << low) - 1)) << 16) + ones)
+    # x -> x^3 permutes F_ell when ell = 2 mod 3: ell + 1 points for every B
+    n1, nz, n0 = (counts + [(ell + 1) * ones])[:3]
+    # segments n_1, n_z, 2 ell + 2 - n_1, 2 ell + 2 - n_z, n_0 of ell slots
+    pair, both = n1 + (nz << 16 * ell), (2 * ell + 2) * (ones + (ones << 16 * ell))
+    U = pair + ((both - pair) << 32 * ell) + (n0 << 64 * ell)
+    tables = _TABLES[ell] = (
+        memoryview(U.to_bytes(10 * ell, sys.byteorder)).cast("H")[::_SLOT_ORDER], off, mul)
     return tables
 
 
-def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
+def traces(E: WeierstrassModel, ells: Sequence[int]) -> list[int]:
     """ell + 1 - #E(F_ell) for each prime ell of ells, in order, counted on
     E as given (any reduction type): a_ell at a good prime of E."""
     a1, a2, a3, a4, a6 = E.coeffs
     c4, c6 = c4_c6(E)
     A, B = -27 * c4, -54 * c6
+    out = []
+    append, cached = out.append, _TABLES.get
     for ell in ells:
         if 5 <= ell < TABLE_BELOW:
-            roots, w, n1, nz = _TABLES.get(ell) or _table(ell)
-            if a := A % ell:
-                d = w[a]
-                # t is the trace of (r, B d^-3); E is its twist by d
-                t = ell + 1 - (n1 if roots[a] else nz)[B * abs(d) % ell]
-                yield t if d > 0 else -t
-                continue
+            U, off, mul = cached(ell) or _table(ell)
+            a = A % ell
+            n = U[off[a] + B * mul[a] % ell]
         elif not is_prime(ell):
             raise ValueError(f"ell = {ell} is not prime")
         elif ell < 5:
-            yield ell - sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6)
-                            % ell == 0 for x in range(ell) for y in range(ell))
-            continue
-        else:
+            n = 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6)
+                        % ell == 0 for x in range(ell) for y in range(ell))
+        elif A % ell or ell % 3 == 1:
             roots = bytearray(ell)
             roots[0] = 1
             for y in range(1, (ell + 1) // 2):
                 roots[y * y % ell] = 2
             a = A % ell
-        yield ell - sum([roots[((x * x + a) * x + B) % ell] for x in range(ell)])
+            n = 1 + sum([roots[((x * x + a) * x + B) % ell] for x in range(ell)])
+        else:
+            # j = 0 and ell = 2 mod 3: x -> x^3 permutes F_ell
+            n = ell + 1
+        append(ell + 1 - n)
+    return out
 
 
 def count_points(E: WeierstrassModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity (any reduction type), for a
     prime ell."""
-    return ell + 1 - next(traces(E, (ell,)))
+    return ell + 1 - traces(E, (ell,))[0]
 
 
 def ap(E: WeierstrassModel | MinimalCurve, ell: int) -> int:

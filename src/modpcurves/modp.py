@@ -53,7 +53,7 @@ class SerreData(NamedTuple):
 
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
     """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
-    ell are counted in one pass over the curve; PrimeTooLarge is raised
+    ell are read in one traces pass over the curve; PrimeTooLarge is raised
     before any count if some good ell is above DEFAULT_COUNT_BOUND (a bad
     ell is read off Tate's algorithm at any size), and ValueError for a
     negative bound."""
@@ -64,22 +64,18 @@ def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> Trac
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     ells = [ell for ell in primes_below(bound + 1) if ell != p]
-    # additive, or multiplicative and ramified mod p
-    skip = {ell for ell, v in bad.items() if ell != p and ell <= bound
-            and (C.local(ell).reduction == ADDITIVE or v % p)}
-    for ell in ells[bisect_right(ells, DEFAULT_COUNT_BOUND):]:
-        if ell not in bad:
-            raise PrimeTooLarge(ell)
-    a_ell = traces(C.model, [ell for ell in ells if ell not in bad])
-    entries = []
-    for ell in ells:
-        if ell not in bad:
-            entries.append((ell, next(a_ell) % p, GOOD_Q))
-        elif ell in skip:
-            entries.append((ell, 0, RAMIFIED_SKIP))
-        else:
-            # unramified multiplicative: eigenvalues a_ell and ell * a_ell
-            entries.append((ell, ap(C, ell) * (1 + ell) % p, BAD_CONVENTION))
+    good = [ell for ell in ells if ell not in bad]
+    above = good[bisect_right(good, DEFAULT_COUNT_BOUND):]
+    if above:
+        raise PrimeTooLarge(above[0])
+    entries = [(ell, t % p, GOOD_Q) for ell, t in zip(good, traces(C.model, good))]
+    if len(good) < len(ells):
+        # skipped: additive, or multiplicative and ramified mod p; else
+        # unramified multiplicative, with eigenvalues a_ell and ell * a_ell
+        entries += [(ell, 0, RAMIFIED_SKIP) if C.local(ell).reduction == ADDITIVE or v % p
+                    else (ell, ap(C, ell) * (1 + ell) % p, BAD_CONVENTION)
+                    for ell, v in bad.items() if ell != p and ell <= bound]
+        entries.sort()
     return TraceVector(p, tuple(entries))
 
 
@@ -109,9 +105,10 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
 
 def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
-    a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
-    the first such ell, so PrimeTooLarge is raised only when no good ell
-    below DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
+    a_ell != 1 + ell mod p rules out the reducible case.  The good ell are
+    counted in doubling chunks, and counting stops with the chunk of the
+    first such ell, so PrimeTooLarge is raised only when no good ell below
+    DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if bound < 0:
@@ -119,12 +116,18 @@ def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: i
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]
-    a_ell = traces(C.model, good)
-    for ell in good:
-        if ell > DEFAULT_COUNT_BOUND:
-            raise PrimeTooLarge(ell)
-        if (next(a_ell) - 1 - ell) % p != 0:
-            return IRREDUCIBLE
+    countable = bisect_right(good, DEFAULT_COUNT_BOUND)
+    # counted in chunks of 1, 2, 4, ... good ell: a witness, when there is
+    # one, mostly comes first
+    start = 0
+    while start < countable:
+        chunk = good[start:min(2 * start + 1, countable)]
+        for ell, t in zip(chunk, traces(C.model, chunk)):
+            if (t - 1 - ell) % p:
+                return IRREDUCIBLE
+        start += len(chunk)
+    if countable < len(good):
+        raise PrimeTooLarge(good[countable])
     return UNDETERMINED
 
 
@@ -135,6 +138,20 @@ def compare_reps(A: TraceVector, B: TraceVector):
     disagreeing prime."""
     if A.p != B.p:
         raise CharacteristicMismatch(f"p = {A.p} vs {B.p}")
+    if len(A.entries) == len(B.entries):
+        # the same ell in the same order, as for one bound: no lookup
+        for (l, t, q), (lb, tb, qb) in zip(A.entries, B.entries):
+            if l != lb:
+                break
+            if t != tb and q != RAMIFIED_SKIP and qb != RAMIFIED_SKIP:
+                return ("mismatch", l)
+        else:
+            return "match-up-to-bound"
+    return _compare_by_ell(A, B)
+
+
+def _compare_by_ell(A: TraceVector, B: TraceVector):
+    """compare_reps for any two windows: the entries of B looked up by ell."""
     db = {l: (t, q) for l, t, q in B.entries}
     for l, t, q in A.entries:
         if q == RAMIFIED_SKIP or l not in db:

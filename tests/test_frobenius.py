@@ -8,7 +8,7 @@ from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE, RAMIFIED_SKIP,
                              UNDETERMINED, is_reducible_semistable, trace_vector)
 from modpcurves.tate import (ADDITIVE, GOOD, NONSPLIT_MULT, SPLIT_MULT,
                              MinimalCurve, tate_local)
-from modpcurves.weierstrass import (WeierstrassModel, c_invariants,
+from modpcurves.weierstrass import (WeierstrassModel, c4_c6, c_invariants,
                                     minimal_model, parse_curve)
 
 
@@ -68,11 +68,11 @@ def test_short_model_counts_agree_with_brute_force():
 
 def test_table_count_every_short_model_to_61():
     # every (A, B) in F_ell^2: both twist classes of A (square and nonsquare),
-    # ell = 1 and 3 mod 4, A = 0 (j = 0, counted per x) and the singular
-    # models 4A^3 + 27B^2 = 0
+    # ell = 1 and 3 mod 4, A = 0 (j = 0, a table read like any other A, at
+    # ell = 1 and 2 mod 3) and the singular models 4A^3 + 27B^2 = 0
     ells = primes_below(62)[2:]
     assert ells[0] == 5 and ells[-1] == 61
-    assert {ell % 4 for ell in ells} == {1, 3}
+    assert {ell % 4 for ell in ells} == {1, 3} and {ell % 3 for ell in ells} == {1, 2}
     for ell in ells:
         counts = short_model_counts(ell)
         for A in range(ell):
@@ -110,22 +110,50 @@ def test_cache_holds_only_primes_below_cap():
         count_points(E, ell)
     primes = set(primes_below(TABLE_BELOW))
     assert set(frobenius._TABLES) == primes - {2, 3}
-    # roots (ell bytes), w, n_1 and n_z (2 ell bytes each): 7 ell bytes
-    for ell, (roots, w, n1, nz) in frobenius._TABLES.items():
-        assert len(roots) == len(w) == len(n1) == len(nz) == ell
-        assert len(roots) + w.nbytes + n1.nbytes + nz.nbytes <= 7 * ell
+    # U (five segments of ell counts), off and mul, all in 16-bit slots:
+    # 14 ell bytes
+    for ell, (U, off, mul) in frobenius._TABLES.items():
+        assert len(U) == 5 * ell and len(off) == len(mul) == ell
+        assert U.nbytes + off.nbytes + mul.nbytes <= 14 * ell
+        # segments 2 and 3 are the twists of 0 and 1; segment 4, n_0, is
+        # ell + 1 throughout when ell = 2 mod 3
+        for B in range(ell):
+            assert U[B] + U[2 * ell + B] == U[ell + B] + U[3 * ell + B] == 2 * ell + 2
+            assert ell % 3 == 1 or U[4 * ell + B] == ell + 1
+        # j = 0 reads n_0 at B itself
+        assert off[0] == 4 * ell and mul[0] == 1, ell
         # a = r d^2 with r = 1 for a square, else z, the least nonresidue;
-        # |w[a]| = d^-3 for some such d, and w[a] > 0 exactly when d is a square
+        # mul[a] = d^-3 for some such d, and off[a] starts the segment of r
+        # (0 for 1, ell for z), plus 2 ell when d is a nonsquare
         root = {d * d % ell: d for d in range(1, ell)}
         z = next(v for v in range(2, ell) if v not in root)
         for a in range(1, ell):
-            assert roots[a] == (2 if a in root else 0), (ell, a)
-            r = 1 if roots[a] else z
+            r = 1 if a in root else z
             d = root[a * pow(r, -1, ell) % ell]
-            ds = [e for e in (d, ell - d) if pow(e, -3, ell) == abs(w[a])]
+            ds = [e for e in (d, ell - d) if pow(e, -3, ell) == mul[a]]
             assert len(ds) == 1, (ell, a)
-            assert (w[a] > 0) == (ds[0] in root), (ell, a)
-    assert 7 * sum(primes) <= 2**20
+            twist = 0 if ds[0] in root else 2 * ell
+            assert off[a] == (0 if r == 1 else ell) + twist, (ell, a)
+    # 0.30 MB for the primes below 500, 1.12 MB for all of them
+    assert 14 * sum(primes) <= 2**21
+
+
+def test_j_zero_at_ell_2_mod_3_has_ell_plus_1_points():
+    # x -> x^3 permutes F_ell when ell = 2 mod 3, so y^2 = x^3 + b has
+    # ell + 1 points for every b, b = 0 (the cusp) included: the constant
+    # segment below TABLE_BELOW, no count above it. ell = 1 mod 3 (1033,
+    # 1039) is still counted above it
+    ells = [5, 11, 503, 1013, 1031, 1033, 1039, 1997]
+    assert [ell % 3 for ell in ells] == [2, 2, 2, 2, 2, 1, 1, 2]
+    assert ells[3] < TABLE_BELOW < ells[4]
+    models = [parse_curve("[0,0,1,0,0]"), parse_curve("[0,0,1,0,-7]")]
+    for ell in ells:
+        for E in models + [WeierstrassModel(0, 0, 0, k * ell, b)
+                           for k in (0, 3) for b in (0, 1, -7, ell, 5 * ell)]:
+            assert c4_c6(E)[0] % ell == 0
+            n = count_points(E, ell)
+            assert n == count_by_legendre(E, ell), (E, ell)
+            assert ell % 3 == 1 or n == ell + 1, (E, ell)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 4, 9, 25, 1001, 1025, -5])

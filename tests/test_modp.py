@@ -4,7 +4,7 @@ import pytest
 
 from conftest import seeded_models, spy
 from modpcurves import frobenius, modp, tate
-from modpcurves.arith import factor
+from modpcurves.arith import factor, primes_below
 from modpcurves.frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, count_points
 from modpcurves.modp import (BAD_CONVENTION, GOOD_Q, IRREDUCIBLE,
                              RAMIFIED_SKIP, UNDETERMINED,
@@ -119,6 +119,67 @@ def test_trace_vector_rejects_a_negative_bound():
         trace_vector(E, 3, -1)
     # no prime is at most 0 or 1: an empty window, not an error
     assert trace_vector(E, 3, 0).entries == trace_vector(E, 3, 1).entries == ()
+
+
+def compare_oracle(A, B):
+    """compare_reps from its definition: the first ell of A, in A's order,
+    that B lists too, skipped on neither side, with different traces."""
+    other = {l: (t, q) for l, t, q in B.entries}
+    for l, t, q in A.entries:
+        if l in other and RAMIFIED_SKIP not in (q, other[l][1]) and t != other[l][0]:
+            return ("mismatch", l)
+    return "match-up-to-bound"
+
+
+def test_compare_reps_zip_and_dict_paths_agree(rng):
+    # seeded vectors mod 5: equal windows (read by zip), windows of one
+    # length that list different ell, and unequal windows (read by ell),
+    # with skips on either side and traces that mostly agree
+    def vector(ells, like=()):
+        entries = []
+        for i, l in enumerate(ells):
+            q = rng.choice([GOOD_Q] * 6 + [BAD_CONVENTION, RAMIFIED_SKIP])
+            t = like[i][1] if i < len(like) and rng.random() < 0.95 else rng.randrange(5)
+            entries.append((l, 0 if q == RAMIFIED_SKIP else t, q))
+        return modp.TraceVector(5, tuple(entries))
+
+    ells = [l for l in primes_below(200) if l != 5]
+    paths = {"zip": 0, "dict": 0, "mismatch": 0, "match": 0}
+    for _ in range(300):
+        n = rng.randrange(1, len(ells))
+        A = vector(ells[:n])
+        if rng.random() < 0.5:
+            B = vector(ells[:n], A.entries)
+        elif rng.random() < 0.5:
+            # the same length, one ell swapped for the next prime
+            cut = rng.randrange(n)
+            B = vector(ells[:cut] + ells[cut + 1:n + 1], A.entries)
+        else:
+            B = vector(ells[:rng.randrange(1, len(ells))], A.entries)
+        for X, Y in ((A, B), (B, A)):
+            want = compare_oracle(X, Y)
+            assert compare_reps(X, Y) == modp._compare_by_ell(X, Y) == want, (X, Y)
+            same = [l for l, _, _ in X.entries] == [l for l, _, _ in Y.entries]
+            paths["zip" if same else "dict"] += 1
+            paths["match" if want == "match-up-to-bound" else "mismatch"] += 1
+    assert min(paths.values()) >= 100, paths
+
+
+def test_irreducibility_stops_with_the_chunk_of_its_witness(monkeypatch):
+    # X0(11) mod 3: a_2 = -2 and -2 - 1 - 2 = -5 is not 0 mod 3, so ell = 2
+    # is a witness and nothing past the first chunk is counted, of the 301
+    # good ell to 2000
+    E = parse_curve("[0,-1,1,-10,-20]")
+    calls = spy(monkeypatch, modp, "traces")
+    assert is_reducible_semistable(E, 3, 2000) == IRREDUCIBLE
+    assert [ells for _, ells in calls] == [[2]]
+    # mod 5 (a rational 5-torsion point) there is no witness: the good ell
+    # below 100 are read once each, in chunks of 1, 2, 4, 8 and the rest
+    calls.clear()
+    assert is_reducible_semistable(E, 5, 100) == UNDETERMINED
+    good = [l for l in primes_below(101) if l not in (5, 11)]
+    assert [len(ells) for _, ells in calls] == [1, 2, 4, 8, len(good) - 15]
+    assert [l for _, ells in calls for l in ells] == good
 
 
 def test_sturm_bound():
