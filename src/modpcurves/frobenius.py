@@ -3,8 +3,8 @@
 Good primes: a_ell = ell + 1 - #E(F_ell). For ell >= 5, E is isomorphic over
 F_ell to y^2 = x^3 + a x + b, a = -27 c4 and b = -54 c6 mod ell (x -> 36x +
 3b2, y -> 108(2y + a1 x + a3)), singular reductions included. traces(E,
-ells) computes -27 c4 and -54 c6 once per curve and then reads one count per
-ell into a list. A prime 5 <= ell < TABLE_BELOW has one table (U, off, mul),
+ells) computes -27 c4 and -54 c6 once per curve and then yields one count
+per ell, lazily. A prime 5 <= ell < TABLE_BELOW has one table (U, off, mul),
 built on first use, read as #E = U[off[a] + b mul[a] mod ell] for every
 (a, b), j = 0 and singular models included: one read, no branch. U holds
 five segments of ell 16-bit counts: n_1, n_z, 2 ell + 2 - n_1, 2 ell + 2 -
@@ -28,7 +28,7 @@ non-prime ell raises ValueError. Bad primes: +1 split, -1 nonsplit,
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .arith import Error, is_prime
 from .tate import ADDITIVE, SPLIT_MULT, MinimalCurve, minimal_curve
@@ -112,14 +112,13 @@ def _table(ell: int) -> tuple:
     return tables
 
 
-def traces(E: WeierstrassModel, ells: Sequence[int]) -> list[int]:
+def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
     """ell + 1 - #E(F_ell) for each prime ell of ells, in order, counted on
     E as given (any reduction type): a_ell at a good prime of E."""
     a1, a2, a3, a4, a6 = E.coeffs
     c4, c6 = c4_c6(E)
     A, B = -27 * c4, -54 * c6
-    out = []
-    append, cached = out.append, _TABLES.get
+    cached = _TABLES.get
     for ell in ells:
         if 5 <= ell < TABLE_BELOW:
             U, off, mul = cached(ell) or _table(ell)
@@ -140,14 +139,13 @@ def traces(E: WeierstrassModel, ells: Sequence[int]) -> list[int]:
         else:
             # j = 0 and ell = 2 mod 3: x -> x^3 permutes F_ell
             n = ell + 1
-        append(ell + 1 - n)
-    return out
+        yield ell + 1 - n
 
 
 def count_points(E: WeierstrassModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity (any reduction type), for a
     prime ell."""
-    return ell + 1 - traces(E, (ell,))[0]
+    return ell + 1 - next(traces(E, (ell,)))
 
 
 def ap(E: WeierstrassModel | MinimalCurve, ell: int) -> int:

@@ -105,10 +105,9 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
 
 def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
-    a_ell != 1 + ell mod p rules out the reducible case.  The good ell are
-    counted in doubling chunks, and counting stops with the chunk of the
-    first such ell, so PrimeTooLarge is raised only when no good ell below
-    DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
+    a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
+    the first such ell, so PrimeTooLarge is raised only when no good ell
+    below DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if bound < 0:
@@ -116,18 +115,12 @@ def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: i
     C = minimal_curve(E)
     bad = dict(C.disc.factors)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]
-    countable = bisect_right(good, DEFAULT_COUNT_BOUND)
-    # counted in chunks of 1, 2, 4, ... good ell: a witness, when there is
-    # one, mostly comes first
-    start = 0
-    while start < countable:
-        chunk = good[start:min(2 * start + 1, countable)]
-        for ell, t in zip(chunk, traces(C.model, chunk)):
-            if (t - 1 - ell) % p:
-                return IRREDUCIBLE
-        start += len(chunk)
-    if countable < len(good):
-        raise PrimeTooLarge(good[countable])
+    a_ell = traces(C.model, good)
+    for ell in good:
+        if ell > DEFAULT_COUNT_BOUND:
+            raise PrimeTooLarge(ell)
+        if (next(a_ell) - 1 - ell) % p != 0:
+            return IRREDUCIBLE
     return UNDETERMINED
 
 
@@ -138,28 +131,15 @@ def compare_reps(A: TraceVector, B: TraceVector):
     disagreeing prime."""
     if A.p != B.p:
         raise CharacteristicMismatch(f"p = {A.p} vs {B.p}")
-    if len(A.entries) == len(B.entries):
-        # the same ell in the same order, as for one bound: no lookup
-        for (l, t, q), (lb, tb, qb) in zip(A.entries, B.entries):
-            if l != lb:
-                break
-            if t != tb and q != RAMIFIED_SKIP and qb != RAMIFIED_SKIP:
-                return ("mismatch", l)
-        else:
-            return "match-up-to-bound"
-    return _compare_by_ell(A, B)
-
-
-def _compare_by_ell(A: TraceVector, B: TraceVector):
-    """compare_reps for any two windows: the entries of B looked up by ell."""
-    db = {l: (t, q) for l, t, q in B.entries}
+    # trace_vector lists the entries by ascending ell: walk B alongside A
+    rest, j, n = B.entries, 0, len(B.entries)
     for l, t, q in A.entries:
-        if q == RAMIFIED_SKIP or l not in db:
-            continue
-        tb, qb = db[l]
-        if qb == RAMIFIED_SKIP:
-            continue
-        if t != tb:
+        while j < n and rest[j][0] < l:
+            j += 1
+        if j == n:
+            break
+        lb, tb, qb = rest[j]
+        if lb == l and t != tb and q != RAMIFIED_SKIP and qb != RAMIFIED_SKIP:
             return ("mismatch", l)
     return "match-up-to-bound"
 

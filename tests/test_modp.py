@@ -131,10 +131,11 @@ def compare_oracle(A, B):
     return "match-up-to-bound"
 
 
-def test_compare_reps_zip_and_dict_paths_agree(rng):
-    # seeded vectors mod 5: equal windows (read by zip), windows of one
-    # length that list different ell, and unequal windows (read by ell),
-    # with skips on either side and traces that mostly agree
+def test_compare_reps_against_its_definition_on_seeded_windows(rng):
+    # seeded vectors mod 5: equal windows, windows of one length that list
+    # different ell, and unequal windows, with skips on either side and
+    # traces that mostly agree; compare_reps walks the two sorted lists in
+    # step, the oracle looks each ell up
     def vector(ells, like=()):
         entries = []
         for i, l in enumerate(ells):
@@ -144,42 +145,48 @@ def test_compare_reps_zip_and_dict_paths_agree(rng):
         return modp.TraceVector(5, tuple(entries))
 
     ells = [l for l in primes_below(200) if l != 5]
-    paths = {"zip": 0, "dict": 0, "mismatch": 0, "match": 0}
+    seen = {"same": 0, "shifted": 0, "unequal": 0, "mismatch": 0, "match": 0}
     for _ in range(300):
         n = rng.randrange(1, len(ells))
         A = vector(ells[:n])
         if rng.random() < 0.5:
-            B = vector(ells[:n], A.entries)
+            B, kind = vector(ells[:n], A.entries), "same"
         elif rng.random() < 0.5:
             # the same length, one ell swapped for the next prime
             cut = rng.randrange(n)
-            B = vector(ells[:cut] + ells[cut + 1:n + 1], A.entries)
+            B, kind = vector(ells[:cut] + ells[cut + 1:n + 1], A.entries), "shifted"
         else:
-            B = vector(ells[:rng.randrange(1, len(ells))], A.entries)
+            B, kind = vector(ells[:rng.randrange(1, len(ells))], A.entries), "unequal"
         for X, Y in ((A, B), (B, A)):
             want = compare_oracle(X, Y)
-            assert compare_reps(X, Y) == modp._compare_by_ell(X, Y) == want, (X, Y)
-            same = [l for l, _, _ in X.entries] == [l for l, _, _ in Y.entries]
-            paths["zip" if same else "dict"] += 1
-            paths["match" if want == "match-up-to-bound" else "mismatch"] += 1
-    assert min(paths.values()) >= 100, paths
+            assert compare_reps(X, Y) == want, (X, Y)
+            seen[kind] += 1
+            seen["match" if want == "match-up-to-bound" else "mismatch"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
-def test_irreducibility_stops_with_the_chunk_of_its_witness(monkeypatch):
+def test_irreducibility_stops_counting_at_its_witness(monkeypatch):
     # X0(11) mod 3: a_2 = -2 and -2 - 1 - 2 = -5 is not 0 mod 3, so ell = 2
-    # is a witness and nothing past the first chunk is counted, of the 301
-    # good ell to 2000
+    # is a witness: the 301 good ell to 2000 are asked for in one traces
+    # call, and only the count at 2 is drawn from it
     E = parse_curve("[0,-1,1,-10,-20]")
+    drawn = []
+
+    def counted(model, ells):
+        for ell, t in zip(ells, frobenius.traces(model, ells)):
+            drawn.append(ell)
+            yield t
+
+    monkeypatch.setattr(modp, "traces", counted)
     calls = spy(monkeypatch, modp, "traces")
     assert is_reducible_semistable(E, 3, 2000) == IRREDUCIBLE
-    assert [ells for _, ells in calls] == [[2]]
-    # mod 5 (a rational 5-torsion point) there is no witness: the good ell
-    # below 100 are read once each, in chunks of 1, 2, 4, 8 and the rest
-    calls.clear()
+    assert [len(ells) for _, ells in calls] == [301] and drawn == [2]
+    # mod 5 (a rational 5-torsion point) there is no witness: every good ell
+    # below 100 is drawn once, in order
+    calls.clear(), drawn.clear()
     assert is_reducible_semistable(E, 5, 100) == UNDETERMINED
     good = [l for l in primes_below(101) if l not in (5, 11)]
-    assert [len(ells) for _, ells in calls] == [1, 2, 4, 8, len(good) - 15]
-    assert [l for _, ells in calls for l in ells] == good
+    assert [ells for _, ells in calls] == [good] and drawn == good
 
 
 def test_sturm_bound():
