@@ -8,11 +8,10 @@ reciprocity, with no modular exponentiation), the floor cube root (integer
 Newton), the multiple root mod p of a polynomial of degree at most 3, and
 the bit sieve that the Mordell search and the index-form solver share: a
 periodic pattern tiled over the box by doubling shift-or steps, and the
-positions of the surviving bits, one lowest-set-bit step each.
-Everything works on arbitrary-precision ints.
+positions of the surviving bits, one lowest-set-bit step each.  Also the
+reader of comma-separated integer literals that the curve, pair and cubic
+parsers share.  Everything works on arbitrary-precision ints.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_left
 from math import gcd, isqrt
@@ -385,3 +384,16 @@ def set_bits(n: int) -> list[int]:
         out.append(low.bit_length() - 1)
         n ^= low
     return out
+
+
+def int_literals(text: str, count: int) -> tuple[int, ...] | None:
+    """The count ints of text, comma-separated literals -?d+ (d a Unicode
+    decimal digit, as re's \\d) with whitespace around each (what
+    str.strip removes, as re's \\s*), or None when text is not that."""
+    ints = []
+    for part in text.split(","):
+        part = part.strip()
+        if not (part[1:] if part[:1] == "-" else part).isdecimal():
+            return None
+        ints.append(int(part))
+    return tuple(ints) if len(ints) == count else None

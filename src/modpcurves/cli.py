@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import sys
+from math import gcd
 
 from .arith import Error, Factorization, factor
 from .cubic import (DiscriminantNotMinusPrime, analyze_cubic, index_form,
@@ -33,6 +34,17 @@ def _emit(args, payload: dict, render) -> None:
     payload holds only dicts with str keys, lists, strs, ints, bools and
     None; render is called only when its text is printed."""
     print(json.dumps(payload, sort_keys=True) if args.json else render())
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as str(Fraction(num, den)) has it:
+    no denominator when it is 1."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if g != den else str(num // g)
+
+
+def _point(P) -> str:
+    return f"({_ratio(P.x_num, P.denom**2)}, {_ratio(P.y_num, P.denom**3)})"
 
 
 def cmd_curve_info(args) -> int:
@@ -107,12 +119,11 @@ def cmd_cubic_info(args) -> int:
     form = index_form(K)
 
     def render():
+        s, m, t, v, n = K.hermite_basis
         basis = ["1"]
-        for row in K.integral_basis[1:]:
-            terms = []
-            for coef, name in zip(row, ("1", "u", "u^2")):
-                if coef:
-                    terms.append(f"{coef}*{name}" if coef != 1 else name)
+        for row, den in (((s, 1, 0), m), ((t, v, 1), n)):
+            terms = [name if num == den else f"{_ratio(num, den)}*{name}"
+                     for num, name in zip(row, ("1", "u", "u^2")) if num]
             basis.append(" + ".join(terms))
         text = [f"poly disc:    {K.poly_discriminant}",
                 f"field disc:   {K.field_discriminant} = {factor(K.field_discriminant)}",
@@ -152,7 +163,7 @@ def cmd_mordell(args) -> int:
     S = parse_int_set(args.S, "--S")
     pts = search_mordell(args.k, S, args.height, args.exponent_bound)
     _emit(args, {"points": [[P.x_num, P.y_num, P.denom] for P in pts]},
-          lambda: "\n".join(f"({P.x}, {P.y})" for P in pts) or "no points in box")
+          lambda: "\n".join(_point(P) for P in pts) or "no points in box")
     return 0
 
 
@@ -165,7 +176,7 @@ def cmd_scan_twisted(args) -> int:
     def render():
         lines = [f"scanned {len(cases)} curves Y^2 = X^3 +- 3^a*{args.N}^b"]
         for k, pts in hits:
-            lines.append(f"k = {k}: " + ", ".join(f"({P.x}, {P.y})" for P in pts))
+            lines.append(f"k = {k}: " + ", ".join(_point(P) for P in pts))
         if not hits:
             lines.append("no points found")
         return "\n".join(lines)

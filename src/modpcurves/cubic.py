@@ -12,7 +12,7 @@ basis 1, (e2 - k2)/q, (e3 - k3)/q.  Otherwise the order is q-maximal unless
 f has a multiple root in P^1(F_q), and then only the element alpha at that
 root can enlarge it, to (alpha - k)/q when that is integral.  Each k is the
 triple root mod q of a characteristic polynomial.  Everything is exact
-integer arithmetic; the basis is returned as Fractions.  The index-equation
+integer arithmetic; the basis is kept as (s, m, t, v, n).  The index-equation
 solver keeps only the targets v that the congruence sieve allows; for each
 it sieves the lines y = const of the box with one integer, a bit per y, by
 the residues of the form mod small primes q: the pattern of v mod q is one
@@ -23,15 +23,12 @@ into pieces where the form is monotone (critical points from isqrt), and
 _bisect, which the reducibility test shares, finds each target's roots.
 """
 
-from __future__ import annotations
-
 import re
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .arith import (Error, Factorization, factor, is_prime, multiple_root,
-                    set_bits, tile)
+from .arith import (Error, Factorization, factor, int_literals, is_prime,
+                    multiple_root, set_bits, tile)
 
 
 class ReduciblePolynomial(Error):
@@ -42,15 +39,13 @@ class DiscriminantNotMinusPrime(Error):
     pass
 
 
-Vec = tuple[Fraction, Fraction, Fraction]
-
-
 class CubicField(NamedTuple):
     defining_poly: tuple[int, int, int]  # (a, b, c) of x^3 + a x^2 + b x + c
     poly_discriminant: int
     field_discriminant: int
     index_of_generator: int
-    integral_basis: tuple[Vec, Vec, Vec]  # coords on 1, u, u^2
+    # (s, m, t, v, n) of the basis 1, (s + u)/m, (t + v u + u^2)/n
+    hermite_basis: tuple[int, int, int, int, int]
 
 
 class IndexForm(NamedTuple):
@@ -77,9 +72,9 @@ def parse_cubic(text: str) -> tuple[int, int, int]:
     two digits.  Anything else raises ValueError naming the text."""
     t = text.strip()
     inner = t[1:-1] if t[:1] == "(" and t[-1:] == ")" else t
-    m = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
-    if m:
-        return tuple(int(g) for g in m.groups())  # type: ignore[return-value]
+    abc = int_literals(inner, 3)
+    if abc is not None:
+        return abc  # type: ignore[return-value]
     # a space between digits becomes "?", which no term reads
     s = re.sub(r"(?<=\d) +(?=\d)", "?", t).replace(" ", "").replace("**", "^")
     if s[:1] not in ("+", "-"):
@@ -220,23 +215,17 @@ def analyze_cubic(poly) -> CubicField:
             raise ReduciblePolynomial(f"rational root {r}")
     disc = cubic_discriminant(a, b, c)
     assert disc != 0
-    s, m, t, v, n = _maximal_order((a, b, c))
-    index = m * n
+    basis = _maximal_order((a, b, c))
+    index = basis[1] * basis[4]  # m n
     field_disc, rem = divmod(disc, index * index)
     assert rem == 0
-    zero = Fraction(0)
-    basis = ((Fraction(1), zero, zero),
-             (Fraction(s, m), Fraction(1, m), zero),
-             (Fraction(t, n), Fraction(v, n), Fraction(1, n)))
     return CubicField((a, b, c), disc, field_disc, index, basis)
 
 
 def index_form(K: CubicField) -> IndexForm:
     """Binary cubic with |f(x, y)| = index of x*e2 + y*e3 in the maximal
     order (basis 1 = e1, e2, e3), in closed form from the Hermite basis."""
-    _, e2, e3 = K.integral_basis  # (s + u)/m and (t + v u + u^2)/n
-    m, n = e2[1].denominator, e3[2].denominator
-    v = e3[1].numerator * (n // e3[1].denominator)
+    _, m, _, v, n = K.hermite_basis
     A, B, C, D = _form_coefficients(K.defining_poly, m, v, n)
     if A < 0 or (A == 0 and D < 0):
         A, B, C, D = -A, -B, -C, -D

@@ -6,14 +6,11 @@ offers helpers for the common value shapes (factorizations like "-2^18*3*353",
 integer lists, curve literals, cubic triples).
 """
 
-from __future__ import annotations
-
-import re
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import Error, Factorization, factor
+from .arith import Error, Factorization, factor, int_literals
 
 
 class FixtureError(Error):
@@ -77,10 +74,10 @@ def parse_factorization(text: str) -> Factorization:
         return Factorization(sign, ())
     counts: dict = {}
     for piece in t.split("*"):
-        m = re.fullmatch(r"(\d+)(?:\^(\d+))?", piece)
-        if not m:
+        base, caret, exp = piece.partition("^")
+        if not base.isdecimal() or caret and not exp.isdecimal():
             raise ValueError(f"bad factorization piece {piece!r} in {text!r}")
-        base, exp = int(m.group(1)), int(m.group(2) or 1)
+        base, exp = int(base), int(exp) if caret else 1
         # bases need not be prime in fixture text (e.g. "1967" = 7 * 281)
         for p, e in factor(base).factors:
             counts[p] = counts.get(p, 0) + e * exp
@@ -110,7 +107,8 @@ def parse_int_set(text: str, name: str) -> set[int]:
 
 
 def parse_pair(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", text.strip())
-    if not m:
+    t = text.strip()
+    pair = int_literals(t[1:-1], 2) if t[:1] == "(" and t[-1:] == ")" else None
+    if pair is None:
         raise ValueError(f"bad pair {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    return pair

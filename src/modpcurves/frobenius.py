@@ -20,9 +20,9 @@ at a = x^2 and z x^2. n_r is the correlation of the histogram of x^3 + r x
 each. For ell = 2 mod 3, x -> x^3 permutes F_ell, so n_0 is ell + 1 for
 every B; at ell >= TABLE_BELOW that gives a_ell = 0 for a = 0 without a
 count, and every other (a, b) there, j = 0 at ell = 1 mod 3 included, sums
-the root counts of x^3 + a x + b over x. ell = 2, 3 try the ell^2 points; a
-non-prime ell raises ValueError. Bad primes: +1 split, -1 nonsplit,
-0 additive (MinimalCurve).
+the root counts of x^3 + a x + b over x. ell = 2, 3 count the y over each
+x of the long model in closed form; a non-prime ell raises ValueError. Bad
+primes: +1 split, -1 nonsplit, 0 additive (MinimalCurve).
 """
 
 from __future__ import annotations
@@ -124,11 +124,21 @@ def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
             U, off, mul = cached(ell) or _table(ell)
             a = A % ell
             n = U[off[a] + B * mul[a] % ell]
+        elif ell == 2:
+            # at x = 0, 1: y^2 + b y = r, b = a1 x + a3; one y when b is even
+            # (y -> y^2 is onto F_2), else y^2 + y = 0 for both y: two y when
+            # r is even, none when it is odd
+            n = 1
+            for b, r in ((a3, a6), (a1 + a3, 1 + a2 + a4 + a6)):
+                n += 2 - 2 * (r & 1) if b & 1 else 1
+        elif ell == 3:
+            # (2y + b)^2 = b^2 + 4 r, 4 = 1 mod 3: 1 + chi_3(b^2 + r) values of y
+            n = 1
+            for x in (0, 1, 2):
+                b = a1 * x + a3
+                n += (1, 2, 0)[(b * b + ((x + a2) * x + a4) * x + a6) % 3]
         elif not is_prime(ell):
             raise ValueError(f"ell = {ell} is not prime")
-        elif ell < 5:
-            n = 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6)
-                        % ell == 0 for x in range(ell) for y in range(ell))
         elif A % ell or ell % 3 == 1:
             roots = bytearray(ell)
             roots[0] = 1

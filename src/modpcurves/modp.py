@@ -7,8 +7,6 @@ eigenvalues are a_ell and ell * a_ell, so the trace is a_ell * (1 + ell); a
 ramified multiplicative prime and every additive prime is skipped.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from typing import NamedTuple
 

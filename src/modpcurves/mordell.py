@@ -25,10 +25,7 @@ each in arith.set_bits, and are confirmed exactly: x_num^3 + K >= 0, an
 integer square by isqrt, and gcd(x_num, d) = 1.
 """
 
-from __future__ import annotations
-
 import itertools
-from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -68,16 +65,9 @@ class SIntegerPoint(_SIntegerPointFields):
     def __init__(self, *args, **kwargs):
         assert self.denom > 0 and gcd(self.x_num, self.denom) == 1
 
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.x_num, self.denom**2)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.y_num, self.denom**3)
-
     def on_curve(self, k: int) -> bool:
-        return self.y**2 == self.x**3 + k
+        """(x_num / d^2, y_num / d^3) on Y^2 = X^3 + k, times d^6."""
+        return self.y_num**2 == self.x_num**3 + k * self.denom**6
 
 
 def _denominators(S, exponent_bound):

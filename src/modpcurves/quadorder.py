@@ -22,8 +22,6 @@ exactly when some m(i) = 0, which needs a rational a_ell equal to one of
 those i; the report is then degenerate and names no prime.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 from typing import NamedTuple
 

@@ -12,8 +12,6 @@ comes from gcd(g, g') in closed form (arith.multiple_root), so a bad prime
 costs O(log p) arithmetic operations, not O(p).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 

@@ -6,8 +6,6 @@ listed but never computed (they document results from tools like mwrank or
 exhaustive published tables that a bounded desk run cannot reproduce).
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 from typing import NamedTuple
 

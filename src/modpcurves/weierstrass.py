@@ -7,12 +7,9 @@ discriminant subject to Kraus' integrality conditions at 2 and 3, then
 rebuild the reduced model from (c4, c6).
 """
 
-from __future__ import annotations
-
-import re
 from typing import NamedTuple
 
-from .arith import Error, Factorization, factor, valuation
+from .arith import Error, Factorization, factor, int_literals, valuation
 
 
 class SingularModel(Error):
@@ -36,11 +33,11 @@ class WeierstrassModel(NamedTuple):
 
 def parse_curve(text: str) -> WeierstrassModel:
     """Parse the bracket literal "[a1,a2,a3,a4,a6]" (whitespace tolerated)."""
-    m = re.fullmatch(r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,"
-                     r"\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*", text)
-    if not m:
+    t = text.strip()
+    coeffs = int_literals(t[1:-1], 5) if t[:1] == "[" and t[-1:] == "]" else None
+    if coeffs is None:
         raise ValueError(f"not a curve literal: {text!r}")
-    return WeierstrassModel(*(int(g) for g in m.groups()))
+    return WeierstrassModel(*coeffs)
 
 
 def b_invariants(E: WeierstrassModel) -> tuple[int, int, int]:

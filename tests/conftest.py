@@ -152,13 +152,23 @@ def vec_mat(v, M):
     return tuple(sum(Fraction(v[k]) * M[k][j] for k in range(3)) for j in range(3))
 
 
+def fraction_basis(K: CubicField):
+    """The integral basis 1, (s + u)/m, (t + v u + u^2)/n of K, as Fraction
+    coordinates on 1, u, u^2."""
+    s, m, t, v, n = K.hermite_basis
+    return ((Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(s, m), Fraction(1, m), Fraction(0)),
+            (Fraction(t, n), Fraction(v, n), Fraction(1, n)))
+
+
 def element_index(K: CubicField, x: int, y: int) -> int:
     """Independent oracle: |O_K : Z[theta]| for theta = x*e2 + y*e3 via the
     determinant of (1, theta, theta^2) expressed on the integral basis."""
-    e1, e2, e3 = K.integral_basis
+    basis = fraction_basis(K)
+    e1, e2, e3 = basis
     theta = tuple(x * e2[j] + y * e3[j] for j in range(3))
     theta2 = _mul_mod(theta, theta, K.defining_poly)
-    inv = mat_inv([list(v) for v in K.integral_basis])
+    inv = mat_inv([list(v) for v in basis])
     rows = [vec_mat(v, inv) for v in ((Fraction(1), Fraction(0), Fraction(0)),
                                       theta, theta2)]
     d = _det3(rows)

@@ -10,7 +10,8 @@ from sympy import Poly
 from sympy.abc import x as X
 from sympy.polys.numberfields.basis import round_two
 
-from conftest import FIXTURE_CUBICS, element_index, mat_inv, spy, vec_mat
+from conftest import (FIXTURE_CUBICS, element_index, fraction_basis, mat_inv, spy,
+                      vec_mat)
 from modpcurves import cubic
 from modpcurves.cli import main
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
@@ -130,19 +131,14 @@ def test_maximal_order_against_sympy_round_two(rng):
         rows = [[Fraction(int(M[i, j]), ZK.denom) for i in range(3)]
                 for j in range(3)]
         inv = mat_inv(rows)
-        for e in K.integral_basis:
+        for e in fraction_basis(K):
             assert all(t.denominator == 1 for t in vec_mat(e, inv)), (K, e)
         # reduced Hermite form 1, (s + u)/m, (t + v u + u^2)/n
-        e1, e2, e3 = K.integral_basis
-        m, n = e2[1].denominator, e3[2].denominator
-        assert e1 == (1, 0, 0) and e2[1:] == (Fraction(1, m), 0)
-        assert e3[2] == Fraction(1, n) and n % m == 0
-        assert K.index_of_generator == m * n
-        s, t, v = e2[0] * m, e3[0] * n, e3[1] * n
+        s, m, t, v, n = K.hermite_basis
+        assert n % m == 0 and K.index_of_generator == m * n
         assert 0 <= s < m and 0 <= v < n // m and 0 <= t < n, K
-    assert fields[-1].integral_basis[1:] == (
-        (Fraction(1, 4), Fraction(1, 4), 0),
-        (Fraction(1, 16), Fraction(1, 8), Fraction(1, 16)))
+    # 1, (1 + u)/4, (1 + 2u + u^2)/16
+    assert fields[-1].hermite_basis == (1, 4, 1, 2, 16)
 
 
 def test_index_form_discriminant():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import ALL_CURVES, brute_force_count, quadratic_twist, seeded_models
@@ -24,6 +26,16 @@ def count_by_legendre(E, ell):
         g = (((4 * x + b2) * x + 2 * b4) * x + b6) % ell
         n += 1 + legendre_symbol(g, ell)
     return n
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_closed_form_count_at_2_and_3_against_brute_force(ell):
+    """Every class of (a1, a2, a3, a4, a6) mod ell, singular models included,
+    each as the residue and as a negative representative of it."""
+    for coeffs in itertools.product(range(ell), repeat=5):
+        for shift in (0, -ell * 10**6):
+            E = WeierstrassModel(*(c + shift for c in coeffs))
+            assert count_points(E, ell) == brute_force_count(E, ell), E
 
 
 def test_count_points_against_legendre_oracle():

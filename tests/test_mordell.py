@@ -367,7 +367,9 @@ def test_s_integral_denominators():
 
 def test_point_validation():
     P = SIntegerPoint(1, 33, 2)
-    assert P.x.denominator == 4 and P.y.denominator == 8
+    # x = 1/4 and y = 33/8 in lowest terms
+    assert P.denom**2 == 4 and gcd(P.x_num, 4) == 1
+    assert P.denom**3 == 8 and gcd(P.y_num, 8) == 1
     assert P.on_curve(17)
     assert not P.on_curve(18)
 
