@@ -1,6 +1,6 @@
 """Line-oriented fixture files: one record per line, '#' comments.
 
-Record grammar:  type; key=value; key=value; ...
+Record grammar:  type; key=value; key=value; ...  (each key at most once)
 Values are parsed lazily by the consumer; this module only tokenizes and
 offers helpers for the common value shapes (factorizations like "-2^18*3*353",
 integer lists, curve literals, cubic triples).
@@ -50,7 +50,10 @@ def parse_fixture_text(text: str, path: str) -> list[Record]:
             if "=" not in part:
                 raise FixtureError(path, lineno, f"expected key=value, got {part!r}")
             key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise FixtureError(path, lineno, f"repeated field {key!r}")
+            fields[key] = value.strip()
         records.append(Record(kind, fields, path, lineno))
     return records
 

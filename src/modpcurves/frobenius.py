@@ -60,9 +60,6 @@ def _table(ell: int) -> tuple:
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     half = (ell + 1) // 2
-    z = 2
-    while pow(z, half - 1, ell) == 1:
-        z += 1
     roots = bytearray(ell)
     roots[0], roots[1] = 1, 2
     # roots first, since the segment of x^2 needs roots[x]; cube[x] = x^-3
@@ -71,6 +68,7 @@ def _table(ell: int) -> tuple:
     for x in range(2, half):
         roots[x * x % ell] = 2
         cube[x] = -(ell // x) ** 3 * cube[ell % x] % ell
+    z = roots.index(0)  # the least nonresidue: no square root
     off, mul = (memoryview(bytearray(2 * ell)).cast("H") for _ in range(2))
     off[0], mul[0] = 4 * ell, 1
     # h[v] = #{x < ell / 2 : x^3 + r x = v} for r = 1 and z

@@ -49,18 +49,25 @@ class SerreData(NamedTuple):
     ramification_notes: tuple[tuple[int, str], ...]
 
 
+def _curve_and_bad_primes(E: WeierstrassModel | MinimalCurve, p: int,
+                          bound: int) -> tuple[MinimalCurve, dict]:
+    """The record of E and its bad primes, each with v(disc), for a prime p
+    and a bound >= 0; ValueError otherwise."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
+    C = minimal_curve(E)
+    return C, dict(C.disc.factors)
+
+
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
     """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
     ell are read in one traces pass over the curve; PrimeTooLarge is raised
     before any count if some good ell is above DEFAULT_COUNT_BOUND (a bad
     ell is read off Tate's algorithm at any size), and ValueError for a
     negative bound."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if bound < 0:
-        raise ValueError(f"bound {bound} is negative")
-    C = minimal_curve(E)
-    bad = dict(C.disc.factors)
+    C, bad = _curve_and_bad_primes(E, p, bound)
     ells = [ell for ell in primes_below(bound + 1) if ell != p]
     good = [ell for ell in ells if ell not in bad]
     above = good[bisect_right(good, DEFAULT_COUNT_BOUND):]
@@ -106,12 +113,7 @@ def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: i
     a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
     the first such ell, so PrimeTooLarge is raised only when no good ell
     below DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if bound < 0:
-        raise ValueError(f"bound {bound} is negative")
-    C = minimal_curve(E)
-    bad = dict(C.disc.factors)
+    C, bad = _curve_and_bad_primes(E, p, bound)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]
     a_ell = traces(C.model, good)
     for ell in good:

@@ -13,7 +13,8 @@ the box as one integer, bit i standing for x_num = i - H, with the
 bit-sieve helpers of arith that the index-form solver shares.  The 13 sieve
 moduli q are paired into 7 groups of coprime moduli.  For each q the flags
 of the x mod q with x^3 + K a square mod q are one bytes.translate of the
-table of cubes mod q through the table of squares rotated by K mod q, read
+table of cubes mod q through the table of squares rotated by K mod q, which
+holds ASCII 0 and 1 as the index-form y-sieve's flags do, read by int(.., 2)
 as a q-bit int.  A group of product m (at most 4,032) has an m-bit block,
 the AND of its members' patterns tiled to m bits by arith.tile, built once
 per search and residue K mod m; for each sieved d it costs one arith.tile
@@ -33,10 +34,10 @@ from .arith import icbrt, is_prime, set_bits, tile
 
 
 def _square_table(q: int) -> bytes:
-    """Byte r is 1 exactly when r is a square mod q."""
-    table = bytearray(q)
+    """Byte r is ASCII 1 exactly when r is a square mod q, else ASCII 0."""
+    table = bytearray(b"0" * q)
     for y in range(q):
-        table[y * y % q] = 1
+        table[y * y % q] = 49
     return bytes(table)
 
 
@@ -49,8 +50,6 @@ _CUBE_TABLES = {q: bytes(x * x * x % q for x in range(q)) for q in _SQUARE_TABLE
 # about as much as sieving 300 to 900 bits of a box of 6,001 to 60,001 bits
 # (CPython 3.11), and ratios 128 to 1,024 time alike on verify and search
 _BITS_PER_Y = 512
-# flag bytes 0 and 1 -> the digits "0" and "1"
-_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class _SIntegerPointFields(NamedTuple):
@@ -77,27 +76,20 @@ def _denominators(S, exponent_bound):
                                                  repeat=len(primes))})
 
 
-def _cubic_residue_flags(q: int, Kq: int) -> bytes:
-    """Byte x is 1 when x^3 + Kq is a square mod q, for 0 <= x < q: the cube
-    table translated through the square table rotated by Kq (q < 256)."""
-    squares = _SQUARE_TABLES[q]
-    rotated = squares[Kq:] + squares[:Kq]
-    return _CUBE_TABLES[q].translate(rotated.ljust(256, b"\0"))
-
-
 def _group_block(group, m: int, K: int, bound: int, cache: dict) -> int:
     """The m-bit block, m the product of the coprime moduli of group, whose
     bit j is 1 when x = j - bound has x^3 + K a square mod each of them: the
     AND of their flag patterns, each rotated by bound and tiled to m bits."""
     live = -1
     for q in group:
-        key = q, K % q
-        tiled = cache.get(key)
+        Kq = K % q
+        tiled = cache.get((q, Kq))
         if tiled is None:
-            flags = _cubic_residue_flags(*key)
-            k = -bound % q
-            pattern = int((flags[k:] + flags[:k])[::-1].translate(_ASCII01), 2)
-            tiled = cache[key] = tile(pattern, q, m)
+            # x^3 for x = j - bound through the ASCII squares rotated by Kq
+            squares, cubes, k = _SQUARE_TABLES[q], _CUBE_TABLES[q], -bound % q
+            flags = (squares[Kq:] + squares[:Kq]).ljust(256, b"0")
+            pattern = int((cubes[k:] + cubes[:k]).translate(flags)[::-1], 2)
+            tiled = cache[q, Kq] = tile(pattern, q, m)
         live &= tiled
     return live
 

@@ -112,7 +112,11 @@ def curve_eligibility(a_ell_mod_p: int, ell: int, p: int) -> str:
 
     Good reduction needs a lift inside the Hasse interval; multiplicative
     needs +-(1 + ell) mod p (additive needs 0, which the Hasse interval
-    already contains)."""
+    already contains).  Raises ValueError for an ell or p that is not
+    prime."""
+    for name, q in (("ell", ell), ("p", p)):
+        if not is_prime(q):
+            raise ValueError(f"{name} = {q} is not prime")
     r = a_ell_mod_p % p
     if any(i % p == r for i in hasse_interval(ell)):
         return GOOD_POSSIBLE

@@ -55,17 +55,15 @@ def _val(n: int, p: int) -> int:
 
 
 def _singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
-    """The unique singular point of the reduction mod p (exists when p | disc)."""
+    """The unique singular point of the reduction mod p, for p | c4 and
+    p | disc (the additive branch of tate_local).  At p = 2: c4 = b2^2 = a1
+    (mod 2), and with b2 even, disc = b6^2 = a3 (mod 2), so a1 and a3 are
+    even.  Then the y-partial 2y + a1 x + a3 vanishes, the x-partial x^2 +
+    a4 gives x = a4, and y = y^2 = x^3 + a2 x^2 + a4 x + a6 = a2 a4 + a6."""
     a1, a2, a3, a4, a6 = E.coeffs
     if p == 2:
-        for x in range(2):
-            for y in range(2):
-                fy = (2 * y + a1 * x + a3) % 2
-                fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % 2
-                f = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2
-                if f == fy == fx == 0:
-                    return x, y
-        raise SingularModel(f"no singular point mod 2 on {E}")
+        assert a1 % 2 == a3 % 2 == 0, E
+        return a4 % 2, (a2 * a4 + a6) % 2
     b2, b4, b6 = b_invariants(E)
     # singular x is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
     root = multiple_root([b6, 2 * b4, b2, 4], p)
@@ -132,11 +130,12 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
         if root is None:
             return LocalData(p, ADDITIVE, n - 4, "I0*", n)
         alpha, mult = root
+        # move the multiple root to T = 0
+        E = transform(E, 1, p * alpha, 0, 0)
+        a1, a2, a3, a4, a6 = E.coeffs
 
         if mult == 2:
-            # type I_m*: move the double root to T = 0 and loop
-            E = transform(E, 1, p * alpha, 0, 0)
-            a1, a2, a3, a4, a6 = E.coeffs
+            # type I_m*: loop
             m = 1
             k = 2
             while True:
@@ -158,11 +157,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalData:
                 k += 1
                 assert m <= n, "I_n* loop failed to terminate"
 
-        # triple root: translate it to T = 0
-        E = transform(E, 1, p * alpha, 0, 0)
-        a1, a2, a3, a4, a6 = E.coeffs
-
-        # Y^2 + (a3/p^2) Y - a6/p^4
+        # triple root at T = 0: Y^2 + (a3/p^2) Y - a6/p^4
         rho = multiple_root([-(a6 // p**4), a3 // p**2, 1], p)
         if rho is None:
             return LocalData(p, ADDITIVE, n - 6, "IV*", n)

@@ -260,7 +260,8 @@ _HANDLERS = {
 
 
 def verify_records(records) -> VerificationReport:
-    """The checks of every record, sorted by check id.  A record that cannot
+    """The checks of every record, in the order of the records and, within
+    a record, in the order its handler yields them.  A record that cannot
     be checked raises FixtureError at its file and line: a record of an
     unknown kind, or one whose checks raise ValueError, KeyError or a
     package Error while they are built; the FixtureError keeps the type and
@@ -278,7 +279,6 @@ def verify_records(records) -> VerificationReport:
         except (ValueError, KeyError, Error) as exc:
             raise FixtureError(rec.path, rec.lineno,
                                f"{type(exc).__name__}: {exc}") from exc
-    checks.sort(key=lambda c: (c.check_id, c.description))
     return VerificationReport(tuple(checks))
 
 

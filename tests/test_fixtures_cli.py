@@ -262,9 +262,7 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
     # merged from their files one by one
     base = default_fixture_dir()
     assert verify_all(base) == full_report
-    merged = sorted((c for path in sorted(base.glob("*.txt"))
-                     for c in verify_all(path).checks),
-                    key=lambda c: (c.check_id, c.description))
+    merged = [c for path in sorted(base.glob("*.txt")) for c in verify_all(path).checks]
     assert VerificationReport(tuple(merged)) == full_report
 
 
@@ -308,7 +306,12 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
     ("reciprocity; pmin=13; pmax=5; candidates=2,5,10",
      "ValueError: [13, 5] holds no prime other than 2 and 5"),
     ("order; d=4; order_disc=16", "ValueError: d = 4 is not a squarefree integer > 1"),
-    ("order; d=1; order_disc=1", "ValueError: d = 1 is not a squarefree integer > 1")])
+    ("order; d=1; order_disc=1", "ValueError: d = 1 is not a squarefree integer > 1"),
+    ("order; d=5; d=6; order_disc=5", "repeated field 'd'"),
+    ("eligibility; residue=1; ell=2; p=0; expect=impossible",
+     "ValueError: p = 0 is not prime"),
+    ("eligibility; residue=1; ell=9; p=4; expect=impossible",
+     "ValueError: ell = 9 is not prime")])
 def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, message):
     # one located error line, whatever the fault of the record; the type and
     # message of the error its check raised are kept

@@ -9,8 +9,9 @@ function and class of the package is read by name (a listing in `__all__`
 does not count), and every method is read as an attribute.  `__init__.py`,
 which holds only the package docstring, is not scanned.  Every option of a
 CLI subcommand is read by the subcommand's handler, and every exception
-class of the package derives from arith.Error.  No test module imports
-another test module."""
+class of the package derives from arith.Error.  No run of three
+consecutive statements occurs twice in the package.  No test module
+imports another test module."""
 
 import argparse
 import ast
@@ -298,6 +299,40 @@ def foreign_exceptions(modules, base) -> list[str]:
             and obj.__module__ == module.__name__ and not issubclass(obj, base)]
 
 
+def repeated_runs(modules: dict[str, str], width: int = 3) -> list[str]:
+    """The runs of consecutive statements, as `module:first-last` lines,
+    covered by windows of width statements that occur at least twice in
+    the sources of modules (keyed by file name).  Statements are compared
+    by ast.dump, so names count but line numbers and layout do not; a
+    docstring is not a statement."""
+    documented = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    blocks, places = [], {}
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            for field, stmts in ast.iter_fields(node):
+                if not (isinstance(stmts, list) and stmts and isinstance(stmts[0], ast.stmt)):
+                    continue
+                if (field == "body" and isinstance(node, documented)
+                        and ast.get_docstring(node, clean=False) is not None):
+                    stmts = stmts[1:]
+                dumps = [ast.dump(stmt) for stmt in stmts]
+                for i in range(len(stmts) - width + 1):
+                    places.setdefault(tuple(dumps[i:i + width]), []).append((len(blocks), i))
+                blocks.append((module, stmts))
+    covered = {(b, i + j) for found in places.values() if len(found) > 1
+               for b, i in found for j in range(width)}
+    runs = []
+    for b, (module, stmts) in enumerate(blocks):
+        first = None
+        for i in range(len(stmts) + 1):
+            if (b, i) in covered:
+                first = i if first is None else first
+            elif first is not None:
+                runs.append(f"{module}:{stmts[first].lineno}-{stmts[i - 1].end_lineno}")
+                first = None
+    return runs
+
+
 def test_scan_finds_a_planted_unused_import():
     source = "import os\nfrom math import gcd, isqrt\nprint(isqrt(4), os.sep)\n"
     assert unused_imports(source) == ["gcd (line 2)"]
@@ -452,6 +487,19 @@ def test_scan_finds_a_planted_foreign_exception():
     assert foreign_exceptions([module], module.Base) == ["m.Stray"]
 
 
+def test_scan_finds_planted_repeated_runs():
+    # f and g share four statements after different docstrings, one run
+    # each; h repeats only two of them, and k renames a variable
+    body = "    a = 1\n    b = a + 1\n    c = b * 2\n    d = c - 1\n"
+    first = ('def f():\n    """f."""\n' + body + "    return d\n"
+             "def h():\n    a = 1\n    b = a + 1\n    return b\n")
+    second = ("x = 0\n\n\n"
+              'def g():\n    """g,\n    at length."""\n    print()\n' + body +
+              "def k():\n    a = 1\n    b = a + 1\n    e = b * 2\n")
+    assert repeated_runs({"m.py": first, "n.py": second}) == [
+        "m.py:3-6", "n.py:8-11"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -481,6 +529,10 @@ def test_no_test_module_imports_another():
     tests = {path.stem for path in TESTS if path.stem.startswith("test_")}
     assert [f"{path.name}: {name}" for path in TESTS
             for name in sorted(imported_modules(path.read_text()) & tests)] == []
+
+
+def test_no_run_of_statements_is_repeated():
+    assert repeated_runs({path.name: path.read_text() for path in MODULES}) == []
 
 
 def test_every_option_is_set_somewhere():

@@ -11,8 +11,8 @@ from modpcurves import mordell
 from modpcurves.arith import icbrt
 from modpcurves.cli import main
 from modpcurves.mordell import (_SIEVE_GROUPS, _SQUARE_TABLES, SIntegerPoint,
-                                _cubic_residue_flags, _denominators, _sieve,
-                                scan_twisted_mordell, search_mordell)
+                                _denominators, _sieve, scan_twisted_mordell,
+                                search_mordell)
 
 
 def naive_integral_points(k, bound):
@@ -207,15 +207,8 @@ def test_y_interval_as_wide_as_the_threshold(monkeypatch, k, bound):
 
 def test_square_tables_are_the_squares_mod_q():
     for q, table in _SQUARE_TABLES.items():
-        assert len(table) == q
-        assert {r for r in range(q) if table[r]} == {y * y % q for y in range(q)}
-
-
-def test_translated_flags_are_the_cubic_residues():
-    for q, squares in _SQUARE_TABLES.items():
-        for Kq in range(q):
-            assert list(_cubic_residue_flags(q, Kq)) \
-                == [squares[(x**3 + Kq) % q] for x in range(q)], (q, Kq)
+        assert len(table) == q and set(table) == set(b"01")
+        assert {r for r in range(q) if table[r] == ord("1")} == {y * y % q for y in range(q)}
 
 
 def test_sieve_groups_pair_every_modulus_once():

@@ -104,6 +104,37 @@ def test_nonminimal_models_match_minimal(rng):
     assert {"II", "III", "IV", "I0*", "I1*", "IV*", "III*", "II*"} <= kodairas
 
 
+def singular_points_mod_2(E):
+    """The (x, y) in F_2^2 where the reduction of E and both its partial
+    derivatives vanish, by scanning the four points."""
+    a1, a2, a3, a4, a6 = E.coeffs
+    found = []
+    for x in range(2):
+        for y in range(2):
+            fy = (2 * y + a1 * x + a3) % 2
+            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % 2
+            f = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2
+            if f == fy == fx == 0:
+                found.append((x, y))
+    return found
+
+
+def test_singular_point_at_2_against_the_scan(rng):
+    # the models tate_local sends to _singular_point(E, 2): 2 | c4 and
+    # 2 | disc, as drawn and scaled by u = 2 (then moved by a random r, s, t)
+    checked = 0
+    for E in seeded_models(rng, 800, 50):
+        c4, _, disc = c_invariants(E)
+        if c4 % 2 or disc % 2:
+            continue
+        scaled = WeierstrassModel(*(a * 2**i for a, i in zip(E.coeffs, (1, 2, 3, 4, 6))))
+        moved = transform(scaled, 1, *(rng.randint(-50, 50) for _ in range(3)))
+        for F in (E, scaled, moved):
+            assert singular_points_mod_2(F) == [tate._singular_point(F, 2)], F
+        checked += 1
+    assert checked > 150
+
+
 def test_singular_input_rejected():
     with pytest.raises(SingularModel):
         tate_local(parse_curve("[0,0,0,0,0]"), 2)
