@@ -1,7 +1,8 @@
 """Exact integer arithmetic shared by every module.
 
-Factorization (trial division by the primes below 10^3, then Brent-cycle
-Pollard rho on every composite cofactor; every reported prime passes
+Factorization (trial division by the primes below 10^4, one gcd per run
+of 32 of them, then Brent-cycle Pollard rho on every composite part of the
+cofactor, whose prime factors all exceed 10^4; every reported prime passes
 is_prime: deterministic Miller-Rabin on the fewest bases that suffice below
 3.3 * 10^24, BPSW above), p-adic valuations, Legendre and Jacobi symbols (by
 reciprocity, with no modular exponentiation), the floor cube root (integer
@@ -14,7 +15,8 @@ parsers share.  Everything works on arbitrary-precision ints.
 """
 
 from bisect import bisect_left
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 
@@ -111,21 +113,32 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _small_primes(limit: int) -> list[int]:
+    """The primes <= limit, for limit >= 2: 2 and the odd survivors of a
+    sieve of Eratosthenes."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(limit + 1) if sieve[i]]
+    return [2, *compress(range(3, limit + 1, 2), sieve[3::2])]
 
 
-_PRIMES_1K = _small_primes(1000)
+# the primes below _TRIAL_BELOW: the trial divisors of factor, and the
+# primes that primes_below returns without a sieve
+_TRIAL_BELOW = 10**4
+_PRIMES = _small_primes(_TRIAL_BELOW)
+
+# factor trial-divides a run of _RUN consecutive primes at a time, by one
+# gcd with the run's product: (first prime, product, index of the first)
+_RUN = 32
+_RUNS = tuple((_PRIMES[i], prod(_PRIMES[i : i + _RUN]), i)
+              for i in range(0, len(_PRIMES), _RUN))
 
 
 def primes_below(limit: int) -> list[int]:
     """Ascending list of primes < limit."""
-    if limit <= 1001:
-        return _PRIMES_1K[:bisect_left(_PRIMES_1K, limit)]
+    if limit <= _TRIAL_BELOW + 1:
+        return _PRIMES[:bisect_left(_PRIMES, limit)]
     return _small_primes(limit - 1)
 
 
@@ -218,30 +231,44 @@ _RHO_BUDGET = 10**7
 def factor(n: int) -> Factorization:
     """Complete prime factorization of a nonzero integer.
 
-    Trial division by the primes below 10^3; every part below 10^6 of the
-    cofactor is then prime, and a larger composite part is split with Pollard
-    rho at an iteration budget of _RHO_BUDGET.  Every reported prime passes
-    is_prime.  Raises IncompleteFactorization with the remaining cofactor if
-    the budget runs out on a composite.
+    Trial division by the primes below 10^4, a run of _RUN of them at a
+    time: g = gcd(n, product of the run) is the product of the run's primes
+    that divide n, so n is divided only by those, and the runs stop once
+    the square of a run's first prime exceeds what is left of n.  Every part
+    below 10^8 of the cofactor is then prime, and a larger composite part
+    is split with Pollard rho at an iteration budget of _RHO_BUDGET.  Every
+    reported prime passes is_prime.  Raises IncompleteFactorization with
+    the remaining cofactor if the budget runs out on a composite.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _PRIMES_1K:
-        if p * p > n:
+    for first, product, start in _RUNS:
+        if first * first > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # a part below 10^6 = 1000^2 with no prime factor below 10^3 is prime
+        g = gcd(n, product)
+        if g == 1:
+            continue
+        for p in _PRIMES[start : start + _RUN]:
+            if g % p == 0:
+                g //= p
+                n //= p
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+                if g == 1:
+                    break
+    # a part below 10^8 < 10007^2 with no prime factor below 10^4 is prime
     stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if m < 10**6 or is_prime(m):
+        if m < 10**8 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m, _RHO_BUDGET)

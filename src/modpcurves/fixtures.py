@@ -6,6 +6,7 @@ offers helpers for the common value shapes (factorizations like "-2^18*3*353",
 integer lists, curve literals, cubic triples).
 """
 
+import os
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +28,7 @@ class Record(NamedTuple):
 
     @property
     def check_id(self) -> str:
-        return f"{Path(self.path).name}:{self.lineno}"
+        return f"{os.path.basename(self.path)}:{self.lineno}"
 
     def require(self, key: str) -> str:
         if key not in self.fields:

@@ -259,26 +259,45 @@ _HANDLERS = {
 }
 
 
+class _ReadFields(dict):
+    """A record's fields that remember the keys read from them."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, fields):
+        super().__init__(fields)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def verify_records(records) -> VerificationReport:
     """The checks of every record, in the order of the records and, within
     a record, in the order its handler yields them.  A record that cannot
     be checked raises FixtureError at its file and line: a record of an
-    unknown kind, or one whose checks raise ValueError, KeyError or a
-    package Error while they are built; the FixtureError keeps the type and
-    message of that exception.  Any other exception is a bug and propagates
-    unchanged."""
+    unknown kind, one whose checks raise ValueError, KeyError or a package
+    Error while they are built, or one with a field that its handler did
+    not read; the FixtureError keeps the type and message of the exception.
+    Any other exception is a bug and propagates unchanged."""
     checks = []
     for rec in records:
         handler = _HANDLERS.get(rec.kind)
         if handler is None:
             raise FixtureError(rec.path, rec.lineno, f"unknown record kind {rec.kind!r}")
+        fields = _ReadFields(rec.fields)
         try:
-            checks.extend(handler(rec))
+            checks.extend(handler(rec._replace(fields=fields)))
         except FixtureError:
             raise
         except (ValueError, KeyError, Error) as exc:
             raise FixtureError(rec.path, rec.lineno,
                                f"{type(exc).__name__}: {exc}") from exc
+        unread = [key for key in fields if key not in fields.read]
+        if unread:
+            raise FixtureError(rec.path, rec.lineno,
+                               f"field {unread[0]!r} is read by no {rec.kind!r} check")
     return VerificationReport(tuple(checks))
 
 

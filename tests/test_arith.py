@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy
 from modpcurves import arith
 from modpcurves.arith import (_MR_BASES, Factorization, IncompleteFactorization,
-                              _strong_lucas_probable_prime,
+                              _small_primes, _strong_lucas_probable_prime,
                               _strong_probable_prime, factor, icbrt, is_prime,
                               legendre_symbol, primes_below, set_bits, tile,
                               valuation)
@@ -52,8 +53,9 @@ def test_incomplete_factorization_reports_cofactor(monkeypatch):
 
 
 def test_factor_above_trial_division_against_sympy(rng):
-    """Composites with no prime factor below 10^3 go straight to rho: prime
-    powers and products of primes in (10^3, 10^6] and just above 10^6."""
+    """Prime powers and products of primes in (10^3, 10^6] and just above
+    10^6: trial division takes the factors below 10^4, and rho splits what
+    is left above 10^8."""
     sympy = pytest.importorskip("sympy")
 
     def prime(lo, hi):
@@ -68,6 +70,40 @@ def test_factor_above_trial_division_against_sympy(rng):
                       2**rng.randint(0, 5) * 3**rng.randint(0, 3) * p * q]
     for n in cases:
         assert dict(factor(n).factors) == sympy.factorint(n), n
+
+
+def test_factor_runs_no_rho_on_a_number_with_every_prime_below_10k(monkeypatch, rng):
+    """Trial division by the primes below 10^4 leaves nothing for rho when
+    every prime factor lies below 10^4, however many lie in (10^3, 10^4)."""
+    calls = spy(monkeypatch, arith, "_pollard_rho")
+    mid = [p for p in primes_below(10**4) if p > 1000]
+    cases = [9973**5, 2**10 * 9973**3 * 9967]
+    for _ in range(200):
+        p, q, r = (rng.choice(mid) for _ in range(3))
+        cases.append(2**rng.randint(0, 12) * 3**rng.randint(0, 6) * p * q * r)
+    for n in cases:
+        f = factor(n)
+        assert f.value() == n and all(p < 10**4 for p in f.support), n
+    assert calls == []
+
+
+def test_factor_at_the_trial_division_bound_against_sympy(rng):
+    """Numbers on both sides of 10^4, the last trial divisor 9973, and of
+    10^8, below which a part with no prime factor below 10^4 is prime."""
+    sympy = pytest.importorskip("sympy")
+    above = sympy.nextprime(10**8)
+    cases = [9973 * 10007, 10007**2, 10007 * 10009, 9973 * 99991,
+             99999989, 2 * 99999989, 2**3 * 3 * 9973 * 99999989, above,
+             6 * above, 9973 * above, 10007 * above, 99999989 * above]
+    # a 10^4-smooth number with a factor in every run of trial divisors
+    smooth = 1
+    for first, _, start in arith._RUNS:
+        assert first == arith._PRIMES[start]
+        smooth *= rng.choice(arith._PRIMES[start:start + arith._RUN]) ** rng.randint(1, 3)
+    cases += [smooth, smooth * 10007, smooth * above]
+    for n in cases:
+        assert dict(factor(n).factors) == sympy.factorint(n), n
+    assert len(factor(smooth).factors) == len(arith._RUNS)
 
 
 def test_factor_splits_large_semiprimes_quickly():
@@ -186,6 +222,16 @@ def test_strong_lucas_against_sympy(rng):
 def test_primes_below():
     assert primes_below(2) == []
     assert primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**4 + 1, 10**4 + 2, 10**5])
+def test_primes_below_matches_the_sieve(limit):
+    primes = primes_below(limit)
+    assert primes == _small_primes(limit - 1)
+    assert primes == [n for n in range(limit) if is_prime(n)]
+    # a slice of the table is a copy: changing it leaves the table whole
+    primes.clear()
+    assert primes_below(limit) == _small_primes(limit - 1)
 
 
 @given(st.integers(min_value=1, max_value=10**9),

@@ -321,6 +321,21 @@ def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, 
     assert capsys.readouterr() == ("", f"error: FixtureError: {path}:1: {message}\n")
 
 
+@pytest.mark.parametrize("record, key", [
+    ("order; d=5; order_disc=5; expect=nonsense; =7", "expect"),
+    ("order; d=5; order_disc=5; =7", ""),
+    ("curve; model=[0,0,1,-1,0]; conductor=37; p=5", "p")])
+def test_cli_verify_names_a_field_no_check_reads(capsys, tmp_path, record, key):
+    # a field that the record's checks never read, the empty key too, is a
+    # located error and not a silent pass; the first such field is named
+    path = tmp_path / "bad.txt"
+    path.write_text(record + "\n")
+    assert main(["verify", str(path)]) == 2
+    kind = record.split(";")[0]
+    assert capsys.readouterr() == (
+        "", f"error: FixtureError: {path}:1: field {key!r} is read by no {kind!r} check\n")
+
+
 def test_verify_lets_a_bug_in_a_check_through(monkeypatch):
     def broken(d):
         raise TypeError("planted bug")
