@@ -30,11 +30,6 @@ class Record(NamedTuple):
     def check_id(self) -> str:
         return f"{os.path.basename(self.path)}:{self.lineno}"
 
-    def require(self, key: str) -> str:
-        if key not in self.fields:
-            raise FixtureError(self.path, self.lineno, f"missing field {key!r}")
-        return self.fields[key]
-
 
 def parse_fixture_text(text: str, path: str) -> list[Record]:
     records = []
@@ -89,25 +84,24 @@ def parse_factorization(text: str) -> Factorization:
     return Factorization(sign, tuple(sorted((p, e) for p, e in counts.items() if e)))
 
 
-def parse_int_list(text: str) -> list:
-    """Comma list of integers with '-' allowed as a skip marker (None)."""
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        out.append(None if piece == "-" else int(piece))
-    return out
+def _int_entry(entry: str, name: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"{name} entry {entry!r} is not an integer") from None
+
+
+def parse_int_list(text: str, name: str) -> list:
+    """The entries of a comma list in order, '-' read as a skip marker
+    (None); a bad entry raises ValueError naming the field and the entry."""
+    return [None if entry.strip() == "-" else _int_entry(entry, name)
+            for entry in text.split(",")]
 
 
 def parse_int_set(text: str, name: str) -> set[int]:
     """The ints of a comma list, none if it is empty; a bad entry raises
     ValueError naming the option or field name and the entry."""
-    out = set()
-    for entry in text.split(",") if text else ():
-        try:
-            out.add(int(entry))
-        except ValueError:
-            raise ValueError(f"{name} entry {entry!r} is not an integer") from None
-    return out
+    return {_int_entry(entry, name) for entry in text.split(",")} if text else set()
 
 
 def parse_pair(text: str) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .arith import Error, is_prime, primes_below
 from .cubic import (analyze_cubic, congruence_sieve, index_form, parse_cubic,
                     s3_serre_conductor, solve_index_equation)
-from .fixtures import (FixtureError, Record, default_fixture_dir,
+from .fixtures import (FixtureError, default_fixture_dir,
                        load_fixture_file, parse_factorization, parse_int_list,
                        parse_int_set, parse_pair)
 from .modp import (RAMIFIED_SKIP, is_reducible_semistable, serre_conductor_semistable,
@@ -21,7 +21,7 @@ from .mordell import search_mordell
 from .quadorder import (QuadraticOrderElement, checked_d, compute_obstruction,
                         curve_eligibility, order_discriminant,
                         reciprocity_cover)
-from .tate import conductor, minimal_curve
+from .tate import conductor as curve_conductor, minimal_curve
 from .weierstrass import parse_curve
 
 PASS = "pass"
@@ -63,62 +63,58 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _eq_check(rec: Record, description, expected, computed) -> Check:
+def _eq_check(description, expected, computed) -> tuple[str, str, str, str]:
     status = PASS if expected == computed else FAIL
-    return Check(rec.check_id, description, str(expected), str(computed), status)
+    return description, str(expected), str(computed), status
 
 
-def _check_external(rec: Record):
-    yield Check(rec.check_id, rec.require("claim"), "", "", EXTERNAL)
+def _check_external(claim):
+    yield claim, "", "", EXTERNAL
 
 
-def _check_field(rec: Record):
-    poly = parse_cubic(rec.require("poly"))
+def _check_field(poly, disc, witness, index, serre):
+    poly = parse_cubic(poly)
     K = analyze_cubic(poly)
-    yield _eq_check(rec, f"field disc of {poly}",
-                    int(rec.require("disc")), K.field_discriminant)
+    yield _eq_check(f"field disc of {poly}", int(disc), K.field_discriminant)
     form = index_form(K)
-    x, y = parse_pair(rec.require("witness"))
-    yield _eq_check(rec, f"index of witness {(x, y)} in field {K.field_discriminant}",
-                    int(rec.require("index")), abs(form(x, y)))
-    yield _eq_check(rec, f"odd Serre conductor of field {K.field_discriminant}",
-                    parse_factorization(rec.require("serre")), s3_serre_conductor(K))
+    x, y = parse_pair(witness)
+    yield _eq_check(f"index of witness {(x, y)} in field {K.field_discriminant}",
+                    int(index), abs(form(x, y)))
+    yield _eq_check(f"odd Serre conductor of field {K.field_discriminant}",
+                    parse_factorization(serre), s3_serre_conductor(K))
 
 
-def _check_curve(rec: Record):
-    E = parse_curve(rec.require("model"))
-    yield _eq_check(rec, f"conductor of {rec.require('model')}",
-                    parse_factorization(rec.require("conductor")), conductor(E))
+def _check_curve(model, conductor):
+    E = parse_curve(model)
+    yield _eq_check(f"conductor of {model}", parse_factorization(conductor),
+                    curve_conductor(E))
 
 
-def _check_curve_disc(rec: Record):
-    disc = minimal_curve(parse_curve(rec.require("model"))).disc
-    yield _eq_check(rec, f"minimal discriminant of {rec.require('model')}",
-                    parse_factorization(rec.require("disc")), disc)
+def _check_curve_disc(model, disc):
+    got = minimal_curve(parse_curve(model)).disc
+    yield _eq_check(f"minimal discriminant of {model}", parse_factorization(disc), got)
 
 
-def _check_serre(rec: Record):
-    E = parse_curve(rec.require("model"))
-    p = int(rec.require("p"))
+def _check_serre(model, p, serre):
+    E = parse_curve(model)
+    p = int(p)
     sd = serre_conductor_semistable(E, p)
-    yield _eq_check(rec, f"mod-{p} Serre conductor of {rec.require('model')}",
-                    parse_factorization(rec.require("serre")), sd.serre_conductor)
+    yield _eq_check(f"mod-{p} Serre conductor of {model}",
+                    parse_factorization(serre), sd.serre_conductor)
 
 
-def _check_irreducible(rec: Record):
-    E = parse_curve(rec.require("model"))
-    got = is_reducible_semistable(E, int(rec.require("p")), int(rec.require("bound")))
-    yield _eq_check(rec, f"irreducibility of {rec.require('model')} mod {rec.require('p')}",
-                    rec.require("expect"), got)
+def _check_irreducible(model, p, bound, expect):
+    got = is_reducible_semistable(parse_curve(model), int(p), int(bound))
+    yield _eq_check(f"irreducibility of {model} mod {p}", expect, got)
 
 
-def _trace_row(rec: Record, ells: list[int]):
-    """(C, p, row): the minimal curve of the record's model, its p and the
+def _trace_row(model, p, ells: list[int]):
+    """(C, p, row): the minimal curve of the model, p as an int and the
     traces mod p of C at ells, in the trace-vector convention of modp and
     None at ell = p, at an ell that is not prime and at a ramified or
     additive ell, read off one trace vector up to the last ell."""
-    C = minimal_curve(parse_curve(rec.require("model")))
-    p = int(rec.require("p"))
+    C = minimal_curve(parse_curve(model))
+    p = int(p)
     traces = {ell: tr for ell, tr, quality in trace_vector(C, p, max(ells[-1], 0)).entries
               if quality != RAMIFIED_SKIP}
     return C, p, [traces.get(ell) for ell in ells]
@@ -134,108 +130,101 @@ def _entry(trace, ell: int, p: int) -> int:
     return trace
 
 
-def _check_tracerow(rec: Record):
-    bound = int(rec.require("bound"))
-    want = parse_int_list(rec.require("row"))
+def _check_tracerow(bound, row, model, p):
+    bound = int(bound)
+    want = parse_int_list(row, "row")
     ells = primes_below(bound + 1)
     if len(want) != len(ells):
         raise ValueError(f"row has {len(want)} entries for the {len(ells)} "
                          f"primes up to bound {bound}")
-    _, p, got = _trace_row(rec, ells)
-    yield _eq_check(rec, f"trace row of {rec.require('model')} mod {p}", want, got)
+    _, p, got = _trace_row(model, p, ells)
+    yield _eq_check(f"trace row of {model} mod {p}", want, got)
 
 
-def _check_modrow(rec: Record):
-    want = parse_int_list(rec.require("row"))
+def _check_modrow(row, model, p, level):
+    want = parse_int_list(row, "row")
     ells = primes_below(38)
     if len(want) > len(ells):
         raise ValueError(f"row has {len(want)} entries for the {len(ells)} "
                          f"primes up to 37")
-    C, p, got = _trace_row(rec, ells[:len(want)])
+    C, p, got = _trace_row(model, p, ells[:len(want)])
     a2 = _entry(got[0], 2, p)
-    yield _eq_check(rec, f"a_ell mod {p} row of {rec.require('model')}", want, got)
-    yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
-                    int(rec.require("level")), conductor(C).value())
-    yield _eq_check(rec, f"a_2 of {rec.require('model')} nonzero mod {p}", True, a2 != 0)
+    yield _eq_check(f"a_ell mod {p} row of {model}", want, got)
+    yield _eq_check(f"conductor of {model} is level {level}",
+                    int(level), curve_conductor(C).value())
+    yield _eq_check(f"a_2 of {model} nonzero mod {p}", True, a2 != 0)
 
 
-def _check_a2row(rec: Record):
-    C, p, (a2,) = _trace_row(rec, [2])
-    yield _eq_check(rec, f"a_2 mod {p} of {rec.require('model')}",
-                    int(rec.require("a2")), _entry(a2, 2, p))
-    yield _eq_check(rec, f"conductor of {rec.require('model')} is level {rec.require('level')}",
-                    int(rec.require("level")), conductor(C).value())
+def _check_a2row(model, p, a2, level):
+    C, p, (got,) = _trace_row(model, p, [2])
+    yield _eq_check(f"a_2 mod {p} of {model}", int(a2), _entry(got, 2, p))
+    yield _eq_check(f"conductor of {model} is level {level}",
+                    int(level), curve_conductor(C).value())
 
 
-def _check_tracecheck(rec: Record):
-    ell = int(rec.require("ell"))
-    _, p, (trace,) = _trace_row(rec, [ell])
-    yield _eq_check(rec, f"trace of {rec.require('model')} mod {p} at {ell}",
-                    int(rec.require("value")), _entry(trace, ell, p))
+def _check_tracecheck(ell, model, p, value):
+    ell = int(ell)
+    _, p, (trace,) = _trace_row(model, p, [ell])
+    yield _eq_check(f"trace of {model} mod {p} at {ell}", int(value), _entry(trace, ell, p))
 
 
-def _check_sieve(rec: Record):
-    K = analyze_cubic(parse_cubic(rec.require("poly")))
-    prime = int(rec.require("prime"))
-    report = congruence_sieve(index_form(K), parse_int_set(rec.require("primes"), "primes"))
+def _check_sieve(poly, prime, primes, conclusion):
+    K = analyze_cubic(parse_cubic(poly))
+    prime = int(prime)
+    report = congruence_sieve(index_form(K), parse_int_set(primes, "primes"))
     sieved = list(report.surviving_exponents)
     if prime not in sieved:
         raise ValueError(f"prime = {prime} is not among primes = {sieved}")
-    yield _eq_check(rec, f"sieve conclusion for prime {prime}",
-                    rec.require("conclusion"), report.conclusions[sieved.index(prime)])
+    yield _eq_check(f"sieve conclusion for prime {prime}",
+                    conclusion, report.conclusions[sieved.index(prime)])
 
 
-def _check_indexsolve(rec: Record):
-    K = analyze_cubic(parse_cubic(rec.require("poly")))
-    primes = parse_int_set(rec.require("primes"), "primes")
-    sols, _ = solve_index_equation(K, primes, int(rec.require("bound")))
-    yield _eq_check(rec, f"index equation solutions for field {K.field_discriminant}",
-                    rec.require("expect"),
-                    "empty" if not sols else str(sols))
+def _check_indexsolve(poly, primes, bound, expect):
+    K = analyze_cubic(parse_cubic(poly))
+    primes = parse_int_set(primes, "primes")
+    sols, _ = solve_index_equation(K, primes, int(bound))
+    yield _eq_check(f"index equation solutions for field {K.field_discriminant}",
+                    expect, "empty" if not sols else str(sols))
 
 
-def _check_mordell(rec: Record):
-    k = int(rec.require("k"))
-    S = parse_int_set(rec.require("S"), "S")
-    pts = search_mordell(k, S, int(rec.require("height")), int(rec.require("expbound")))
-    yield _eq_check(rec, f"S-integral points on Y^2 = X^3 + {k} in box",
-                    rec.require("expect"),
-                    "empty" if not pts else str(pts))
+def _check_mordell(k, S, height, expbound, expect):
+    k = int(k)
+    S = parse_int_set(S, "S")
+    pts = search_mordell(k, S, int(height), int(expbound))
+    yield _eq_check(f"S-integral points on Y^2 = X^3 + {k} in box",
+                    expect, "empty" if not pts else str(pts))
 
 
-def _check_obstruct(rec: Record):
-    d = int(rec.require("d"))
-    a, b = parse_pair(rec.require("a"))
-    ell = int(rec.require("ell"))
+def _check_obstruct(d, a, ell, subset, level):
+    d = int(d)
+    a, b = parse_pair(a)
+    ell = int(ell)
     report = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
-    subset = parse_int_set(rec.require("subset"), "subset")
-    yield _eq_check(rec, f"obstructed primes at level {rec.require('level')} within {sorted(subset)}",
+    subset = parse_int_set(subset, "subset")
+    yield _eq_check(f"obstructed primes at level {level} within {sorted(subset)}",
                     True, report.obstructed_primes <= subset and not report.degenerate)
 
 
-def _check_order(rec: Record):
-    d = checked_d(int(rec.require("d")))
-    yield _eq_check(rec, f"discriminant of Z[omega] for d = {d}",
-                    int(rec.require("order_disc")), order_discriminant(d))
+def _check_order(d, order_disc):
+    d = checked_d(int(d))
+    yield _eq_check(f"discriminant of Z[omega] for d = {d}",
+                    int(order_disc), order_discriminant(d))
 
 
-def _check_reciprocity(rec: Record):
-    pmin, pmax = int(rec.require("pmin")), int(rec.require("pmax"))
-    candidates = tuple(int(t) for t in rec.require("candidates").split(","))
+def _check_reciprocity(pmin, pmax, candidates):
+    pmin, pmax = int(pmin), int(pmax)
+    candidates = tuple(sorted(parse_int_set(candidates, "candidates")))
     primes = [p for p in primes_below(pmax + 1) if p >= pmin and p not in (2, 5)]
     if not primes:
         raise ValueError(f"[{pmin}, {pmax}] holds no prime other than 2 and 5")
     missing = [p for p in primes if reciprocity_cover(p, candidates) is None]
-    yield _eq_check(rec, f"quadratic-residue cover {candidates} for primes in "
+    yield _eq_check(f"quadratic-residue cover {candidates} for primes in "
                     f"[{pmin}, {pmax}]", [], missing)
 
 
-def _check_eligibility(rec: Record):
-    got = curve_eligibility(int(rec.require("residue")), int(rec.require("ell")),
-                            int(rec.require("p")))
-    yield _eq_check(rec, f"eligibility of residue {rec.require('residue')} at "
-                    f"ell = {rec.require('ell')} mod {rec.require('p')}",
-                    rec.require("expect"), got)
+def _check_eligibility(residue, ell, p, expect):
+    got = curve_eligibility(int(residue), int(ell), int(p))
+    yield _eq_check(f"eligibility of residue {residue} at ell = {ell} mod {p}", expect, got)
 
 
 _HANDLERS = {
@@ -259,45 +248,36 @@ _HANDLERS = {
 }
 
 
-class _ReadFields(dict):
-    """A record's fields that remember the keys read from them."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, fields):
-        super().__init__(fields)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 def verify_records(records) -> VerificationReport:
     """The checks of every record, in the order of the records and, within
-    a record, in the order its handler yields them.  A record that cannot
-    be checked raises FixtureError at its file and line: a record of an
-    unknown kind, one whose checks raise ValueError, KeyError or a package
-    Error while they are built, or one with a field that its handler did
-    not read; the FixtureError keeps the type and message of the exception.
-    Any other exception is a bug and propagates unchanged."""
+    a record, in the order its handler yields them.  A record's fields are
+    its handler's parameters; the handler yields (description, expected,
+    computed, status) for each check.  A record that cannot be checked
+    raises FixtureError at its file and line: a record of an unknown kind,
+    one that lacks a field its handler takes or has one it does not take
+    (both found before any value is read), or one whose checks raise
+    ValueError, KeyError or a package Error while they are built; the
+    FixtureError keeps the type and message of the exception.  Any other
+    exception is a bug and propagates unchanged."""
     checks = []
     for rec in records:
         handler = _HANDLERS.get(rec.kind)
         if handler is None:
             raise FixtureError(rec.path, rec.lineno, f"unknown record kind {rec.kind!r}")
-        fields = _ReadFields(rec.fields)
-        try:
-            checks.extend(handler(rec._replace(fields=fields)))
-        except FixtureError:
-            raise
-        except (ValueError, KeyError, Error) as exc:
-            raise FixtureError(rec.path, rec.lineno,
-                               f"{type(exc).__name__}: {exc}") from exc
-        unread = [key for key in fields if key not in fields.read]
+        code = handler.__code__
+        params = code.co_varnames[:code.co_argcount]
+        missing = [name for name in params if name not in rec.fields]
+        if missing:
+            raise FixtureError(rec.path, rec.lineno, f"missing field {missing[0]!r}")
+        unread = [key for key in rec.fields if key not in params]
         if unread:
             raise FixtureError(rec.path, rec.lineno,
                                f"field {unread[0]!r} is read by no {rec.kind!r} check")
+        try:
+            checks.extend(Check(rec.check_id, *row) for row in handler(**rec.fields))
+        except (ValueError, KeyError, Error) as exc:
+            raise FixtureError(rec.path, rec.lineno,
+                               f"{type(exc).__name__}: {exc}") from exc
     return VerificationReport(tuple(checks))
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from modpcurves.cubic import CubicField, _det3, _mul_mod
 from modpcurves.verify import verify_all
 from modpcurves.weierstrass import (SingularModel, WeierstrassModel, c_invariants,
                                     minimal_model, parse_curve)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # curves of known conductor (classical small-conductor models)
 SMALL_CONDUCTOR = [
@@ -75,6 +79,17 @@ FIXTURE_CUBICS = [
 def full_report():
     """The packaged fixture report, computed once for the whole session."""
     return verify_all()
+
+
+def load_repo_file(relpath: str):
+    """The Python file at relpath under the root of the repository, run as
+    a fresh module named after its stem; scripts/ and perfbench/ are not
+    packages."""
+    path = ROOT / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def spy(monkeypatch, module, name):

@@ -13,34 +13,22 @@ add_argument keywords the reader interprets."""
 
 import argparse
 import collections
-import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import spy
+from conftest import ROOT, load_repo_file, spy
 from modpcurves import cli
 from modpcurves.cli import build_parser, main
 from modpcurves.tate import MinimalCurve, conductor
 from modpcurves.weierstrass import SingularModel, c_invariants, parse_curve
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _cases() -> list[list[str]]:
-    path = ROOT / "scripts" / "cli_transcripts.py"
-    spec = importlib.util.spec_from_file_location("cli_transcripts", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [argv for cases in module.CASES.values() for argv in cases]
-
-
-CASES = _cases()
+CASES = [argv for cases in load_repo_file("scripts/cli_transcripts.py").CASES.values()
+         for argv in cases]
 JSON_CASES = [argv for argv in CASES if "--json" in argv]
 
 

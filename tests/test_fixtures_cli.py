@@ -25,10 +25,9 @@ def test_parse_fixture_text():
         "\n"
         "order; d=2; order_disc=8\n", path="demo.txt")
     assert [r.kind for r in recs] == ["curve", "order"]
-    assert recs[0].require("model") == "[0,0,1,-1,0]"
+    assert recs[0].fields == {"model": "[0,0,1,-1,0]", "conductor": "37"}
     assert recs[0].check_id == "demo.txt:2"
-    with pytest.raises(FixtureError):
-        recs[1].require("model")
+    assert recs[1].fields == {"d": "2", "order_disc": "8"}
     with pytest.raises(FixtureError):
         parse_fixture_text("curve; no-equals-here\n", "<string>")
 
@@ -39,7 +38,7 @@ def test_parse_helpers():
     # composite bases are expanded to primes
     assert parse_factorization("1967").factors == ((7, 1), (281, 1))
     assert parse_factorization("1").factors == ()
-    assert parse_int_list("0,-,1,2") == [0, None, 1, 2]
+    assert parse_int_list("0,-,1,2", "row") == [0, None, 1, 2]
     assert parse_pair("(-4, 2)") == (-4, 2)
     with pytest.raises(ValueError):
         parse_factorization("2^x")
@@ -96,9 +95,9 @@ def test_row_records_read_the_same_row_as_a_ell_mod_p():
             for rec in load_fixture_file(path) if rec.kind in ("modrow", "a2row")]
     assert len(recs) == 16
     for rec in recs:
-        p = int(rec.require("p"))
-        C = tate.minimal_curve(parse_curve(rec.require("model")))
-        width = len(parse_int_list(rec.require("row"))) if rec.kind == "modrow" else 1
+        p = int(rec.fields["p"])
+        C = tate.minimal_curve(parse_curve(rec.fields["model"]))
+        width = len(parse_int_list(rec.fields["row"], "row")) if rec.kind == "modrow" else 1
         ells = [ell for ell in arith.primes_below(38)[:width] if ell != p]
         assert not set(ells) & set(C.disc.support), rec.check_id
         row = [t for _, t, _ in trace_vector(C, p, ells[-1]).entries]
@@ -269,6 +268,9 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
 @pytest.mark.parametrize("record, message", [
     ("curv; model=[0,0,1,-1,0]; conductor=37", "unknown record kind 'curv'"),
     ("curve; model=[0,0,1,-1,0]", "missing field 'conductor'"),
+    # a missing field is named before a bad value is read
+    ("curve; model=[1,2,3]", "missing field 'conductor'"),
+    ("tracecheck; model=[1,0,1,-80,-275]; p=5; ell=x", "missing field 'value'"),
     ("irreducible; model=[1,1,0,-22,-812]; p=4; bound=100; expect=irreducible",
      "ValueError: p = 4 is not prime"),
     ("curve; model=[0,0,0,0,0]; conductor=1", "SingularModel: [0,0,0,0,0]"),
@@ -305,6 +307,12 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
      "ValueError: ell = 2 is not a prime other than p = 2"),
     ("reciprocity; pmin=13; pmax=5; candidates=2,5,10",
      "ValueError: [13, 5] holds no prime other than 2 and 5"),
+    ("tracerow; model=[1,1,0,-22,-812]; p=3; bound=5; row=0,x,1",
+     "ValueError: row entry 'x' is not an integer"),
+    ("modrow; level=353; model=[1,1,1,-2,16]; p=3; row=1,,0",
+     "ValueError: row entry '' is not an integer"),
+    ("reciprocity; pmin=3; pmax=100; candidates=2,x,10",
+     "ValueError: candidates entry 'x' is not an integer"),
     ("order; d=4; order_disc=16", "ValueError: d = 4 is not a squarefree integer > 1"),
     ("order; d=1; order_disc=1", "ValueError: d = 1 is not a squarefree integer > 1"),
     ("order; d=5; d=6; order_disc=5", "repeated field 'd'"),
@@ -324,10 +332,13 @@ def test_cli_verify_stops_at_a_record_it_cannot_check(capsys, tmp_path, record, 
 @pytest.mark.parametrize("record, key", [
     ("order; d=5; order_disc=5; expect=nonsense; =7", "expect"),
     ("order; d=5; order_disc=5; =7", ""),
-    ("curve; model=[0,0,1,-1,0]; conductor=37; p=5", "p")])
+    ("curve; model=[0,0,1,-1,0]; conductor=37; p=5", "p"),
+    ("curve; conductor=1; model=[1,2,3]; p=5", "p"),
+    ("order; d=4; order_disc=x; level=39", "level")])
 def test_cli_verify_names_a_field_no_check_reads(capsys, tmp_path, record, key):
     # a field that the record's checks never read, the empty key too, is a
-    # located error and not a silent pass; the first such field is named
+    # located error and not a silent pass; the first such field is named,
+    # before a bad value is read
     path = tmp_path / "bad.txt"
     path.write_text(record + "\n")
     assert main(["verify", str(path)]) == 2
@@ -412,7 +423,7 @@ def test_compare_minimalises_each_curve_once(capsys, minimal_model_runs):
 def test_verify_minimalises_each_fixture_curve_once(minimal_model_runs):
     # one record per distinct model, however many records name it
     path = default_fixture_dir() / "p3_level353.txt"
-    models = {parse_curve(r.require("model")) for r in load_fixture_file(path)
+    models = {parse_curve(r.fields["model"]) for r in load_fixture_file(path)
               if r.kind != "external"}
     assert verify_all(path).counts[PASS] > 0
     assert len(minimal_model_runs) == len(models) == 11

@@ -8,7 +8,8 @@ package is overridden by some call and left unset by another, every
 function and class of the package is read by name (a listing in `__all__`
 does not count), and every method is read as an attribute.  `__init__.py`,
 which holds only the package docstring, is not scanned.  Every option of a
-CLI subcommand is read by the subcommand's handler, and every exception
+CLI subcommand is read by the subcommand's handler, every parameter of a
+fixture check is a plain one that a record field fills, and every exception
 class of the package derives from arith.Error.  No run of three
 consecutive statements occurs twice in the package.  No test module
 imports another test module."""
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from modpcurves import arith, cli
+from modpcurves import arith, cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modpcurves"
@@ -290,6 +291,18 @@ def unread_options(parser: argparse.ArgumentParser, shared: set[str]) -> list[st
     return unread
 
 
+def irregular_parameters(handlers: dict) -> list[str]:
+    """The parameters, as `kind: name`, of the handlers (keyed by record
+    kind) that are not plain: positional-only, keyword-only, *args,
+    **kwargs or with a default.  verify_records reads a handler's fields
+    off co_varnames[:co_argcount] and passes them by keyword, which is
+    right only for plain parameters."""
+    plain = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    return [f"{kind}: {param.name}" for kind, handler in handlers.items()
+            for param in inspect.signature(handler).parameters.values()
+            if param.kind is not plain or param.default is not param.empty]
+
+
 def foreign_exceptions(modules, base) -> list[str]:
     """The exception classes defined in modules that do not derive from
     base, as `module.Class`; a class a module imports is not its own."""
@@ -476,6 +489,26 @@ def test_scan_finds_planted_unread_options():
     assert unread_options(parser, {"json"}) == ["one: bound"]
 
 
+def test_scan_finds_planted_irregular_parameters():
+    def plain(model, p):
+        yield model, p
+
+    def defaulted(model, p=3):
+        yield model, p
+
+    def starred(model, *rest, p, **more):
+        yield model, p
+
+    def positional(model, /, p):
+        yield model, p
+
+    handlers = {"plain": plain, "defaulted": defaulted, "starred": starred,
+                "positional": positional}
+    assert irregular_parameters(handlers) == [
+        "defaulted: p", "starred: rest", "starred: p", "starred: more",
+        "positional: model"]
+
+
 def test_scan_finds_a_planted_foreign_exception():
     module = types.ModuleType("m")
     exec("from json import JSONDecodeError\n"
@@ -548,6 +581,11 @@ def test_every_definition_is_read_somewhere():
 def test_every_subcommand_reads_its_options():
     # _emit reads --json for every handler
     assert unread_options(cli.build_parser(), attribute_reads(cli._emit)) == []
+
+
+def test_every_fixture_check_has_plain_parameters():
+    assert len(verify._HANDLERS) >= 17
+    assert irregular_parameters(verify._HANDLERS) == []
 
 
 def test_every_exception_derives_from_the_package_error():

@@ -7,21 +7,11 @@ that install/uninstall leave every binding as it was.
 """
 
 import importlib
-import importlib.util
 import pkgutil
-from pathlib import Path
 
 import modpcurves
+from conftest import load_repo_file
 from modpcurves.weierstrass import parse_curve
-
-_SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _package_modules():
@@ -30,14 +20,14 @@ def _package_modules():
 
 
 def test_traced_functions_resolve():
-    spans = _load_spans()
+    spans = load_repo_file("perfbench/spans.py")
     for module_name, fn_name in spans.TRACED:
         module = importlib.import_module(f"modpcurves.{module_name}")
         assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
 
 
 def test_tracer_install_records_and_uninstall_restores():
-    spans = _load_spans()
+    spans = load_repo_file("perfbench/spans.py")
     modules = _package_modules()
     before = [dict(vars(m)) for m in modules]
     tracer = spans.Tracer()
