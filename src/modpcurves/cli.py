@@ -132,8 +132,8 @@ def cmd_cubic_info(args) -> int:
                 f"index form:   {form.coefficients}",
                 f"odd Serre:    {s3_serre_conductor(K)}"]
         try:
-            mr = mordell_reduction(K)
-            text.append(f"mordell k:    {mr.k} ({mr.scaling})")
+            k, N = mordell_reduction(K), -K.field_discriminant
+            text.append(f"mordell k:    {k} ([324*c4/{N}^{{2n}}, 5832*c6/{N}^{{3n}}] with n = 1)")
         except DiscriminantNotMinusPrime:
             pass
         return "\n".join(text)
@@ -188,14 +188,13 @@ def cmd_scan_twisted(args) -> int:
 
 def cmd_obstruct(args) -> int:
     a, b = parse_pair(args.a)
-    rep = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
-                              args.ell)
-    norm = "0" if rep.degenerate else str(rep.norm)
-    primes = sorted(rep.obstructed_primes)
-    _emit(args, {"norm": norm, "obstructed_primes": primes,
-                 "degenerate": rep.degenerate},
-          lambda: f"N(A({args.ell})) = {norm}; obstructed primes {primes}"
-                  + ("; degenerate (rational eigenvalue)" if rep.degenerate else ""))
+    norm = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
+                               args.ell)
+    degenerate = norm is None
+    text, primes = ("0", []) if degenerate else (str(norm), list(norm.support))
+    _emit(args, {"norm": text, "obstructed_primes": primes, "degenerate": degenerate},
+          lambda: f"N(A({args.ell})) = {text}; obstructed primes {primes}"
+                  + ("; degenerate (rational eigenvalue)" if degenerate else ""))
     return 0
 
 

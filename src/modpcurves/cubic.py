@@ -242,21 +242,14 @@ def s3_serre_conductor(K: CubicField) -> Factorization:
     return Factorization(1, odd)
 
 
-class MordellReduction(NamedTuple):
-    k: int
-    N: int
-    scaling: str
-
-
-def mordell_reduction(K: CubicField) -> MordellReduction:
-    """For a field of prime discriminant -N: elements of index N^(3n)
-    correspond to S-integral points on Y^2 = X^3 + 432*N."""
+def mordell_reduction(K: CubicField) -> int:
+    """k = 432*N for a field of prime discriminant -N: elements of index
+    N^(3n) correspond to S-integral points on Y^2 = X^3 + k, through the
+    scaling [324*c4/N^(2n), 5832*c6/N^(3n)]."""
     N = -K.field_discriminant
     if not is_prime(N):
         raise DiscriminantNotMinusPrime(str(K.field_discriminant))
-    k = 2**4 * 3**3 * N
-    scaling = f"[324*c4/{N}^{{2n}}, 5832*c6/{N}^{{3n}}] with n = 1"
-    return MordellReduction(k, N, scaling)
+    return 2**4 * 3**3 * N
 
 
 # ------------------------------------------------------- index equation

@@ -3,7 +3,8 @@
 Record grammar:  type; key=value; key=value; ...  (each key at most once)
 Values are parsed lazily by the consumer; this module only tokenizes and
 offers helpers for the common value shapes (factorizations like "-2^18*3*353",
-integer lists, curve literals, cubic triples).
+integer lists and sets, pairs like "(-1,1)"); curve literals and cubic
+triples are parsed by weierstrass.parse_curve and cubic.parse_cubic.
 """
 
 import os

@@ -28,6 +28,7 @@ primes: +1 split, -1 nonsplit, 0 additive (MinimalCurve).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 
 from .arith import Error, is_prime
@@ -36,8 +37,7 @@ from .weierstrass import WeierstrassModel, c4_c6
 
 
 class PrimeTooLarge(Error):
-    def __init__(self, ell: int):
-        super().__init__(f"ell = {ell} exceeds counting bound {DEFAULT_COUNT_BOUND}")
+    """An ell above DEFAULT_COUNT_BOUND asked of traces, which counts none."""
 
 
 DEFAULT_COUNT_BOUND = 10**6
@@ -112,7 +112,13 @@ def _table(ell: int) -> tuple:
 
 def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
     """ell + 1 - #E(F_ell) for each prime ell of ells, in order, counted on
-    E as given (any reduction type): a_ell at a good prime of E."""
+    E as given (any reduction type): a_ell at a good prime of E. ells is
+    ascending; if it goes past DEFAULT_COUNT_BOUND, PrimeTooLarge names the
+    least ell above it before anything is counted. This is the one place
+    the bound is read."""
+    if ells and ells[-1] > DEFAULT_COUNT_BOUND:
+        ell = ells[bisect_right(ells, DEFAULT_COUNT_BOUND)]
+        raise PrimeTooLarge(f"ell = {ell} exceeds counting bound {DEFAULT_COUNT_BOUND}")
     a1, a2, a3, a4, a6 = E.coeffs
     c4, c6 = c4_c6(E)
     A, B = -27 * c4, -54 * c6
@@ -152,19 +158,17 @@ def traces(E: WeierstrassModel, ells: Sequence[int]) -> Iterator[int]:
 
 def count_points(E: WeierstrassModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity (any reduction type), for a
-    prime ell."""
+    prime ell; PrimeTooLarge above DEFAULT_COUNT_BOUND, from traces."""
     return ell + 1 - next(traces(E, (ell,)))
 
 
 def ap(E: WeierstrassModel | MinimalCurve, ell: int) -> int:
     """Trace of Frobenius at ell (minimal model; bad-prime conventions).  A
     prime dividing the minimal discriminant is bad, and read off Tate's
-    algorithm at any size; a good ell above DEFAULT_COUNT_BOUND raises
-    PrimeTooLarge."""
+    algorithm at any size; a good ell is counted, so one above the counting
+    bound raises PrimeTooLarge from traces."""
     C = minimal_curve(E)
     if not C.disc.exponent(ell):
-        if ell > DEFAULT_COUNT_BOUND:
-            raise PrimeTooLarge(ell)
         a = ell + 1 - count_points(C.model, ell)
         assert a * a < 4 * ell, (C.model, ell, a)
         return a

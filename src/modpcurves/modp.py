@@ -7,11 +7,10 @@ eigenvalues are a_ell and ell * a_ell, so the trace is a_ell * (1 + ell); a
 ramified multiplicative prime and every additive prime is skipped.
 """
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .arith import Error, Factorization, is_prime, primes_below
-from .frobenius import DEFAULT_COUNT_BOUND, PrimeTooLarge, ap, traces
+from .frobenius import ap, traces
 from .tate import ADDITIVE, MinimalCurve, minimal_curve
 from .weierstrass import WeierstrassModel
 
@@ -44,7 +43,6 @@ class TraceVector(NamedTuple):
 
 
 class SerreData(NamedTuple):
-    p: int
     serre_conductor: Factorization
     ramification_notes: tuple[tuple[int, str], ...]
 
@@ -63,16 +61,13 @@ def _curve_and_bad_primes(E: WeierstrassModel | MinimalCurve, p: int,
 
 def trace_vector(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> TraceVector:
     """Trace vector of E mod p over the primes ell <= bound, ell != p.  Good
-    ell are read in one traces pass over the curve; PrimeTooLarge is raised
-    before any count if some good ell is above DEFAULT_COUNT_BOUND (a bad
-    ell is read off Tate's algorithm at any size), and ValueError for a
+    ell are read in one traces pass over the curve, which raises
+    PrimeTooLarge before any count if one is above the counting bound (a
+    bad ell is read off Tate's algorithm at any size); ValueError for a
     negative bound."""
     C, bad = _curve_and_bad_primes(E, p, bound)
     ells = [ell for ell in primes_below(bound + 1) if ell != p]
     good = [ell for ell in ells if ell not in bad]
-    above = good[bisect_right(good, DEFAULT_COUNT_BOUND):]
-    if above:
-        raise PrimeTooLarge(above[0])
     entries = [(ell, t % p, GOOD_Q) for ell, t in zip(good, traces(C.model, good))]
     if len(good) < len(ells):
         # skipped: additive, or multiplicative and ramified mod p; else
@@ -105,21 +100,19 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
         else:
             kept.append((ell, 1))
             notes.append((ell, f"kept: v_{ell}(Delta) = {v} not divisible by {p}"))
-    return SerreData(p, Factorization(1, tuple(kept)), tuple(notes))
+    return SerreData(Factorization(1, tuple(kept)), tuple(notes))
 
 
 def is_reducible_semistable(E: WeierstrassModel | MinimalCurve, p: int, bound: int) -> str:
     """Sufficient irreducibility test: some good ell <= bound with
     a_ell != 1 + ell mod p rules out the reducible case.  Counting stops at
-    the first such ell, so PrimeTooLarge is raised only when no good ell
-    below DEFAULT_COUNT_BOUND is one.  ValueError for a negative bound."""
+    the first such ell; a window with a good ell above the counting bound
+    raises PrimeTooLarge from traces before any count.  ValueError for a
+    negative bound."""
     C, bad = _curve_and_bad_primes(E, p, bound)
     good = [ell for ell in primes_below(bound + 1) if ell != p and ell not in bad]
-    a_ell = traces(C.model, good)
-    for ell in good:
-        if ell > DEFAULT_COUNT_BOUND:
-            raise PrimeTooLarge(ell)
-        if (next(a_ell) - 1 - ell) % p != 0:
+    for ell, a in zip(good, traces(C.model, good)):
+        if (a - 1 - ell) % p != 0:
             return IRREDUCIBLE
     return UNDETERMINED
 

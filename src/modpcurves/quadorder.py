@@ -19,7 +19,7 @@ m(X) = X^2 - Tr(a_ell)*X + N(a_ell), so
 a product of O(sqrt(ell)) small integers that are factored one by one;
 A(ell) itself is never multiplied out.  Z[omega] is a domain, so A(ell) = 0
 exactly when some m(i) = 0, which needs a rational a_ell equal to one of
-those i; the report is then degenerate and names no prime.
+those i; there is then no norm to factor and no prime is named.
 """
 
 from math import isqrt
@@ -67,39 +67,32 @@ def order_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-class ObstructionReport(NamedTuple):
-    norm: Factorization | None  # N(A(ell)); None when A(ell) = 0
-    obstructed_primes: frozenset
-    degenerate: bool
-
-
 def hasse_interval(ell: int) -> range:
     """Integers i with i^2 < 4*ell (exact comparison, no square roots)."""
     m = isqrt(4 * ell - 1)
     return range(-m, m + 1)
 
 
-def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> ObstructionReport:
-    """The factored norm of A(ell) and its prime support.
+def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> Factorization | None:
+    """The factored norm N(A(ell)), whose support is the obstructed primes.
 
     A mod-p match with an elliptic curve trace at ell requires p to divide
     N(A(ell)), the product of m(i) = N(a_ell - i) over i = +-(1+ell) and the
-    Hasse interval.  If some m(i) is 0 then A(ell) = 0: the report is
-    degenerate, names no prime and factors nothing."""
+    Hasse interval.  If some m(i) is 0 then A(ell) = 0 (a rational a_ell):
+    None, with nothing factored."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     t, n = a_ell.trace(), a_ell.norm()
     values = [i * i - t * i + n for i in (1 + ell, -1 - ell, *hasse_interval(ell))]
     if 0 in values:
-        return ObstructionReport(None, frozenset(), True)
+        return None
     sign, exponents = 1, {}
     for m in values:
         f = factor(m)
         sign *= f.sign
         for p, e in f.factors:
             exponents[p] = exponents.get(p, 0) + e
-    norm = Factorization(sign, tuple(sorted(exponents.items())))
-    return ObstructionReport(norm, frozenset(norm.support), False)
+    return Factorization(sign, tuple(sorted(exponents.items())))
 
 
 GOOD_POSSIBLE = "good-reduction-possible"

@@ -199,10 +199,10 @@ def _check_obstruct(d, a, ell, subset, level):
     d = int(d)
     a, b = parse_pair(a)
     ell = int(ell)
-    report = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
+    norm = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
     subset = parse_int_set(subset, "subset")
     yield _eq_check(f"obstructed primes at level {level} within {sorted(subset)}",
-                    True, report.obstructed_primes <= subset and not report.degenerate)
+                    True, norm is not None and subset.issuperset(norm.support))
 
 
 def _check_order(d, order_disc):

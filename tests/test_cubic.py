@@ -173,8 +173,7 @@ def test_s3_serre_conductor():
 
 def test_mordell_reduction():
     K = analyze_cubic((-1, -2, 27))  # disc -2063, prime
-    red = mordell_reduction(K)
-    assert red.N == 2063 and red.k == 2**4 * 3**3 * 2063 == 891216
+    assert mordell_reduction(K) == 2**4 * 3**3 * 2063 == 891216
     with pytest.raises(DiscriminantNotMinusPrime):
         mordell_reduction(analyze_cubic((-1, -9, 21)))  # -1356 not -prime
 

@@ -78,6 +78,17 @@ def test_verify_tracerow_reads_the_whole_bound(last, status):
     assert [(c.check_id, c.status) for c in report.checks] == [("<string>:1", status)]
 
 
+@pytest.mark.parametrize("a, subset, status", [
+    ("(-1,1)", "5,11", PASS), ("(-1,1)", "5", FAIL),
+    # a rational a_2 = 1 in the Hasse interval: A(2) = 0 rules out no prime
+    ("(1,0)", "5,11", FAIL)])
+def test_verify_obstruct_reads_the_support_of_a_nonzero_norm(a, subset, status):
+    recs = parse_fixture_text(f"obstruct; d=5; a={a}; ell=2; subset={subset}; level=23\n",
+                              "<string>")
+    report = verify_records(recs)
+    assert [(c.check_id, c.status) for c in report.checks] == [("<string>:1", status)]
+
+
 def test_verify_tracerow_rejects_a_row_shorter_than_its_window():
     recs = parse_fixture_text("# bound 41 holds 13 primes\n"
                               "tracerow; model=[1,1,0,-22,-812]; p=3; bound=41; "
@@ -216,11 +227,11 @@ def test_cli_obstruct_at_a_large_ell(capsys, json_flag):
     # the whole product had 6,009 digits here and overflowed int-to-str
     assert main(["obstruct", "--disc", "5", "--a", "(-1,1)",
                  "--ell", "100003", *json_flag]) == 0
-    rep = compute_obstruction(QuadraticOrderElement(5, -1, 1), 100003)
-    primes = sorted(rep.obstructed_primes)
-    expected = (json.dumps({"degenerate": False, "norm": str(rep.norm),
+    norm = compute_obstruction(QuadraticOrderElement(5, -1, 1), 100003)
+    primes = list(norm.support)
+    expected = (json.dumps({"degenerate": False, "norm": str(norm),
                             "obstructed_primes": primes}, sort_keys=True)
-                if json_flag else f"N(A(100003)) = {rep.norm}; obstructed primes {primes}")
+                if json_flag else f"N(A(100003)) = {norm}; obstructed primes {primes}")
     assert capsys.readouterr().out == expected + "\n"
 
 

@@ -248,6 +248,27 @@ def test_prime_too_large():
         ap(parse_curve("[0,0,1,-1,0]"), 10**7 + 19)
 
 
+@pytest.mark.parametrize("count", (count_points, ap), ids=lambda f: f.__name__)
+def test_a_good_prime_past_the_counting_bound_raises_before_any_count(monkeypatch, count):
+    # 1000003 is the first prime above the bound and good for X0(11); traces
+    # computes c4 and c6 before its first count
+    E = parse_curve("[0,-1,1,-10,-20]")
+    monkeypatch.setattr(frobenius, "c4_c6", lambda E: pytest.fail("counted"))
+    with pytest.raises(PrimeTooLarge, match="ell = 1000003 exceeds counting bound 1000000"):
+        count(E, 1000003)
+
+
+def test_traces_names_the_least_ell_past_the_bound(monkeypatch):
+    # the window is checked whole before the first count, however many of
+    # its primes lie below the bound
+    E = parse_curve("[0,-1,1,-10,-20]")
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 50)
+    monkeypatch.setattr(frobenius, "c4_c6", lambda E: pytest.fail("counted"))
+    for ells, named in (([2, 3, 53, 59], 53), ((47, 53), 53), ([59], 59)):
+        with pytest.raises(PrimeTooLarge, match=f"^ell = {named} exceeds counting bound 50$"):
+            next(frobenius.traces(E, ells))
+
+
 def test_bad_prime_above_the_counting_bound():
     # y^2 + xy = x^3 + q: c4 = 1 and Delta = -q (1 + 432 q), so mod q it is
     # the node y^2 + xy = x^3, with rational tangents y = 0 and y = -x: split.

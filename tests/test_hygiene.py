@@ -11,7 +11,8 @@ which holds only the package docstring, is not scanned.  Every option of a
 CLI subcommand is read by the subcommand's handler, every parameter of a
 fixture check is a plain one that a record field fills, and every exception
 class of the package derives from arith.Error.  No run of three
-consecutive statements occurs twice in the package.  No test module
+consecutive statements occurs twice in the package.  The counting bound
+`DEFAULT_COUNT_BOUND` is read by `frobenius.traces` alone.  No test module
 imports another test module."""
 
 import argparse
@@ -312,6 +313,25 @@ def foreign_exceptions(modules, base) -> list[str]:
             and obj.__module__ == module.__name__ and not issubclass(obj, base)]
 
 
+def readers(modules: dict[str, str], name: str) -> list[str]:
+    """Where the sources of modules (keyed by file name) read name, as
+    `module: definition` for a read inside a module-level def or class and
+    `module` for one at module level.  A load of the name, a load of it as
+    an attribute and an import of it count; an assignment to it does not."""
+    found = set()
+    for module, source in modules.items():
+        for top in ast.parse(source).body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{module}: {top.name}" if named else module
+            for node in ast.walk(top):
+                loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+                if (isinstance(node, ast.Name) and node.id == name and loaded
+                        or isinstance(node, ast.Attribute) and node.attr == name and loaded
+                        or isinstance(node, ast.alias) and node.name == name):
+                    found.add(where)
+    return sorted(found)
+
+
 def repeated_runs(modules: dict[str, str], width: int = 3) -> list[str]:
     """The runs of consecutive statements, as `module:first-last` lines,
     covered by windows of width statements that occur at least twice in
@@ -533,6 +553,18 @@ def test_scan_finds_planted_repeated_runs():
         "m.py:3-6", "n.py:8-11"]
 
 
+def test_scan_finds_planted_readers():
+    source = ("BOUND = 10\n"
+              "LIMIT = BOUND * 2\n"
+              "def check(n):\n    return n > BOUND\n"
+              "class C:\n    def m(self):\n        return self.BOUND\n"
+              "def rebind():\n    BOUND = 3\n    return 0\n"
+              "def store(obj):\n    obj.BOUND = 4\n")
+    other = "from m import BOUND as B\nimport m\nprint(B, m)\n"
+    assert readers({"m.py": source, "n.py": other, "o.py": "BOUNDS = 1\n"}, "BOUND") == [
+        "m.py", "m.py: C", "m.py: check", "n.py"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -586,6 +618,13 @@ def test_every_subcommand_reads_its_options():
 def test_every_fixture_check_has_plain_parameters():
     assert len(verify._HANDLERS) >= 17
     assert irregular_parameters(verify._HANDLERS) == []
+
+
+def test_only_traces_reads_the_counting_bound():
+    # every window of primes is checked against the bound in one place,
+    # before anything is counted
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert readers(modules, "DEFAULT_COUNT_BOUND") == ["frobenius.py: traces"]
 
 
 def test_every_exception_derives_from_the_package_error():

@@ -264,6 +264,12 @@ def test_cold_and_warm_records_agree(rng):
     assert additive >= 10
 
 
+def _no_count(monkeypatch):
+    """Make any count fail the test: traces computes c4 and c6 before its
+    first count, and after its check of the counting bound."""
+    monkeypatch.setattr(frobenius, "c4_c6", lambda E: pytest.fail("counted"))
+
+
 def test_trace_vector_past_the_counting_bound_fails_fast():
     # 1000003 is the first prime above DEFAULT_COUNT_BOUND, and good here
     E = parse_curve("[0,-1,1,-10,-20]")
@@ -271,26 +277,49 @@ def test_trace_vector_past_the_counting_bound_fails_fast():
     with pytest.raises(PrimeTooLarge, match="ell = 1000003 exceeds counting bound 1000000"):
         trace_vector(E, 5, DEFAULT_COUNT_BOUND + 3)
     assert time.perf_counter() - start < 1
-    # a witness below the bound still answers without raising
-    assert is_reducible_semistable(E, 3, DEFAULT_COUNT_BOUND + 3) == IRREDUCIBLE
+    # a witness below the bound (ell = 2 mod 3) does not save the window:
+    # it is refused before any count too
+    with pytest.raises(PrimeTooLarge, match="ell = 1000003 "):
+        is_reducible_semistable(E, 3, DEFAULT_COUNT_BOUND + 3)
 
 
-def test_counting_bound_checked_before_counting_and_lazily(monkeypatch):
+def test_irreducibility_past_the_counting_bound_fails_fast():
+    # X0(11) mod 5 has no witness (a rational 5-torsion point), so a lazy
+    # check of the bound would count every good ell below it first
+    E = parse_curve("[0,-1,1,-10,-20]")
+    start = time.perf_counter()
+    with pytest.raises(PrimeTooLarge, match="ell = 1000003 exceeds counting bound 1000000"):
+        is_reducible_semistable(E, 5, DEFAULT_COUNT_BOUND + 3)
+    assert time.perf_counter() - start < 1
+
+
+def test_irreducibility_refuses_a_window_past_the_bound_before_its_witness(monkeypatch):
+    # with the bound lowered to 50, X0(11) mod 3 has its witness at ell = 2,
+    # but 53 is good and above the bound: nothing is counted
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 50)
+    _no_count(monkeypatch)
+    with pytest.raises(PrimeTooLarge, match="ell = 53 exceeds counting bound 50"):
+        is_reducible_semistable(parse_curve("[0,-1,1,-10,-20]"), 3, 60)
+
+
+def test_counting_bound_checked_before_counting(monkeypatch):
     # with the bound lowered to 50: 53 is the first prime above it and good
     # for X0(11), which is reducible mod 5 (a rational 5-torsion point), so
-    # no ell is a witness mod 5, while mod 3 one comes before 50
+    # no ell is a witness mod 5
     E = parse_curve("[0,-1,1,-10,-20]")
-    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 50)
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 50)
     with monkeypatch.context() as m:
-        m.setattr(modp, "traces", lambda *args: pytest.fail("counted"))
+        _no_count(m)
         with pytest.raises(PrimeTooLarge, match="ell = 53 "):
             trace_vector(E, 5, 60)
-    assert is_reducible_semistable(E, 3, 60) == IRREDUCIBLE
-    with pytest.raises(PrimeTooLarge, match="ell = 53 "):
-        is_reducible_semistable(E, 5, 60)
+        with pytest.raises(PrimeTooLarge, match="ell = 53 "):
+            is_reducible_semistable(E, 5, 60)
+    # below the bound both answer
+    assert trace_vector(E, 5, 50).entries[-1] == (47, 3, GOOD_Q)
+    assert is_reducible_semistable(E, 5, 50) == UNDETERMINED
     # an ell above the bound that is skipped (353: multiplicative, ramified
     # mod 3) is not counted, so it raises nothing
-    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 350)
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 350)
     tv = trace_vector(parse_curve("[1,1,0,-22,-812]"), 3, 353)
     assert _trace_at(tv, 353) == (0, RAMIFIED_SKIP)
 
@@ -311,17 +340,16 @@ def test_bad_ell_above_the_counting_bound_gets_its_trace(monkeypatch):
     assert _trace_at(tv, q) == ((1 + q) % 3, BAD_CONVENTION)
     # the same with every count real: the counting bound lowered to 1000, so
     # nothing at or above 2^10 is counted; bad 1009 (v = 3) gets a_1009 from
-    # Tate's algorithm, checked against a count on the model, and good 1013
-    # still raises before any count
-    monkeypatch.setattr(modp, "DEFAULT_COUNT_BOUND", 1000)
-    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 1000)
+    # Tate's algorithm, checked against a count on the model made before the
+    # bound is lowered, and good 1013 still raises before any count
     E = WeierstrassModel(1, 0, 0, 0, 1009**3)
     a = 1009 + 1 - count_points(E, 1009)
     assert a in (1, -1)
+    monkeypatch.setattr(frobenius, "DEFAULT_COUNT_BOUND", 1000)
     tv = trace_vector(E, 3, 1012)
     assert _trace_at(tv, 1009) == (a * 1010 % 3, BAD_CONVENTION)
     assert _trace_at(tv, 997)[1] == GOOD_Q
     with monkeypatch.context() as m:
-        m.setattr(modp, "traces", lambda *args: pytest.fail("counted"))
+        _no_count(m)
         with pytest.raises(PrimeTooLarge, match="ell = 1013 "):
             trace_vector(E, 3, 1013)

@@ -88,11 +88,11 @@ def test_hasse_interval_exact():
 def test_obstruction_level23():
     # eigenvalue a_2 = -1 + (1 + sqrt 5)/2 at ell = 2
     a2 = QuadraticOrderElement(5, -1, 1)
-    rep = compute_obstruction(a2, 2)
-    assert not rep.degenerate
+    norm = compute_obstruction(a2, 2)
+    assert norm is not None
     assert ref_obstruction(5, (-1, 1), 2) == ((-20, 5), 275)
-    assert rep.norm.value() == 275 and str(rep.norm) == "5^2 * 11"
-    assert rep.obstructed_primes == frozenset({5, 11})
+    assert norm.value() == 275 and str(norm) == "5^2 * 11"
+    assert set(norm.support) == {5, 11}
 
 
 def test_obstruction_factors_d_at_most_once(monkeypatch):
@@ -101,13 +101,13 @@ def test_obstruction_factors_d_at_most_once(monkeypatch):
     a = QuadraticOrderElement.checked(5, -1, 1)
     assert calls == [(5,)]
     calls.clear()
-    rep = compute_obstruction(a, 1009)
+    norm = compute_obstruction(a, 1009)
     # one factor call per m(i) = i^2 + i - 1 and none on d; m(2) = m(-3) = 5
     values = [i * i + i - 1 for i in (1010, -1010, *hasse_interval(1009))]
     factored = [n for n, in calls]
     assert sorted(factored) == sorted(values)
     assert factored.count(5) == values.count(5) == 2
-    assert not rep.degenerate and 5 in rep.obstructed_primes
+    assert norm is not None and 5 in norm.support
 
 
 def _differential_cases(n=252, seed=20261019):
@@ -131,24 +131,22 @@ def test_obstruction_matches_the_whole_product():
     cases = _differential_cases()
     degenerate = 0
     for d, a, ell in cases:
-        rep = compute_obstruction(QuadraticOrderElement(d, *a), ell)
+        got = compute_obstruction(QuadraticOrderElement(d, *a), ell)
         A, norm = ref_obstruction(d, a, ell)
-        assert rep.degenerate == (A == (0, 0)), (d, a, ell)
-        if rep.degenerate:
-            assert rep.norm is None and norm == 0
-            assert rep.obstructed_primes == frozenset()
+        assert (got is None) == (A == (0, 0)), (d, a, ell)
+        if got is None:
+            assert norm == 0
             degenerate += 1
         else:
-            assert rep.norm.value() == norm, (d, a, ell)
-            assert rep.obstructed_primes == frozenset(rep.norm.support)
+            assert got.value() == norm, (d, a, ell)
     assert 0 < degenerate < len(cases)
 
 
 def test_obstruction_at_a_large_ell_is_fast():
     start = time.perf_counter()
-    rep = compute_obstruction(QuadraticOrderElement(5, -1, 1), 100003)
+    norm = compute_obstruction(QuadraticOrderElement(5, -1, 1), 100003)
     assert time.perf_counter() - start < 1.0
-    assert not rep.degenerate and {5, 11} <= rep.obstructed_primes
+    assert norm is not None and {5, 11} <= set(norm.support)
 
 
 @pytest.mark.parametrize("d", (-5, 0, 1, 4, 12, 18))
@@ -163,26 +161,22 @@ def test_checked_keeps_the_element():
 
 def test_obstruction_rational_degenerate():
     one = QuadraticOrderElement(5, 1, 0)  # inside the Hasse interval at 2
-    rep = compute_obstruction(one, 2)
-    assert rep.degenerate and rep.norm is None
-    assert rep.obstructed_primes == frozenset()
+    assert compute_obstruction(one, 2) is None
 
 
 @pytest.mark.parametrize("a", (8, -8))
 def test_obstruction_degenerate_at_plus_minus_one_plus_ell(a):
     # a = +-(1 + 7) lies outside the Hasse interval at 7 but kills the first factor
     assert 8 not in hasse_interval(7)
-    rep = compute_obstruction(QuadraticOrderElement(2, a, 0), 7)
-    assert rep.degenerate and rep.norm is None
-    assert rep.obstructed_primes == frozenset()
+    assert compute_obstruction(QuadraticOrderElement(2, a, 0), 7) is None
 
 
 def test_obstruction_rational_nonzero():
     # a rational value outside the Hasse interval at 2 and != +-3: nonzero
     a = QuadraticOrderElement(5, 7, 0)
-    rep = compute_obstruction(a, 2)
-    assert not rep.degenerate
-    assert rep.norm.value() == ref_obstruction(5, (7, 0), 2)[1] != 0
+    norm = compute_obstruction(a, 2)
+    assert norm is not None
+    assert norm.value() == ref_obstruction(5, (7, 0), 2)[1] != 0
 
 
 def test_curve_eligibility():
