@@ -4,14 +4,17 @@ Factorization (trial division by the primes below 10^4, one gcd per run
 of 32 of them, then Brent-cycle Pollard rho on every composite part of the
 cofactor, whose prime factors all exceed 10^4; every reported prime passes
 is_prime: deterministic Miller-Rabin on the fewest bases that suffice below
-3.3 * 10^24, BPSW above), p-adic valuations, Legendre and Jacobi symbols (by
-reciprocity, with no modular exponentiation), the floor cube root (integer
-Newton), the multiple root mod p of a polynomial of degree at most 3, and
-the bit sieve that the Mordell search and the index-form solver share: a
-periodic pattern tiled over the box by doubling shift-or steps, and the
-positions of the surviving bits, one lowest-set-bit step each.  Also the
-reader of comma-separated integer literals that the curve, pair and cubic
-parsers share.  Everything works on arbitrary-precision ints.
+3.3 * 10^24, BPSW above), the factorization of a product of powers that the
+obstruction norm and the fixture factorizations share, the allowed-prime
+check that the index-form sieve and the Mordell search share, p-adic
+valuations, Legendre and Jacobi symbols (by reciprocity, with no modular
+exponentiation), the floor cube root (integer Newton), the multiple root
+mod p of a polynomial of degree at most 3, and the bit sieve that the
+Mordell search and the index-form solver share: a periodic pattern tiled
+over the box by doubling shift-or steps, and the positions of the surviving
+bits, one lowest-set-bit step each.  Also the reader of comma-separated
+integer literals that the curve, pair and cubic parsers share.  Everything
+works on arbitrary-precision ints.
 """
 
 from bisect import bisect_left
@@ -278,6 +281,29 @@ def factor(n: int) -> Factorization:
         stack.append(m // d)
     factors = tuple(sorted(out.items()))
     return Factorization(sign, factors)
+
+
+def factor_product(terms) -> Factorization:
+    """The factorization of prod n^e over the pairs (n, e) of terms, each n
+    a nonzero int, factored here, and each e >= 0; a prime whose exponents
+    sum to 0 is left out."""
+    sign, exponents = 1, {}
+    for n, e in terms:
+        f = factor(n)
+        sign *= f.sign**e
+        for p, k in f.factors:
+            exponents[p] = exponents.get(p, 0) + k * e
+    return Factorization(sign, tuple(sorted((p, k) for p, k in exponents.items() if k)))
+
+
+def sorted_primes(entries, name: str) -> list[int]:
+    """The distinct primes among entries, ascending.  An entry 1 is ignored;
+    any other entry that is not a prime raises ValueError naming name and
+    the entry."""
+    for p in entries:
+        if p != 1 and not is_prime(p):
+            raise ValueError(f"{name} entry {p} is neither 1 nor a prime")
+    return sorted(set(entries) - {1})
 
 
 def valuation(n: int, p: int) -> int:

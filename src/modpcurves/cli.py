@@ -23,7 +23,7 @@ from .frobenius import ap
 from .modp import (compare_reps, serre_conductor_semistable, sturm_bound,
                    trace_vector)
 from .mordell import scan_twisted_mordell, search_mordell
-from .quadorder import QuadraticOrderElement, compute_obstruction
+from .quadorder import QuadraticOrderElement, checked_d, compute_obstruction
 from .tate import MinimalCurve, conductor, minimal_curve
 from .verify import verify_all
 from .weierstrass import c_invariants, parse_curve
@@ -188,7 +188,7 @@ def cmd_scan_twisted(args) -> int:
 
 def cmd_obstruct(args) -> int:
     a, b = parse_pair(args.a)
-    norm = compute_obstruction(QuadraticOrderElement.checked(args.disc, a, b),
+    norm = compute_obstruction(QuadraticOrderElement(checked_d(args.disc), a, b),
                                args.ell)
     degenerate = norm is None
     text, primes = ("0", []) if degenerate else (str(norm), list(norm.support))

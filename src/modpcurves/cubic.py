@@ -28,7 +28,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .arith import (Error, Factorization, factor, int_literals, is_prime,
-                    multiple_root, set_bits, tile)
+                    multiple_root, set_bits, sorted_primes, tile)
 
 
 class ReduciblePolynomial(Error):
@@ -59,10 +59,6 @@ class IndexForm(NamedTuple):
         A, B, C, D = self.coefficients
         return (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
                 - 4 * A * C**3 - 27 * A * A * D * D)
-
-
-def cubic_discriminant(a: int, b: int, c: int) -> int:
-    return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
 def parse_cubic(text: str) -> tuple[int, int, int]:
@@ -158,12 +154,12 @@ def _form_coefficients(poly, m: int, v: int, n: int) -> tuple[int, int, int, int
     return tuple(x // (n * w) for x in num)
 
 
-def _maximal_order(poly) -> tuple[int, int, int, int, int]:
+def _maximal_order(poly, disc: int) -> tuple[int, int, int, int, int]:
     """(s, m, t, v, n) with 1, (s + u)/m, (t + v u + u^2)/n a basis of the
     maximal order of Q[u]/(poly), reduced: 0 <= s < m, 0 <= v < n/m,
-    0 <= t < n."""
+    0 <= t < n; disc is the discriminant of poly."""
     s, m, t, v, n = 0, 1, 0, 0, 1
-    for q, e in factor(cubic_discriminant(*poly)).factors:
+    for q, e in factor(disc).factors:
         if e < 2:
             continue
         while True:
@@ -213,9 +209,10 @@ def analyze_cubic(poly) -> CubicField:
         r = _bisect(1, a, b, c, lo, hi, step, 0)
         if r is not None:
             raise ReduciblePolynomial(f"rational root {r}")
-    disc = cubic_discriminant(a, b, c)
+    # the discriminant of the monic cubic is that of the binary form (1, a, b, c)
+    disc = IndexForm((1, a, b, c)).discriminant()
     assert disc != 0
-    basis = _maximal_order((a, b, c))
+    basis = _maximal_order((a, b, c), disc)
     index = basis[1] * basis[4]  # m n
     field_disc, rem = divmod(disc, index * index)
     assert rem == 0
@@ -294,13 +291,10 @@ def congruence_sieve(form: IndexForm, allowed_primes) -> SieveReport:
 
     The tests see t = prod p^e only through t mod L, L = 18, so each prime
     contributes its classes p^e mod L, and e survives exactly when p^e * r
-    passes for some product r of the other primes' classes.  Raises
-    ValueError for an entry of allowed_primes that is neither 1 nor a
-    prime; an entry 1 is ignored."""
-    for p in allowed_primes:
-        if p != 1 and not is_prime(p):
-            raise ValueError(f"primes entry {p} is neither 1 nor a prime")
-    primes = sorted(set(allowed_primes) - {1})
+    passes for some product r of the other primes' classes.  The primes
+    are read by arith.sorted_primes under the name "primes": an entry 1 is
+    ignored, and any other that is not a prime raises ValueError."""
+    primes = sorted_primes(allowed_primes, "primes")
     moduli = (2, 9)
     residues = {m: _attainable_residues(form, m) for m in moduli}
     L = lcm(*moduli)
@@ -401,7 +395,7 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     a negative bound; congruence_sieve raises it for an entry of
     allowed_primes that is neither 1 nor a prime, and ignores an entry 1.
 
-    Besides the y = 0 and x = 0 edges, a coprime solution with y > 0 is
+    Besides the y = 0 edge (+-1, 0), a coprime solution with y > 0 is
     f(x, y) = v for a signed target v = +-prod p^e that passes the residue
     tests mod 2 and mod 9.  For each such v, the y in [1, bound] are sieved
     as one integer, bit j for y = j + 1, by each prime q <= 47; the mask of
@@ -412,7 +406,8 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
     f(x, y) = y^3 f(x/y, 1), so v y^-3 mod q lies in the image of f(t, 1)
     mod q; if q divides y, then q does not divide x, and v = A x^3 (mod q)
     for a unit x.  The pairs it does drop are not coprime, and those come
-    from the scaling step."""
+    from the scaling step.  The points (0, +-1) need no edge of their own:
+    line y = 1 holds x = 0 and survives for v = D = f(0, 1)."""
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
     form = index_form(K)
@@ -432,23 +427,15 @@ def solve_index_equation(K: CubicField, allowed_primes, search_bound: int):
                 t *= p
         targets = grown
     targets.sort()
-    supported = set(targets)
     sols = set()
-
-    def record(x, y):
-        if max(abs(x), abs(y)) <= Bnd and gcd(x, y) == 1:
-            v = abs(form(x, y))
-            if v in supported:
-                sols.add((x, y, v))
-
     # keep a signed target only if every modulus can attain it: coprime
     # (x, y) have gcd(x, y, m) = 1, so f(x, y) mod m lies in residues[m]
     mod2, mod9 = set(report.residues[2]), set(report.residues[9])
     values = [v for t in targets for v in (t, -t) if v % 9 in mod9 and v % 2 in mod2]
 
-    # y = 0 and x = 0 edges
-    for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        record(x, y)
+    # the y = 0 edge: f(+-1, 0) = +-A, a target when |A| <= maxval
+    if Bnd and abs(A) in targets:
+        sols.update(((1, 0, abs(A)), (-1, 0, abs(A))))
     # per y-sieve prime q its rows, flags and masks by v mod q; targets by line
     Ft = [((A * t + B) * t + C) * t + D for t in range(_Y_SIEVE_PRIMES[-1])]
     tables = [(q, rows, _y_flags(q, rows, A, Ft), [None] * q) for q, rows in _Y_SIEVE_ROWS]

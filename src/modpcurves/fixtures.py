@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import Error, Factorization, factor, int_literals
+from .arith import Error, Factorization, factor_product, int_literals
 
 
 class FixtureError(Error):
@@ -65,24 +65,19 @@ def default_fixture_dir() -> Path:
 
 
 def parse_factorization(text: str) -> Factorization:
-    """Parse "-2^18*3*353" (or "1" / "-1") into a Factorization."""
+    """Parse "-2^18*3*353" (or "1" / "-1") into a Factorization: an optional
+    sign, then pieces n or n^e joined by '*', with spaces anywhere.  Bases
+    need not be prime ("1967" = 7 * 281) and p^0 is 1.  Text with no piece
+    ("", "-") raises ValueError naming it, as any bad piece does."""
     t = text.replace(" ", "")
-    sign = 1
-    if t.startswith("-"):
-        sign, t = -1, t[1:]
-    if t in ("", "1"):
-        return Factorization(sign, ())
-    counts: dict = {}
-    for piece in t.split("*"):
+    sign, body = (-1, t[1:]) if t[:1] == "-" else (1, t)
+    terms = [(sign, 1)]  # factor(-1) is the sign -1 with no prime
+    for piece in body.split("*"):
         base, caret, exp = piece.partition("^")
         if not base.isdecimal() or caret and not exp.isdecimal():
             raise ValueError(f"bad factorization piece {piece!r} in {text!r}")
-        base, exp = int(base), int(exp) if caret else 1
-        # bases need not be prime in fixture text (e.g. "1967" = 7 * 281)
-        for p, e in factor(base).factors:
-            counts[p] = counts.get(p, 0) + e * exp
-    # p^0 is 1
-    return Factorization(sign, tuple(sorted((p, e) for p, e in counts.items() if e)))
+        terms.append((int(base), int(exp) if caret else 1))
+    return factor_product(terms)
 
 
 def _int_entry(entry: str, name: str) -> int:

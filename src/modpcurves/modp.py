@@ -48,9 +48,10 @@ class SerreData(NamedTuple):
 
 
 def _curve_and_bad_primes(E: WeierstrassModel | MinimalCurve, p: int,
-                          bound: int) -> tuple[MinimalCurve, dict]:
-    """The record of E and its bad primes, each with v(disc), for a prime p
-    and a bound >= 0; ValueError otherwise."""
+                          bound: int = 0) -> tuple[MinimalCurve, dict]:
+    """The record of E and its bad primes, ascending, each with v(disc), for
+    a prime p and a bound >= 0 (the Serre conductor reads no window);
+    ValueError otherwise."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if bound < 0:
@@ -83,13 +84,12 @@ def serre_conductor_semistable(E: WeierstrassModel | MinimalCurve, p: int) -> Se
     """Prime-to-p Serre conductor under the semistable-outside-p hypothesis.
 
     A multiplicative prime ell != p survives in N(rhobar) exactly when
-    p does not divide v_ell(Delta_min)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    C = minimal_curve(E)
+    p does not divide v_ell(Delta_min); ValueError for a p that is not
+    prime."""
+    C, bad = _curve_and_bad_primes(E, p)
     kept = []
     notes = []
-    for ell, v in C.disc.factors:
+    for ell, v in bad.items():
         if ell == p:
             notes.append((ell, "residue characteristic, excluded by definition"))
             continue

@@ -30,7 +30,7 @@ import itertools
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import icbrt, is_prime, set_bits, tile
+from .arith import icbrt, set_bits, sorted_primes, tile
 
 
 def _square_table(q: int) -> bytes:
@@ -70,10 +70,9 @@ class SIntegerPoint(_SIntegerPointFields):
 
 
 def _denominators(S, exponent_bound):
-    primes = sorted(S)
-    return sorted({prod(p**e for p, e in zip(primes, exps))
+    return sorted({prod(p**e for p, e in zip(S, exps))
                    for exps in itertools.product(range(exponent_bound + 1),
-                                                 repeat=len(primes))})
+                                                 repeat=len(S))})
 
 
 def _group_block(group, m: int, K: int, bound: int, cache: dict) -> int:
@@ -96,7 +95,8 @@ def _group_block(group, m: int, K: int, bound: int, cache: dict) -> int:
 
 def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
     """Bit i is 1 when x = i - bound has x^3 + K a square mod every sieve
-    modulus and x is prime to every prime of S that divides d.
+    modulus and x is prime to every prime of S that divides d (S holds
+    primes only).
 
     cache holds the group blocks, keyed (group, K mod m) with m the product
     of the group's moduli, the flag pattern of each modulus q tiled to its
@@ -116,7 +116,7 @@ def _sieve(K: int, bound: int, d: int, S, cache: dict) -> int:
             block = cache[key] = _group_block(group, m, K, bound, cache)
         live &= tile(block, m, nbits)
     for p in S:
-        if p > 1 and d % p == 0:  # 1 in S divides every d but forbids no x
+        if d % p == 0:
             prime_to_p = cache.get(p)
             if prime_to_p is None:
                 prime_to_p = cache[p] = full & ~(tile(1, p, nbits) << bound % p)
@@ -130,17 +130,16 @@ def search_mordell(k: int, S, height_bound: int,
     d = prod p^e (p in S, e <= exponent_bound) and |x_num| <= height_bound.
 
     Exhaustive within that numerator box; exact arithmetic throughout.
-    Raises ValueError for k = 0, a negative bound, or an entry of S that is
-    neither 1 nor a prime."""
+    Raises ValueError for k = 0 or a negative bound; S is read by
+    arith.sorted_primes under the name "S", so an entry 1 is ignored and any
+    other that is not a prime raises ValueError."""
     if k == 0:
         raise ValueError("k must be nonzero")
     if height_bound < 0:
         raise ValueError(f"height bound {height_bound} is negative")
     if exponent_bound < 0:
         raise ValueError(f"exponent bound {exponent_bound} is negative")
-    for p in S:
-        if p != 1 and not is_prime(p):
-            raise ValueError(f"S entry {p} is neither 1 nor a prime")
+    S = sorted_primes(S, "S")
     H, nbits = height_bound, 2 * height_bound + 1
     cache = {}
     points = []

@@ -1,8 +1,9 @@
 """Real quadratic orders and the level-raising obstruction.
 
 The order is Z[omega] with omega = (1 + sqrt(d))/2 when d = 1 mod 4 and
-omega = sqrt(d) otherwise (d squarefree, d > 1).  Elements are integer pairs
-(a, b) meaning a + b*omega; no floating point anywhere.
+omega = sqrt(d) otherwise (d squarefree, d > 1, which checked_d checks for
+a d from outside).  Elements are integer pairs (a, b) meaning a + b*omega;
+no floating point anywhere.
 
 For an eigenvalue a_ell living in such an order, the obstruction
 
@@ -16,28 +17,23 @@ m(X) = X^2 - Tr(a_ell)*X + N(a_ell), so
 
     N(A(ell)) = m(1+ell) * m(-1-ell) * prod_{i^2 < 4*ell} m(i),
 
-a product of O(sqrt(ell)) small integers that are factored one by one;
-A(ell) itself is never multiplied out.  Z[omega] is a domain, so A(ell) = 0
-exactly when some m(i) = 0, which needs a rational a_ell equal to one of
-those i; there is then no norm to factor and no prime is named.
+a product of O(sqrt(ell)) small integers that arith.factor_product factors
+one by one and merges; A(ell) itself is never multiplied out.  Z[omega] is
+a domain, so A(ell) = 0 exactly when some m(i) = 0, which needs a rational
+a_ell equal to one of those i; there is then no norm to factor and no prime
+is named.
 """
 
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import Factorization, factor, is_prime, legendre_symbol
+from .arith import Factorization, factor, factor_product, is_prime, legendre_symbol
 
 
 class QuadraticOrderElement(NamedTuple):
     d: int  # squarefree, > 1
     a: int
     b: int  # element a + b*omega
-
-    @classmethod
-    def checked(cls, d: int, a: int, b: int) -> "QuadraticOrderElement":
-        """a + b*omega for a d from outside; raises ValueError unless d is a
-        squarefree integer > 1."""
-        return cls(checked_d(d), a, b)
 
     @property
     def half_basis(self) -> bool:
@@ -86,13 +82,7 @@ def compute_obstruction(a_ell: QuadraticOrderElement, ell: int) -> Factorization
     values = [i * i - t * i + n for i in (1 + ell, -1 - ell, *hasse_interval(ell))]
     if 0 in values:
         return None
-    sign, exponents = 1, {}
-    for m in values:
-        f = factor(m)
-        sign *= f.sign
-        for p, e in f.factors:
-            exponents[p] = exponents.get(p, 0) + e
-    return Factorization(sign, tuple(sorted(exponents.items())))
+    return factor_product((m, 1) for m in values)
 
 
 GOOD_POSSIBLE = "good-reduction-possible"

@@ -199,7 +199,7 @@ def _check_obstruct(d, a, ell, subset, level):
     d = int(d)
     a, b = parse_pair(a)
     ell = int(ell)
-    norm = compute_obstruction(QuadraticOrderElement.checked(d, a, b), ell)
+    norm = compute_obstruction(QuadraticOrderElement(checked_d(d), a, b), ell)
     subset = parse_int_set(subset, "subset")
     yield _eq_check(f"obstructed primes at level {level} within {sorted(subset)}",
                     True, norm is not None and subset.issuperset(norm.support))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from sympy import Poly
+from sympy import Poly, discriminant
 from sympy.abc import x as X
 from sympy.polys.numberfields.basis import round_two
 
@@ -15,13 +15,12 @@ from conftest import (FIXTURE_CUBICS, element_index, fraction_basis, mat_inv, sp
 from modpcurves import cubic
 from modpcurves.cli import main
 from modpcurves.cubic import (CubicField, DiscriminantNotMinusPrime,
-                              ReduciblePolynomial, analyze_cubic,
-                              congruence_sieve, cubic_discriminant,
+                              ReduciblePolynomial, analyze_cubic, congruence_sieve,
                               index_form, mordell_reduction, parse_cubic,
                               s3_serre_conductor, solve_index_equation,
                               _Y_SIEVE_PRIMES, _Y_SIEVE_ROWS, _bisect,
                               _monotone_pieces, _y_flags)
-from modpcurves.arith import tile
+from modpcurves.arith import factor, tile
 
 
 def test_parse_cubic_formats():
@@ -55,7 +54,7 @@ def test_analyze_known_fields():
     for (a, b, c), dK in FIXTURE_CUBICS:
         K = analyze_cubic((a, b, c))
         assert K.field_discriminant == dK
-        assert K.poly_discriminant == cubic_discriminant(a, b, c)
+        assert K.poly_discriminant == discriminant(X**3 + a * X**2 + b * X + c, X)
         assert K.poly_discriminant == dK * K.index_of_generator**2
 
 
@@ -268,6 +267,20 @@ def test_solve_trivial_units():
     # empty prime support: only index-1 (monogenic generator) pairs survive
     assert all(v == 1 for _, _, v in sols)
     assert {(1, 0), (-1, 0)} <= {(x, y) for x, y, _ in sols}
+
+
+def test_line_y_1_finds_0_and_plus_minus_1():
+    # (0, +-1) has no edge of its own: it lies on line y = 1, which the
+    # y-sieve keeps for v = D = f(0, 1), so a box of bound 1 finds it and a
+    # box of bound 0 does not
+    for poly, _ in FIXTURE_CUBICS + [((0, 0, -2), -108)]:
+        K = analyze_cubic(poly)
+        D = index_form(K).coefficients[3]
+        primes = set(factor(abs(D)).support)  # |D| is smooth on them
+        sols, _ = solve_index_equation(K, primes, 1)
+        assert {(0, 1, abs(D)), (0, -1, abs(D))} <= set(sols), poly
+        assert sols == brute_force_box(K, primes, 1), poly
+        assert solve_index_equation(K, primes, 0)[0] == [], poly
 
 
 def test_solve_1751_contains_index_8():

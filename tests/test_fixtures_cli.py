@@ -42,6 +42,10 @@ def test_parse_helpers():
     assert parse_pair("(-4, 2)") == (-4, 2)
     with pytest.raises(ValueError):
         parse_factorization("2^x")
+    # a value with no piece is refused, not read as 1 or -1
+    for text in ("", " ", "-"):
+        with pytest.raises(ValueError, match=f"in {text!r}$"):
+            parse_factorization(text)
 
 
 def test_parse_factorization_reads_a_zero_exponent_as_one():
@@ -324,6 +328,12 @@ def test_verify_reads_a_file_a_directory_or_the_packaged_fixtures(full_report):
      "ValueError: row entry '' is not an integer"),
     ("reciprocity; pmin=3; pmax=100; candidates=2,x,10",
      "ValueError: candidates entry 'x' is not an integer"),
+    ("curve; model=[0,-1,1,-10,-20]; conductor=",
+     "ValueError: bad factorization piece '' in ''"),
+    ("serre; model=[0,-1,1,-10,-20]; p=5; serre=",
+     "ValueError: bad factorization piece '' in ''"),
+    ("serre; model=[0,-1,1,-10,-20]; p=5; serre=-",
+     "ValueError: bad factorization piece '' in '-'"),
     ("order; d=4; order_disc=16", "ValueError: d = 4 is not a squarefree integer > 1"),
     ("order; d=1; order_disc=1", "ValueError: d = 1 is not a squarefree integer > 1"),
     ("order; d=5; d=6; order_disc=5", "repeated field 'd'"),

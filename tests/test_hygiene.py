@@ -319,17 +319,33 @@ def readers(modules: dict[str, str], name: str) -> list[str]:
     `module` for one at module level.  A load of the name, a load of it as
     an attribute and an import of it count; an assignment to it does not."""
     found = set()
+    for where, top in _top_level(modules):
+        for node in ast.walk(top):
+            loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+            if (isinstance(node, ast.Name) and node.id == name and loaded
+                    or isinstance(node, ast.Attribute) and node.attr == name and loaded
+                    or isinstance(node, ast.alias) and node.name == name):
+                found.add(where)
+    return sorted(found)
+
+
+def raisers(modules: dict[str, str], text: str) -> list[str]:
+    """Where the sources of modules (keyed by file name) raise an exception
+    built with a string constant that holds text, an f-string piece too, as
+    readers names the place; a docstring that quotes text does not count."""
+    return sorted({where for where, top in _top_level(modules)
+                   for node in ast.walk(top) if isinstance(node, ast.Raise)
+                   for const in ast.walk(node)
+                   if isinstance(const, ast.Constant) and text in str(const.value)})
+
+
+def _top_level(modules: dict[str, str]):
+    """Each module-level statement of the sources of modules, with its
+    place: `module: name` for a def or class, `module` for anything else."""
     for module, source in modules.items():
         for top in ast.parse(source).body:
             named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
-            where = f"{module}: {top.name}" if named else module
-            for node in ast.walk(top):
-                loaded = isinstance(getattr(node, "ctx", None), ast.Load)
-                if (isinstance(node, ast.Name) and node.id == name and loaded
-                        or isinstance(node, ast.Attribute) and node.attr == name and loaded
-                        or isinstance(node, ast.alias) and node.name == name):
-                    found.add(where)
-    return sorted(found)
+            yield (f"{module}: {top.name}" if named else module), top
 
 
 def repeated_runs(modules: dict[str, str], width: int = 3) -> list[str]:
@@ -565,6 +581,15 @@ def test_scan_finds_planted_readers():
         "m.py", "m.py: C", "m.py: check", "n.py"]
 
 
+def test_scan_finds_planted_raisers():
+    source = ('def f(p):\n    """f raises "not a prime"."""\n'
+              '    raise ValueError(f"{p} is not a prime")\n'
+              "def g(p):\n    message = 'is not a prime'\n    raise ValueError(message)\n"
+              "class C:\n    def m(self):\n        raise TypeError('is not a prime: ' + self)\n"
+              "if X:\n    raise ValueError('is not a prime')\n")
+    assert raisers({"m.py": source}, "is not a prime") == ["m.py", "m.py: C", "m.py: f"]
+
+
 def test_package_has_modules_to_scan():
     assert len(MODULES) >= 10
 
@@ -625,6 +650,12 @@ def test_only_traces_reads_the_counting_bound():
     # before anything is counted
     modules = {path.name: path.read_text() for path in MODULES}
     assert readers(modules, "DEFAULT_COUNT_BOUND") == ["frobenius.py: traces"]
+
+
+def test_one_function_refuses_an_entry_that_is_neither_1_nor_a_prime():
+    # the allowed-prime rule of the index-form sieve and the Mordell search
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert raisers(modules, "neither 1 nor a prime") == ["arith.py: sorted_primes"]
 
 
 def test_every_exception_derives_from_the_package_error():

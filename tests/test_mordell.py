@@ -8,8 +8,10 @@ import pytest
 
 from conftest import spy
 from modpcurves import mordell
-from modpcurves.arith import icbrt
+from modpcurves.arith import icbrt, is_prime
 from modpcurves.cli import main
+from modpcurves.cubic import (analyze_cubic, congruence_sieve, index_form,
+                              solve_index_equation)
 from modpcurves.mordell import (_SIEVE_GROUPS, _SQUARE_TABLES, SIntegerPoint,
                                 _denominators, _sieve, scan_twisted_mordell,
                                 search_mordell)
@@ -305,6 +307,33 @@ def test_cli_rejects_a_bad_box(capsys, argv, named):
 def test_unit_in_S_adds_no_denominator():
     # `modpcurves mordell --S 1` passes S = {1}; 1 | d must not clear the box
     assert search_mordell(1, {1}, 50, 2) == search_mordell(1, set(), 50, 0) != []
+
+
+def test_one_allowed_prime_rule(rng):
+    # the index-form sieve and the Mordell search read their primes by one
+    # rule: both name the same first bad entry, each under its own field
+    # name, and an entry 1 changes no result
+    K = analyze_cubic((-1, -2, 27))
+    form = index_form(K)
+    pool = (1, 2, 3, 5, 7, 13, 2063, 0, -3, 4, 9, 15, 2**31 - 1, 2**31 + 1)
+    named = solved = 0
+    for _ in range(300):
+        S = rng.sample(pool, rng.randint(0, 5))
+        bad = next((p for p in S if p != 1 and not is_prime(p)), None)
+        if bad is not None:
+            named += 1
+            with pytest.raises(ValueError, match=f"^primes entry {bad} is neither 1 nor a prime$"):
+                congruence_sieve(form, S)
+            with pytest.raises(ValueError, match=f"^S entry {bad} is neither 1 nor a prime$"):
+                search_mordell(-2, S, 20, 1)
+            continue
+        S = [p for p in S if p != 1 and p < 100]
+        solved += 1
+        assert solve_index_equation(K, S + [1], 40) == solve_index_equation(K, S, 40)
+        assert search_mordell(-2, S + [1], 20, 2) == search_mordell(-2, S, 20, 2)
+        assert scan_twisted_mordell(7, 1, 1, S + [1], 20, 1) \
+            == scan_twisted_mordell(7, 1, 1, S, 20, 1)
+    assert named > 100 and solved > 50
 
 
 def test_point_rejects_denominator_sharing_a_factor():

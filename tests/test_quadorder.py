@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spy
-from modpcurves import quadorder
+from modpcurves import arith, quadorder
 from modpcurves.arith import legendre_symbol, primes_below
 from modpcurves.quadorder import (GOOD_POSSIBLE, IMPOSSIBLE, MULT_POSSIBLE,
-                                  QuadraticOrderElement, compute_obstruction,
-                                  curve_eligibility, hasse_interval,
-                                  order_discriminant, reciprocity_cover)
+                                  QuadraticOrderElement, checked_d,
+                                  compute_obstruction, curve_eligibility,
+                                  hasse_interval, order_discriminant,
+                                  reciprocity_cover)
 
 small = st.integers(min_value=-40, max_value=40)
 
@@ -96,12 +97,14 @@ def test_obstruction_level23():
 
 
 def test_obstruction_factors_d_at_most_once(monkeypatch):
-    # checked factors d; the obstruction factors each m(i) and never d again
-    calls = spy(monkeypatch, quadorder, "factor")
-    a = QuadraticOrderElement.checked(5, -1, 1)
-    assert calls == [(5,)]
-    calls.clear()
+    # checked_d factors d; the obstruction factors each m(i), through
+    # arith.factor_product, and never d again
+    d_calls = spy(monkeypatch, quadorder, "factor")
+    calls = spy(monkeypatch, arith, "factor")
+    a = QuadraticOrderElement(checked_d(5), -1, 1)
+    assert d_calls == [(5,)] and calls == []
     norm = compute_obstruction(a, 1009)
+    assert d_calls == [(5,)]
     # one factor call per m(i) = i^2 + i - 1 and none on d; m(2) = m(-3) = 5
     values = [i * i + i - 1 for i in (1010, -1010, *hasse_interval(1009))]
     factored = [n for n, in calls]
@@ -152,11 +155,11 @@ def test_obstruction_at_a_large_ell_is_fast():
 @pytest.mark.parametrize("d", (-5, 0, 1, 4, 12, 18))
 def test_checked_rejects_a_d_that_is_not_squarefree_above_one(d):
     with pytest.raises(ValueError, match=f"d = {d} is not a squarefree integer > 1"):
-        QuadraticOrderElement.checked(d, 1, 1)
+        checked_d(d)
 
 
 def test_checked_keeps_the_element():
-    assert QuadraticOrderElement.checked(10, 3, -2) == QuadraticOrderElement(10, 3, -2)
+    assert QuadraticOrderElement(checked_d(10), 3, -2) == QuadraticOrderElement(10, 3, -2)
 
 
 def test_obstruction_rational_degenerate():

@@ -50,7 +50,7 @@ def _samples():
         (form, ("coefficients",)),
         (congruence_sieve(form, {2, 2063}), ("residues", "surviving_exponents",
                                              "conclusions")),
-        (QuadraticOrderElement.checked(5, -1, 1), ("d", "a", "b")),
+        (QuadraticOrderElement(5, -1, 1), ("d", "a", "b")),
         (report.checks[0], ("check_id", "description", "expected", "computed", "status")),
         (report, ("checks",)),
     ]

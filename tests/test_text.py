@@ -97,8 +97,6 @@ def _old_factorization(text: str):
     sign = 1
     if t.startswith("-"):
         sign, t = -1, t[1:]
-    if t in ("", "1"):
-        return Factorization(sign, ())
     counts: dict = {}
     for piece in t.split("*"):
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", piece)
